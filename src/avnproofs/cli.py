@@ -2,7 +2,8 @@
 
 Graphs are written ``n: i-j, i-j, ...`` and distributions ``a,b|c,d`` with
 1-based qubits.  Exit status is 0 for allows/true verdicts, 1 for
-blocks/false/none, and 2 for malformed input.
+blocks/false/none, 2 for malformed input, and 3 for an internal error (a
+failed cross-check), so that a failure never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from .equivalence import classify_all
 from .errors import ParseError, ResourceLimitError, UnsupportedInputError
 from .graphstate import (
+    MAX_STATE_QUBITS,
     expectation,
     format_graph,
     full_stabilizer,
@@ -25,21 +27,23 @@ from .pauli import format_pauli
 from .partitions import all_avn_distributions, min_party_distributions
 from .reality import allows_specific_avn, format_distribution, parse_distribution
 from .reports import DistributionReport, particle_columns_header, particle_columns_row
-from .witness import find_witness, format_witness, underrepresented_qubits, verify_witness
+from .witness import (
+    PERFECT_CORRELATION_TOL,
+    find_witness,
+    format_witness,
+    underrepresented_qubits,
+    verify_witness,
+)
 
 
-def _emit_reports(reports, fmt):
-    if fmt == "json-lines":
-        for r in reports:
-            print(json.dumps(r.to_json_dict(), sort_keys=True))
-    else:
-        if not reports:
-            print("(none)")
-            return
-        maxp = max(r.distribution.m for r in reports)
-        print(particle_columns_header(maxp))
-        for r in reports:
-            print(particle_columns_row(r))
+def _emit_reports(reports):
+    if not reports:
+        print("(none)")
+        return
+    maxp = max(r.distribution.m for r in reports)
+    print(particle_columns_header(maxp))
+    for r in reports:
+        print(particle_columns_row(r))
 
 
 def _oracle_check(g, dist, decision):
@@ -53,14 +57,14 @@ def _oracle_check(g, dist, decision):
                 raise AssertionError(
                     f"solver and brute-force disagree on {letter}{qubit}"
                 )
-    if g.n <= 12:
+    if g.n <= MAX_STATE_QUBITS:
         sv = statevector(g)
         for row in decision.eor.values():
             for w in row.values():
                 if w is None:
                     continue
                 val = expectation(sv, stabilizer_element(g, w.subset))
-                if abs(val - 1.0) > 1e-10:
+                if abs(val - 1.0) > PERFECT_CORRELATION_TOL:
                     raise AssertionError("witness operator is not a perfect correlation")
 
 
@@ -103,7 +107,7 @@ def cmd_min_parties(args) -> int:
     else:
         print(f"graph: {format_graph(g)}")
         print(f"m_min: {m}")
-        _emit_reports(reports, args.format)
+        _emit_reports(reports)
     return 0
 
 
@@ -121,7 +125,7 @@ def cmd_enumerate(args) -> int:
     else:
         print(f"graph: {format_graph(g)}")
         print(f"m: {args.m}")
-        _emit_reports(reports, args.format)
+        _emit_reports(reports)
     return 0 if reports else 1
 
 
@@ -164,7 +168,7 @@ def cmd_verify(args) -> int:
     for op in full_stabilizer(g):
         dev = abs(expectation(sv, op) - 1.0)
         worst = max(worst, dev)
-        if dev > 1e-10:
+        if dev > PERFECT_CORRELATION_TOL:
             bad += 1
             print(f"FAIL {format_pauli(op)} deviates by {dev:.3e}")
     print(
@@ -193,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="census of graph-state classes")
     p.add_argument("--n", type=int, required=True)
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; census is sequential")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("check", help="verdict for one graph and distribution")
@@ -229,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="statevector check of all perfect correlations")
     p.add_argument("--graph", required=True)
-    add_common(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
     except (ParseError, UnsupportedInputError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -153,12 +153,18 @@ def _eor_requirements(pauli: str):
 
 
 def _verify_witness_subset(g: Graph, d: Distribution, i: int, pauli: str, mask: int) -> None:
-    assert classify_action(mask, g, i).value == pauli
+    """Raise AssertionError unless the subset certifies ``pauli`` on qubit i
+    (explicit raises, so the check also runs under ``python -O``)."""
+    if classify_action(mask, g, i).value != pauli:
+        raise AssertionError(f"subset 0x{mask:x} does not show {pauli} on qubit {i}")
     pm = d.pmask(i)
     while pm:
         low = pm & -pm
         j = low.bit_length()
-        assert classify_action(mask, g, j) is ActionClass.IDENTITY
+        if classify_action(mask, g, j) is not ActionClass.IDENTITY:
+            raise AssertionError(
+                f"subset 0x{mask:x} for {pauli}{i} acts on particle mate {j}"
+            )
         pm ^= low
 
 

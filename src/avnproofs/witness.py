@@ -24,7 +24,6 @@ from .graphstate import (
     statevector,
 )
 from .pauli import format_pauli, sign_of
-from .reality import ActionClass, classify_action
 
 PERFECT_CORRELATION_TOL = 1e-10
 
@@ -121,24 +120,18 @@ def is_critical(w: AvnWitness, g: Graph) -> bool:
 
 
 def _eor_certifying_subsets(g: Graph, d) -> set:
-    """All generator subsets certifying some element of reality under d."""
+    """All generator subsets certifying some element of reality under d.
+
+    A subset certifies one when its operator acts on some qubit i but as
+    the identity on every particle mate of i.
+    """
     out = set()
     pmasks = [d.pmask(i) for i in range(1, g.n + 1)]
     for mask in range(1, 1 << g.n):
-        for i in range(1, g.n + 1):
-            if classify_action(mask, g, i) is ActionClass.IDENTITY:
-                continue
-            pm = pmasks[i - 1]
-            ok = True
-            while pm:
-                low = pm & -pm
-                if classify_action(mask, g, low.bit_length()) is not ActionClass.IDENTITY:
-                    ok = False
-                    break
-                pm ^= low
-            if ok:
-                out.add(mask)
-                break
+        op = stabilizer_element(g, mask)
+        support = op.x.bits | op.z.bits
+        if any((support >> q) & 1 and not support & pm for q, pm in enumerate(pmasks)):
+            out.add(mask)
     return out
 
 

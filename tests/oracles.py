@@ -6,6 +6,8 @@ matrices, explicit enumeration) and never calls the code paths it checks.
 
 import numpy as np
 
+from avnproofs import generators, identity, pauli_multiply
+
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -30,6 +32,20 @@ def operator_matrix(op):
     """Dense matrix of a PauliOperator."""
     letters = [op.letter(q) for q in range(1, op.n + 1)]
     return pauli_matrix(letters, op.phase)
+
+
+def stabilizer_by_products(g, mask):
+    """Stabilizer element of a generator subset as an explicit product.
+
+    Multiplies the selected generators one by one in ascending index order
+    with ``pauli_multiply``; the package computes the same element in
+    closed form.
+    """
+    acc = identity(g.n)
+    for v, gen in enumerate(generators(g)):
+        if (mask >> v) & 1:
+            acc = pauli_multiply(acc, gen)
+    return acc
 
 
 def set_partitions(elements):

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from avnproofs import cli
 from avnproofs.cli import main
 
 LC6 = "6: 1-2,2-3,3-4,4-5,5-6"
@@ -157,3 +160,28 @@ def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--graph", LC6)
     assert code == 0
     assert "64 stabilizing operators checked" in out
+
+
+def test_internal_error_exit_three(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("solver and brute-force verdicts disagree")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = run(capsys, "check", "--graph", LC6, "--dist", "1,4,5|2,3,6")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: solver and brute-force verdicts disagree\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--n", "4", "--jobs", "2"),
+        ("verify", "--graph", LC6, "--format", "table"),
+    ],
+)
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

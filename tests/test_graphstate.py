@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnproofs import (
     Bitvec,
@@ -28,7 +30,7 @@ from avnproofs import (
     stabilizer_element,
     statevector,
 )
-from oracles import operator_matrix
+from oracles import edge_sets, operator_matrix, stabilizer_by_products
 
 
 def test_generators_single_vertex():
@@ -133,7 +135,33 @@ def test_larger_representatives_spot_checked():
 def test_full_stabilizer_order_matches_subsets():
     g = ring_graph(5)
     for mask, op in enumerate(full_stabilizer(g)):
-        assert op == stabilizer_element(g, mask)
+        assert op == stabilizer_by_products(g, mask)
+
+
+def test_closed_form_matches_generator_products_exhaustively():
+    for n in range(1, 5):
+        for edges in edge_sets(n):
+            g = Graph.from_edges(n, edges)
+            for mask in range(1 << n):
+                assert stabilizer_element(g, mask) == stabilizer_by_products(g, mask)
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    return Graph.from_edges(n, edges), draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_subsets())
+def test_closed_form_matches_generator_products(case):
+    g, mask = case
+    op = stabilizer_element(g, mask)
+    assert op.phase in (0, 2)
+    assert op == stabilizer_by_products(g, mask)
 
 
 def test_parse_and_format_round_trip():

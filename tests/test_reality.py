@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from avnproofs import reality
 from avnproofs import (
     ActionClass,
     Bitvec,
@@ -189,3 +195,41 @@ def test_distribution_preserves_user_particle_order():
     d = parse_distribution("2,3|1,4", 4)
     assert d.particles == ((2, 3), (1, 4))
     assert d.canonical_key() == ((1, 4), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "wrong,message",
+    [(0b0000, "does not show X on qubit 1"), (0b0001, "acts on particle mate 2")],
+)
+def test_wrong_solver_subset_raises(monkeypatch, wrong, message):
+    monkeypatch.setattr(reality, "gf2_solve", lambda system: Bitvec(4, wrong))
+    d = parse_distribution("1,2|3,4", 4)
+    with pytest.raises(AssertionError, match=message):
+        is_element_of_reality(LC4, d, 1, "X")
+
+
+def test_wrong_solver_subset_raises_under_python_O():
+    script = """
+import sys
+import avnproofs.reality as reality
+from avnproofs import Bitvec, parse_distribution, path_graph
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+reality.gf2_solve = lambda system: Bitvec(4, 0)
+try:
+    reality.is_element_of_reality(
+        path_graph(4), parse_distribution("1,2|3,4", 4), 1, "X"
+    )
+except AssertionError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("wrong subset accepted")
+"""
+    src = str(Path(reality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not show X on qubit 1" in proc.stdout
