@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from .gf2 import Bitvec, Gf2System, gf2_solve, gf2_solve_explain
+from .gf2 import Bitvec, Gf2System, gf2_solve, gf2_solve_explain, gf2_unit_solutions
 from .graphstate import (
     Graph,
     complete_graph,
@@ -33,6 +33,7 @@ from .graphstate import (
     full_stabilizer,
     generators,
     is_connected,
+    neighbour_parity,
     parse_graph,
     path_graph,
     relabel,

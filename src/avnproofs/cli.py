@@ -3,7 +3,9 @@
 Graphs are written ``n: i-j, i-j, ...`` and distributions ``a,b|c,d`` with
 1-based qubits.  Exit status is 0 for allows/true verdicts, 1 for
 blocks/false/none, 2 for malformed input, and 3 for an internal error (a
-failed cross-check), so that a failure never reads as a verdict.
+failed cross-check, or a length or sign mismatch between internal objects,
+which parsed input cannot cause), so that a failure never reads as a
+verdict.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import json
 import sys
 
 from .equivalence import classify_all
-from .errors import ParseError, ResourceLimitError, UnsupportedInputError
+from .errors import (
+    LengthMismatchError,
+    NonHermitianSignError,
+    ParseError,
+    ResourceLimitError,
+    UnsupportedInputError,
+)
 from .graphstate import (
     MAX_STATE_QUBITS,
     expectation,
@@ -242,12 +250,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (AssertionError, LengthMismatchError, NonHermitianSignError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, UnsupportedInputError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

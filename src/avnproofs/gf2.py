@@ -105,41 +105,98 @@ class Gf2System:
         self.rows.append((coeffs, rhs & 1))
 
 
+def _eliminate(rows):
+    """Eliminate a list of row masks once, tracking which input rows make up each row.
+
+    Returns ``(columns, dependencies)``.  ``dependencies`` holds, in input
+    order, the provenance mask (bit k for row k) of each row that reduces to
+    zero: the rows it names sum to the zero vector, so a right-hand side b
+    (bit k for row k) is consistent iff ``b & dep`` has even parity for every
+    dep.  ``columns`` maps each pivot column to a row mask: the solution of
+    a consistent b with every free variable zero has that variable equal to
+    the parity of ``b & columns[col]``.  The pivot columns are the lowest
+    set bits over the row space, so that solution does not depend on the
+    row order.
+    """
+    pivots = {}  # pivot column -> (mask, provenance mask over input rows)
+    dependencies = []
+    for k, mask in enumerate(rows):
+        prov = 1 << k
+        while mask:
+            col = (mask & -mask).bit_length() - 1
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = (mask, prov)
+                break
+            mask ^= piv[0]
+            prov ^= piv[1]
+        else:
+            dependencies.append(prov)
+    # Back-substitute in decreasing column order for every right-hand side
+    # at once; free variables stay 0.  Every other bit of a pivot row lies
+    # above its pivot column, so its column is already known.
+    columns = {}
+    for col in sorted(pivots, reverse=True):
+        mask, sol = pivots[col]
+        rest = mask ^ (1 << col)
+        while rest:
+            low = rest & -rest
+            sol ^= columns.get(low.bit_length() - 1, 0)
+            rest ^= low
+        columns[col] = sol
+    return columns, dependencies
+
+
+def gf2_unit_solutions(rows) -> list:
+    """Solve ``rows . x = e_k`` for every unit right-hand side with one elimination.
+
+    ``rows`` are raw coefficient masks.  Returns one ``(solution,
+    conflicts)`` pair per row k: ``solution`` is the mask of the solution
+    with every free variable zero when row k alone has right-hand side 1,
+    and bit j of ``conflicts`` is set when row k takes part in the j-th
+    linear dependency among the rows.  For any right-hand side, the XOR of
+    its units' pairs gives the same: the system is consistent iff the
+    conflicts cancel to 0, and then the XOR of the solutions is the one
+    ``gf2_solve`` returns.
+    """
+    columns, dependencies = _eliminate(rows)
+    solutions = [0] * len(rows)
+    conflicts = [0] * len(rows)
+    for col, sol in columns.items():
+        while sol:
+            low = sol & -sol
+            solutions[low.bit_length() - 1] |= 1 << col
+            sol ^= low
+    for j, dep in enumerate(dependencies):
+        while dep:
+            low = dep & -dep
+            conflicts[low.bit_length() - 1] |= 1 << j
+            dep ^= low
+    return list(zip(solutions, conflicts))
+
+
 def gf2_solve_explain(system: Gf2System):
     """Solve the system, reporting why it is infeasible when it is.
 
     Returns ``(solution, None)`` for a consistent system and
     ``(None, certificate)`` otherwise, where ``certificate`` is a tuple of
-    row indices whose GF(2) sum is the contradiction 0 = 1.  The solution is
-    the unique reduced-echelon one with all free variables set to zero.
+    row indices whose GF(2) sum is the contradiction 0 = 1: the first row
+    (in input order) that reduces to 0 = 1 together with the earlier rows
+    that cancel it.  The solution is the unique reduced-echelon one with all
+    free variables set to zero.
     """
-    n = system.num_vars
-    # Each working row: (coefficient mask, rhs bit, provenance mask over input rows).
-    pivot_rows = {}  # pivot column -> (mask, rhs, provenance)
-    for k, (coeffs, rhs) in enumerate(system.rows):
-        mask, b, prov = coeffs.bits, rhs, 1 << k
-        while mask:
-            col = (mask & -mask).bit_length() - 1
-            piv = pivot_rows.get(col)
-            if piv is None:
-                pivot_rows[col] = (mask, b, prov)
-                mask = 0
-                break
-            mask ^= piv[0]
-            b ^= piv[1]
-            prov ^= piv[2]
-        else:
-            if b:
-                witness = tuple(i for i in range(len(system.rows)) if (prov >> i) & 1)
-                return None, witness
-    # Back-substitute in decreasing column order; free variables stay 0.
+    rhs = 0
+    for k, (_, b) in enumerate(system.rows):
+        rhs |= b << k
+    columns, dependencies = _eliminate([coeffs.bits for coeffs, _ in system.rows])
+    for dep in dependencies:
+        if (dep & rhs).bit_count() & 1:
+            return None, tuple(k for k in range(len(system.rows)) if (dep >> k) & 1)
     x = 0
-    for col in sorted(pivot_rows, reverse=True):
-        mask, b, _ = pivot_rows[col]
-        # x still has bit `col` clear, so the pivot column contributes nothing.
-        if b ^ ((mask & x).bit_count() & 1):
+    for col, sol in columns.items():
+        if (sol & rhs).bit_count() & 1:
             x |= 1 << col
-    return Bitvec(n, x), None
+    return Bitvec(system.num_vars, x), None
 
 
 def gf2_solve(system: Gf2System):

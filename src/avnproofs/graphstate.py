@@ -205,27 +205,42 @@ def generators(g: Graph) -> list:
     return out
 
 
+def neighbour_parity(g: Graph, mask: int) -> int:
+    """Gamma s: bit q-1 is set when qubit q has an odd number of neighbours in
+    the generator subset ``mask``.
+
+    The subset's operator shows, on qubit q, the letter given by bit q-1 of
+    ``mask`` (X part) and of Gamma s (Z part): X for (1, 0), Y for (1, 1),
+    Z for (0, 1) and the identity for (0, 0).
+    """
+    z = 0
+    m = mask
+    while m:
+        low = m & -m
+        z ^= g.adj[low.bit_length() - 1]
+        m ^= low
+    return z
+
+
 def stabilizer_element(g: Graph, subset) -> PauliOperator:
     """Product (with sign) of the selected generators, ascending index order.
 
     ``subset`` is a Bitvec or raw mask with bit i-1 selecting generator i.
     The generators commute, so the product has the closed form
     ``(-1)**e(s) X^s Z^(Gamma s)``: e(s) counts the edges inside s and
-    Gamma s is the parity of each qubit's neighbours in s.  Each Y letter
-    (X^1 Z^1 = -i Y) adds -1 to the exponent of i, so the phase is
-    ``2 e(s) - |s & Gamma s|`` mod 4, which is always 0 or 2.
+    Gamma s is ``neighbour_parity``.  Each Y letter (X^1 Z^1 = -i Y) adds -1
+    to the exponent of i, so the phase is ``2 e(s) - |s & Gamma s|`` mod 4,
+    which is always 0 or 2.
     """
     mask = subset.bits if isinstance(subset, Bitvec) else int(subset)
     if mask < 0 or mask >> g.n:
         raise ValueError(f"subset mask 0x{mask:x} out of range for n={g.n}")
-    z = 0
+    z = neighbour_parity(g, mask)
     inner = 0  # twice the edge count inside the subset
     m = mask
     while m:
         low = m & -m
-        nbrs = g.adj[low.bit_length() - 1]
-        z ^= nbrs
-        inner += (nbrs & mask).bit_count()
+        inner += (g.adj[low.bit_length() - 1] & mask).bit_count()
         m ^= low
     return PauliOperator(
         Bitvec(g.n, mask), Bitvec(g.n, z), inner - (mask & z).bit_count()

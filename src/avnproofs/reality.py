@@ -5,8 +5,13 @@ sharing qubit i's particle, i excluded.  A single-qubit Pauli on qubit i is
 an element of reality when some stabilizing operator shows that letter on i
 while acting as the identity on all of P(i): its value is then fixed by
 measurements on other particles only.  Whether such an operator exists is a
-small parity system over the generator-subset indicator vector, solved
-exactly; a brute-force sweep over all 2^n subsets doubles as an oracle.
+parity system over the generator-subset indicator vector.  For every qubit
+and letter of a particle A the coefficient rows are the same, {e_j,
+Gamma_j : j in A} (selection and neighbour parity of each member), and only
+the right-hand side differs, so one GF(2) elimination per particle decides
+the particle's whole table; its rank is |A| + E(A), where E(A) is the
+cut-rank of A.  A brute-force sweep over all 2^n subsets doubles as an
+oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LengthMismatchError, ParseError, UnsupportedInputError
-from .gf2 import Bitvec, Gf2System, gf2_solve
-from .graphstate import Graph, is_connected
+from .gf2 import Bitvec, gf2_unit_solutions
+from .graphstate import Graph, is_connected, neighbour_parity
 
 PAULI_LETTERS = ("X", "Y", "Z")
 
@@ -117,6 +122,20 @@ class ActionClass(Enum):
     IDENTITY = "I"
 
 
+_ACTIONS = {
+    (1, 0): ActionClass.PREDICTS_X,
+    (1, 1): ActionClass.PREDICTS_Y,
+    (0, 1): ActionClass.PREDICTS_Z,
+    (0, 0): ActionClass.IDENTITY,
+}
+
+
+def _action_at(mask: int, gamma: int, i: int) -> ActionClass:
+    """Class at 1-based qubit i of the operator with X part ``mask`` and Z
+    part ``gamma`` (the subset's ``neighbour_parity``)."""
+    return _ACTIONS[(mask >> (i - 1)) & 1, (gamma >> (i - 1)) & 1]
+
+
 def classify_action(subset, g: Graph, i: int) -> ActionClass:
     """Class of the subset's stabilizing operator at 1-based qubit i.
 
@@ -124,12 +143,10 @@ def classify_action(subset, g: Graph, i: int) -> ActionClass:
     neighbors are, Y for an odd number, Z when i is unselected with an odd
     neighbor count, and identity otherwise.
     """
+    if not 1 <= i <= g.n:
+        raise ValueError(f"vertex {i} out of range 1..{g.n}")
     mask = subset.bits if isinstance(subset, Bitvec) else int(subset)
-    in_subset = (mask >> (i - 1)) & 1
-    odd_nbrs = (mask & g.nbr_mask(i)).bit_count() & 1
-    if in_subset:
-        return ActionClass.PREDICTS_Y if odd_nbrs else ActionClass.PREDICTS_X
-    return ActionClass.PREDICTS_Z if odd_nbrs else ActionClass.IDENTITY
+    return _action_at(mask, neighbour_parity(g, mask), i)
 
 
 @dataclass(frozen=True)
@@ -152,39 +169,75 @@ def _eor_requirements(pauli: str):
     raise ValueError(f"unknown Pauli letter {pauli!r}")
 
 
-def _verify_witness_subset(g: Graph, d: Distribution, i: int, pauli: str, mask: int) -> None:
-    """Raise AssertionError unless the subset certifies ``pauli`` on qubit i
-    (explicit raises, so the check also runs under ``python -O``)."""
-    if classify_action(mask, g, i).value != pauli:
+def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) -> None:
+    """Raise AssertionError unless the subset certifies ``pauli`` on qubit i,
+    whose particle mates are ``pmask`` (explicit raises, so the check also
+    runs under ``python -O``).  The operator is recomputed from the graph."""
+    gamma = neighbour_parity(g, mask)
+    if _action_at(mask, gamma, i).value != pauli:
         raise AssertionError(f"subset 0x{mask:x} does not show {pauli} on qubit {i}")
-    pm = d.pmask(i)
-    while pm:
-        low = pm & -pm
-        j = low.bit_length()
-        if classify_action(mask, g, j) is not ActionClass.IDENTITY:
-            raise AssertionError(
-                f"subset 0x{mask:x} for {pauli}{i} acts on particle mate {j}"
-            )
-        pm ^= low
+    acting = (mask | gamma) & pmask
+    if acting:
+        j = (acting & -acting).bit_length()
+        raise AssertionError(
+            f"subset 0x{mask:x} for {pauli}{i} acts on particle mate {j}"
+        )
+
+
+def _particle_certificates(g: Graph, qubits) -> dict:
+    """Element-of-reality certificates of one particle's qubits, from one
+    elimination: qubit -> {letter -> EoRWitness or None}.
+
+    The rows are e_j (is j selected) and Gamma_j (parity of j's selected
+    neighbours) for every member j.  For qubit i the letters need (e_i . s,
+    Gamma_i . s) = (1, 0) for X, (1, 1) for Y and (0, 1) for Z with every
+    other row 0, so X is the unit right-hand side of e_i, Z that of
+    Gamma_i, and Y their XOR.  Every certificate is checked before it is
+    returned.
+    """
+    rows = []
+    particle = 0
+    for q in qubits:
+        rows += (1 << (q - 1), g.adj[q - 1])
+        particle |= 1 << (q - 1)
+    units = gf2_unit_solutions(rows)
+    table = {}
+    for t, i in enumerate(qubits):
+        (sx, cx), (sz, cz) = units[2 * t], units[2 * t + 1]
+        found = {
+            "X": sx if not cx else None,
+            "Y": sx ^ sz if cx == cz else None,
+            "Z": sz if not cz else None,
+        }
+        pmask = particle & ~(1 << (i - 1))
+        row = {}
+        for pauli, mask in found.items():
+            if mask is None:
+                row[pauli] = None
+            else:
+                _verify_witness_subset(g, pmask, i, pauli, mask)
+                row[pauli] = EoRWitness(i, pauli, Bitvec(g.n, mask))
+        table[i] = row
+    return table
 
 
 def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method: str = "solver"):
     """Witness subset if ``pauli`` on qubit i is an element of reality, else None.
 
-    ``method="solver"`` encodes the requirements as a GF(2) system (scales
-    past exhaustive range); ``method="brute"`` scans all 2^n subsets in
-    ascending order and returns the lowest certificate.
+    ``method="solver"`` reads it from the GF(2) table of i's particle (scales
+    past exhaustive range; the subset is the solution with every free
+    variable zero); ``method="brute"`` scans all 2^n subsets in ascending
+    order and returns the lowest certificate.
     """
     if d.n != g.n:
         raise LengthMismatchError(f"graph has {g.n} qubits, distribution {d.n}")
     if not 1 <= i <= g.n:
         raise ValueError(f"qubit {i} out of range 1..{g.n}")
     need_i, need_par = _eor_requirements(pauli)
-    pmask = d.pmask(i)
-    ibit = 1 << (i - 1)
-    nbr_i = g.nbr_mask(i)
 
     if method == "brute":
+        pmask = d.pmask(i)
+        nbr_i = g.nbr_mask(i)
         pj = [(1 << (j - 1), g.nbr_mask(j)) for j in range(1, g.n + 1) if (pmask >> (j - 1)) & 1]
         for mask in range(1 << g.n):
             if ((mask >> (i - 1)) & 1) != need_i:
@@ -198,27 +251,13 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
                     break
             if ok:
                 witness = EoRWitness(i, pauli, Bitvec(g.n, mask))
-                _verify_witness_subset(g, d, i, pauli, mask)
+                _verify_witness_subset(g, pmask, i, pauli, mask)
                 return witness
         return None
 
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
-    system = Gf2System(g.n)
-    pm = pmask
-    while pm:
-        low = pm & -pm
-        j = low.bit_length()
-        system.add_row(low, 0)                  # x_j = 0
-        system.add_row(g.nbr_mask(j), 0)        # even selected neighbors of j
-        pm ^= low
-    system.add_row(ibit, need_i)
-    system.add_row(nbr_i, need_par)
-    solution = gf2_solve(system)
-    if solution is None:
-        return None
-    _verify_witness_subset(g, d, i, pauli, solution.bits)
-    return EoRWitness(i, pauli, solution)
+    return _particle_certificates(g, d.particles[d.particle_of(i)])[i][pauli]
 
 
 @dataclass
@@ -255,13 +294,18 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
                 shortcut = f"qubit {i} is connected only to its own particle"
                 break
 
-    eor = {}
+    if method == "solver":
+        table = {}
+        for particle in d.particles:
+            table.update(_particle_certificates(g, particle))
+    else:
+        table = {
+            i: {p: is_element_of_reality(g, d, i, p, method=method) for p in PAULI_LETTERS}
+            for i in range(1, g.n + 1)
+        }
+    eor = {i: table[i] for i in range(1, g.n + 1)}
     allows = True
-    for i in range(1, g.n + 1):
-        row = {}
-        for pauli in PAULI_LETTERS:
-            row[pauli] = is_element_of_reality(g, d, i, pauli, method=method)
-        eor[i] = row
+    for i, row in eor.items():
         if row["X"] is None or row["Y"] is None:
             allows = False
         elif row["Z"] is None:
@@ -286,5 +330,6 @@ def reduced_stabilizer(g: Graph, d: Distribution, particle: int) -> Counter:
     qubits = d.particles[particle]
     out = Counter()
     for mask in range(1 << g.n):
-        out["".join(classify_action(mask, g, q).value for q in qubits)] += 1
+        gamma = neighbour_parity(g, mask)
+        out["".join(_action_at(mask, gamma, q).value for q in qubits)] += 1
     return out

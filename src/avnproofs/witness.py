@@ -119,16 +119,16 @@ def is_critical(w: AvnWitness, g: Graph) -> bool:
     return True
 
 
-def _eor_certifying_subsets(g: Graph, d) -> set:
+def _eor_certifying_subsets(ops: dict, d) -> set:
     """All generator subsets certifying some element of reality under d.
 
-    A subset certifies one when its operator acts on some qubit i but as
-    the identity on every particle mate of i.
+    ``ops`` maps each nonempty subset mask to its stabilizing operator.  A
+    subset certifies one when its operator acts on some qubit i but as the
+    identity on every particle mate of i.
     """
+    pmasks = [d.pmask(i) for i in range(1, d.n + 1)]
     out = set()
-    pmasks = [d.pmask(i) for i in range(1, g.n + 1)]
-    for mask in range(1, 1 << g.n):
-        op = stabilizer_element(g, mask)
+    for mask, op in ops.items():
         support = op.x.bits | op.z.bits
         if any((support >> q) & 1 and not support & pm for q, pm in enumerate(pmasks)):
             out.add(mask)
@@ -149,12 +149,14 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
     if exhaustive:
         if g.n > 5:
             raise ResourceLimitError("exhaustive pool limited to n <= 5")
-        pool = set(range(1, 1 << g.n))
+    elif g.n > 8:
+        raise ResourceLimitError("witness search limited to n <= 8")
+    ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << g.n)}
+    if exhaustive:
+        pool = set(ops)
     else:
-        if g.n > 8:
-            raise ResourceLimitError("witness search limited to n <= 8")
-        pool = _eor_certifying_subsets(g, d)
-        pool |= {m for m in range(1, 1 << g.n) if m.bit_count() <= 3}
+        pool = _eor_certifying_subsets(ops, d)
+        pool |= {m for m in ops if m.bit_count() <= 3}
     pool = sorted(pool)
 
     total = sum(math.comb(len(pool), k) for k in range(2, max_size + 1))
@@ -165,7 +167,7 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
 
     info = {}
     for mask in pool:
-        op = stabilizer_element(g, mask)
+        op = ops[mask]
         x, z = op.x.bits, op.z.bits
         info[mask] = (x & ~z, x & z, z & ~x, sign_of(op))
 

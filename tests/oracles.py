@@ -6,7 +6,7 @@ matrices, explicit enumeration) and never calls the code paths it checks.
 
 import numpy as np
 
-from avnproofs import generators, identity, pauli_multiply
+from avnproofs import Gf2System, generators, identity, pauli_multiply
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,6 +46,59 @@ def stabilizer_by_products(g, mask):
         if (mask >> v) & 1:
             acc = pauli_multiply(acc, gen)
     return acc
+
+
+def _row_reduce(mat, ncols):
+    """Bring 0/1 row lists to reduced row-echelon form in place, taking pivot
+    columns from the lowest index up; return the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((k for k in range(r, len(mat)) if mat[k][col]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        for k in range(len(mat)):
+            if k != r and mat[k][col]:
+                mat[k] = [a ^ b for a, b in zip(mat[k], mat[r])]
+        pivots.append(col)
+    return pivots
+
+
+def canonical_solution(system):
+    """Solution of a ``Gf2System`` with every free variable zero, or None.
+
+    In reduced form each pivot variable equals its row's right-hand side
+    once the free variables are zero.
+    """
+    n = system.num_vars
+    mat = [[(c.bits >> v) & 1 for v in range(n)] + [b] for c, b in system.rows]
+    pivots = _row_reduce(mat, n)
+    if any(row[n] for row in mat[len(pivots):]):
+        return None
+    return sum(mat[k][n] << col for k, col in enumerate(pivots))
+
+
+def gf2_rank(masks, n):
+    """Rank over GF(2) of bit-mask rows of length n."""
+    return len(_row_reduce([[(m >> v) & 1 for v in range(n)] for m in masks], n))
+
+
+def eor_subset_by_system(g, d, i, pauli):
+    """Certificate mask for ``pauli`` on qubit i, or None, from its own parity
+    system: x_j = 0 and an even count of selected neighbours for every
+    particle mate j, and at i the selection and neighbour parity the letter
+    needs (X: 1, 0; Y: 1, 1; Z: 0, 1).  Solved with ``canonical_solution``.
+    """
+    need_i, need_par = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[pauli]
+    system = Gf2System(g.n)
+    for j in d.particles[d.particle_of(i)]:
+        if j != i:
+            system.add_row(1 << (j - 1), 0)
+            system.add_row(g.adj[j - 1], 0)
+    system.add_row(1 << (i - 1), need_i)
+    system.add_row(g.adj[i - 1], need_par)
+    return canonical_solution(system)
 
 
 def set_partitions(elements):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from avnproofs import cli
+from avnproofs import LengthMismatchError, NonHermitianSignError, cli
 from avnproofs.cli import main
 
 LC6 = "6: 1-2,2-3,3-4,4-5,5-6"
@@ -171,6 +171,19 @@ def test_internal_error_exit_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: solver and brute-force verdicts disagree\n"
+
+
+@pytest.mark.parametrize("error", [LengthMismatchError, NonHermitianSignError])
+def test_internal_value_errors_exit_three(capsys, monkeypatch, error):
+    # both are ValueErrors, but after parsing only a bookkeeping bug raises them
+    def broken(args):
+        raise error("bookkeeping mismatch")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = run(capsys, "check", "--graph", LC6, "--dist", "1,4,5|2,3,6")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: bookkeeping mismatch\n"
 
 
 @pytest.mark.parametrize(

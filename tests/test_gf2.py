@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from avnproofs import Bitvec, Gf2System, LengthMismatchError, gf2_solve, gf2_solve_explain
+from avnproofs import (
+    Bitvec,
+    Gf2System,
+    LengthMismatchError,
+    gf2_solve,
+    gf2_solve_explain,
+    gf2_unit_solutions,
+)
+from oracles import canonical_solution
 
 
 def test_single_variable_identity():
@@ -110,3 +118,40 @@ def test_bitvec_helpers():
     assert str(v) == "100101"
     assert (v ^ v).is_zero()
     assert v.test(3) and not v.test(1)
+
+
+def test_solve_matches_independent_elimination():
+    rng = random.Random(314)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        system = Gf2System(n)
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            system.add_row(rng.getrandbits(n) if rng.random() < 0.8 else 0, rng.getrandbits(1))
+        solution = gf2_solve(system)
+        expected = canonical_solution(system)
+        assert (solution is None) == (expected is None)
+        if solution is not None:
+            assert solution.bits == expected
+
+
+def test_unit_solutions_combine_linearly():
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        rows = [rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(rng.randint(1, 2 * n + 2))]
+        units = gf2_unit_solutions(rows)
+        assert len(units) == len(rows)
+        for _ in range(8):
+            rhs = [rng.getrandbits(1) for _ in rows]
+            system = Gf2System(n)
+            solution = conflicts = 0
+            for row, b, (unit_solution, unit_conflicts) in zip(rows, rhs, units):
+                system.add_row(row, b)
+                if b:
+                    solution ^= unit_solution
+                    conflicts ^= unit_conflicts
+            expected = canonical_solution(system)
+            if expected is None:
+                assert conflicts != 0
+            else:
+                assert conflicts == 0 and solution == expected

@@ -4,25 +4,32 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnproofs import reality
 from avnproofs import (
     ActionClass,
     Bitvec,
     Distribution,
+    Graph,
     LengthMismatchError,
     UnsupportedInputError,
     allows_specific_avn,
     classify_all,
     classify_action,
     complete_graph,
+    gf2_unit_solutions,
     is_element_of_reality,
+    local_complement,
     parse_distribution,
     path_graph,
     reduced_stabilizer,
+    relabel,
     ring_graph,
     stabilizer_element,
 )
+from oracles import eor_subset_by_system, gf2_rank, set_partitions
 
 LC4 = path_graph(4)
 LC6 = path_graph(6)
@@ -202,7 +209,8 @@ def test_distribution_preserves_user_particle_order():
     [(0b0000, "does not show X on qubit 1"), (0b0001, "acts on particle mate 2")],
 )
 def test_wrong_solver_subset_raises(monkeypatch, wrong, message):
-    monkeypatch.setattr(reality, "gf2_solve", lambda system: Bitvec(4, wrong))
+    # every unit right-hand side "solves" to the wrong mask, with no conflict
+    monkeypatch.setattr(reality, "gf2_unit_solutions", lambda rows: [(wrong, 0)] * len(rows))
     d = parse_distribution("1,2|3,4", 4)
     with pytest.raises(AssertionError, match=message):
         is_element_of_reality(LC4, d, 1, "X")
@@ -212,11 +220,11 @@ def test_wrong_solver_subset_raises_under_python_O():
     script = """
 import sys
 import avnproofs.reality as reality
-from avnproofs import Bitvec, parse_distribution, path_graph
+from avnproofs import parse_distribution, path_graph
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-reality.gf2_solve = lambda system: Bitvec(4, 0)
+reality.gf2_unit_solutions = lambda rows: [(0, 0)] * len(rows)
 try:
     reality.is_element_of_reality(
         path_graph(4), parse_distribution("1,2|3,4", 4), 1, "X"
@@ -233,3 +241,105 @@ sys.exit("wrong subset accepted")
     )
     assert proc.returncode == 0, proc.stderr
     assert "does not show X on qubit 1" in proc.stdout
+
+
+def _table_masks(decision):
+    return {
+        i: {p: (w.subset.bits if w is not None else None) for p, w in row.items()}
+        for i, row in decision.eor.items()
+    }
+
+
+def _oracle_masks(g, d):
+    return {
+        i: {p: eor_subset_by_system(g, d, i, p) for p in "XYZ"}
+        for i in range(1, g.n + 1)
+    }
+
+
+def test_table_matches_per_qubit_systems_exhaustively():
+    """The one-elimination-per-particle table gives the very subsets that the
+    per-qubit parity systems give, on every n <= 6 class representative under
+    every distribution."""
+    for n in range(3, 7):
+        for record in classify_all(n):
+            g = record.representative
+            for particles in set_partitions(range(1, n + 1)):
+                d = Distribution(n, particles)
+                assert _table_masks(allows_specific_avn(g, d)) == _oracle_masks(g, d)
+
+
+@st.composite
+def connected_cases(draw, max_n):
+    """A random connected graph (a random tree plus random extra edges) and a
+    random distribution of its qubits."""
+    n = draw(st.integers(3, max_n))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, k in zip(pairs, keep) if k}
+    m = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    blocks = {}
+    for q, label in enumerate(labels, 1):
+        blocks.setdefault(label, []).append(q)
+    return Graph.from_edges(n, edges), Distribution(n, tuple(map(tuple, blocks.values())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cases(12))
+def test_table_matches_per_qubit_systems(case):
+    g, d = case
+    assert _table_masks(allows_specific_avn(g, d)) == _oracle_masks(g, d)
+
+
+def test_particle_rank_is_size_plus_cut_rank():
+    """The rows {e_j, Gamma_j : j in A} have rank |A| + E(A), where E(A) is the
+    rank of the adjacency block between A and the other qubits."""
+    for n in range(3, 7):
+        for record in classify_all(n):
+            g = record.representative
+            for particles in set_partitions(range(1, n + 1)):
+                for particle in particles:
+                    inside = sum(1 << (q - 1) for q in particle)
+                    rows = [r for q in particle for r in (1 << (q - 1), g.adj[q - 1])]
+                    # each dependency involves at least the row that reduced
+                    # to zero, so the union of the conflict masks counts them
+                    dependencies = 0
+                    for _, conflicts in gf2_unit_solutions(rows):
+                        dependencies |= conflicts
+                    cut = [g.adj[q - 1] & ~inside for q in particle]
+                    rank = len(rows) - dependencies.bit_count()
+                    assert rank == len(particle) + gf2_rank(cut, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cases(10), st.data())
+def test_verdict_is_invariant_under_local_complementation(case, data):
+    g, d = case
+    v = data.draw(st.integers(1, g.n))
+    assert allows_specific_avn(local_complement(g, v), d).allows == allows_specific_avn(g, d).allows
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cases(10), st.data())
+def test_table_is_invariant_under_relabelling(case, data):
+    g, d = case
+    perm = data.draw(st.permutations(range(g.n)))
+    moved = Distribution(g.n, tuple(tuple(perm[q - 1] + 1 for q in p) for p in d.particles))
+    before = allows_specific_avn(g, d)
+    after = allows_specific_avn(relabel(g, perm), moved)
+    assert after.allows == before.allows
+    for i, row in before.eor.items():
+        for p, w in row.items():
+            assert (after.eor[perm[i - 1] + 1][p] is None) == (w is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cases(10))
+def test_z_certificate_is_xor_of_x_and_y(case):
+    g, d = case
+    for row in allows_specific_avn(g, d).eor.values():
+        if row["X"] is not None and row["Y"] is not None:
+            assert row["Z"] is not None
+            assert row["Z"].subset == row["X"].subset ^ row["Y"].subset
