@@ -4,14 +4,13 @@ Vertices are 1-based at every interface (matching the usual labelling of
 qubits); internally vertex i lives at bit i-1 of the adjacency masks.  The
 statevector path is an independent numerical check on the exact symplectic
 arithmetic: both must agree that every stabilizing operator is a perfect
-correlation.
+correlation.  numpy is imported inside the oracle functions only, so the
+exact paths load without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     LengthMismatchError,
@@ -262,6 +261,8 @@ _PARITY_TABLE = None
 def _parity_table():
     global _PARITY_TABLE
     if _PARITY_TABLE is None:
+        import numpy as np
+
         _PARITY_TABLE = np.array(
             [i.bit_count() & 1 for i in range(1 << MAX_STATE_QUBITS)], dtype=np.int8
         )
@@ -274,6 +275,8 @@ def statevector(g: Graph) -> np.ndarray:
 
     Basis index convention: bit i-1 of the index is the value of qubit i.
     """
+    import numpy as np
+
     if g.n > MAX_STATE_QUBITS:
         raise ResourceLimitError(
             f"statevector limited to n <= {MAX_STATE_QUBITS}, got {g.n}"
@@ -289,6 +292,8 @@ def statevector(g: Graph) -> np.ndarray:
 
 def expectation(sv: np.ndarray, p: PauliOperator) -> float:
     """Exact ``<sv| p |sv>`` computed basis-state-wise."""
+    import numpy as np
+
     dim = sv.shape[0]
     if dim != (1 << p.n):
         raise LengthMismatchError(

@@ -9,6 +9,7 @@ representative per orbit of the graph's automorphism group.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 from .errors import ResourceLimitError, UnsupportedInputError
@@ -199,7 +200,7 @@ def _report_sort_key(report: DistributionReport):
     return tuple(-s for s in shape), report.distribution.canonical_key()
 
 
-def min_party_distributions(g: Graph, method: str = "solver", dedupe: bool = True):
+def min_party_distributions(g: Graph, dedupe: bool = True):
     """Smallest particle count admitting a distribution-specific proof.
 
     Walks the shape schedule in ascending m; the first level with a success
@@ -211,7 +212,7 @@ def min_party_distributions(g: Graph, method: str = "solver", dedupe: bool = Tru
         hits = []
         for shape in shapes:
             for dist in enumerate_distributions(g, shape, dedupe=dedupe):
-                decision = allows_specific_avn(g, dist, method=method)
+                decision = allows_specific_avn(g, dist)
                 if decision.allows:
                     hits.append(DistributionReport(g, dist, decision))
         if hits:
@@ -220,36 +221,45 @@ def min_party_distributions(g: Graph, method: str = "solver", dedupe: bool = Tru
     raise AssertionError("singleton level must allow for a connected graph, n >= 3")
 
 
+def _usable_cpu_count() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _allows_worker(task):
-    g, dist, method = task
-    return allows_specific_avn(g, dist, method=method)
+    g, dist = task
+    return allows_specific_avn(g, dist)
 
 
-def all_avn_distributions(
-    g: Graph, m: int, method: str = "solver", dedupe: bool = True, jobs: int = 1
-):
+def all_avn_distributions(g: Graph, m: int, dedupe: bool = True, jobs: int = 1):
     """Every (deduped) m-particle distribution that allows a specific proof.
 
-    ``jobs > 1`` evaluates verdicts in a process pool; results are reassembled
-    in enumeration order and sorted canonically, so the output is identical
-    for any worker count.
+    ``jobs > 1`` evaluates verdicts in a process pool of at most ``jobs``
+    workers, and never more than the usable CPUs or the number of
+    distributions; results are reassembled in enumeration order and sorted
+    canonically, so the output is identical for any worker count.
     """
     if not 2 <= m <= g.n:
         raise ValueError(f"m must be in 2..{g.n}, got {m}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     dists = []
     for shape in sorted(integer_partitions(g.n, parts=m), reverse=True):
         if not shape_feasible(shape):
             continue
         dists.extend(enumerate_distributions(g, shape, dedupe=dedupe))
-    if jobs > 1:
+    workers = min(jobs, _usable_cpu_count(), len(dists))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             decisions = list(
-                pool.map(_allows_worker, [(g, d, method) for d in dists], chunksize=8)
+                pool.map(_allows_worker, [(g, d) for d in dists], chunksize=8)
             )
     else:
-        decisions = [allows_specific_avn(g, d, method=method) for d in dists]
+        decisions = [allows_specific_avn(g, d) for d in dists]
     hits = [
         DistributionReport(g, d, dec) for d, dec in zip(dists, decisions) if dec.allows
     ]

@@ -6,7 +6,16 @@ matrices, explicit enumeration) and never calls the code paths it checks.
 
 import numpy as np
 
-from avnproofs import Gf2System, generators, identity, pauli_multiply
+from avnproofs import (
+    Gf2System,
+    Graph,
+    canonical_form,
+    generators,
+    graph_from_encoding,
+    identity,
+    lc_orbit,
+    pauli_multiply,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -122,11 +131,42 @@ def refines(fine, coarse):
     return all(any(set(b) <= set(c) for c in coarse) for b in fine)
 
 
+#: Connected graphs on n vertices up to isomorphism (OEIS A001349), n = 1..8.
+CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
 def edge_sets(n):
     """All labelled graphs on n vertices as frozensets of 1-based edges."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield frozenset(p for k, p in enumerate(pairs) if (mask >> k) & 1)
+
+
+def classes_by_extension(n):
+    """(representative encoding, orbit size) of every n-vertex LC class.
+
+    Danielsen & Parker's class extension (JCTA 2006): every (n-1)-vertex
+    class representative, joined to a new vertex by every nonempty subset,
+    gives a candidate set meeting every n-vertex class, because deleting a
+    vertex commutes with local complementation at the others.  Uses the
+    package's ``canonical_form`` and ``lc_orbit`` (checked against brute
+    force elsewhere) but not its connected-graph generator.
+    """
+    if n == 1:
+        return [(0, 1)]
+    candidates = set()
+    for rep, _ in classes_by_extension(n - 1):
+        parent = graph_from_encoding(n - 1, rep)
+        for subset in range(1, 1 << (n - 1)):
+            adj = [a | (((subset >> v) & 1) << (n - 1)) for v, a in enumerate(parent.adj)]
+            adj.append(subset)
+            candidates.add(canonical_form(Graph(n, tuple(adj))).encoding)
+    classes = []
+    while candidates:
+        orbit = {cg.encoding for cg in lc_orbit(graph_from_encoding(n, min(candidates)))}
+        candidates -= orbit
+        classes.append((min(orbit), len(orbit)))
+    return sorted(classes)
 
 
 def connected_edge_set(n, edges):

@@ -15,6 +15,7 @@ from avnproofs import (
     classify_all,
     classify_action,
     complete_graph,
+    connected_graph_reps,
     enumerate_distributions,
     expectation,
     is_critical,
@@ -31,7 +32,12 @@ from avnproofs import (
 from avnproofs.gf2 import Bitvec
 from avnproofs.reality import ActionClass
 from avnproofs.witness import AvnWitness
-from oracles import all_sign_assignments_consistent, refines, set_partitions
+from oracles import (
+    CONNECTED_GRAPH_COUNTS,
+    all_sign_assignments_consistent,
+    refines,
+    set_partitions,
+)
 
 EXPECTED_CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 26, 8: 101}
 
@@ -72,8 +78,12 @@ def test_criterion_1_census_counts():
     timings = {}
     for n, expected in EXPECTED_CLASS_COUNTS.items():
         start = time.time()
-        assert len(classify_all(n)) == expected
+        records = classify_all(n)
         timings[n] = time.time() - start
+        assert len(records) == expected
+        # the orbits cover every connected graph exactly once
+        assert sum(r.orbit_size for r in records) == CONNECTED_GRAPH_COUNTS[n]
+        assert len(connected_graph_reps(n)) == CONNECTED_GRAPH_COUNTS[n]
     _pass(
         1,
         "census counts "

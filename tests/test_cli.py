@@ -1,8 +1,13 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from avnproofs import LengthMismatchError, NonHermitianSignError, cli
+from avnproofs import LengthMismatchError, NonHermitianSignError, cli, partitions
 from avnproofs.cli import main
 
 LC6 = "6: 1-2,2-3,3-4,4-5,5-6"
@@ -109,6 +114,59 @@ def test_enumerate_jobs_identical_output(capsys):
         "2",
     )
     assert seq == par
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_jobs_below_one_exit_two(capsys, jobs):
+    code, out, err = run(capsys, "enumerate", "--graph", LC6, "--m", "3", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_enumerate_jobs_capped_by_cpu_and_distribution_count(capsys, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # runs in-process, so no worker is started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    cpus = [3]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(partitions, "_usable_cpu_count", lambda: cpus[0])
+    _, seq, _ = run(capsys, "enumerate", "--graph", LC6, "--m", "3", "--format", "json-lines")
+    assert started == []
+    code, par, _ = run(
+        capsys, "enumerate", "--graph", LC6, "--m", "3", "--format", "json-lines",
+        "--jobs", "1000000",
+    )
+    assert code == 0
+    assert started == [3]  # 41 distributions, 3 CPUs
+    assert par == seq
+    cpus[0] = 100
+    run(capsys, "enumerate", "--graph", LC6, "--m", "2", "--jobs", "1000000")
+    assert started == [3, 7]  # 7 distributions, 100 CPUs
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys, avnproofs.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_enumerate_no_dedupe_supersets_deduped(capsys):

@@ -20,7 +20,12 @@ from avnproofs import (
     ring_graph,
     star_graph,
 )
-from oracles import connected_edge_set, edge_sets
+from oracles import (
+    CONNECTED_GRAPH_COUNTS,
+    classes_by_extension,
+    connected_edge_set,
+    edge_sets,
+)
 
 
 def test_local_complement_degree_one_neighborhood_is_noop():
@@ -89,6 +94,9 @@ def test_connected_reps_match_brute_force_n_le_5():
                 continue
             brute.add(canonical_form(Graph.from_edges(n, edges)).encoding)
         assert set(connected_graph_reps(n)) == brute
+        if n >= 2:
+            # the orbits are disjoint and cover every connected graph
+            assert sum(r.orbit_size for r in classify_all(n)) == len(brute)
 
 
 def test_encoding_round_trip():
@@ -126,12 +134,21 @@ def test_classify_counts_up_to_six():
     assert [len(classify_all(n)) for n in range(2, 7)] == [1, 1, 2, 4, 11]
 
 
+def test_census_matches_class_extension():
+    for n in range(2, 8):
+        census = [(r.representative, r.orbit_size) for r in classify_all(n)]
+        extended = [(graph_from_encoding(n, e), size) for e, size in classes_by_extension(n)]
+        assert census == extended
+
+
 def test_classify_records_are_stable_and_consistent():
     records = classify_all(5)
     again = classify_all(5)
     assert [r.representative for r in records] == [r.representative for r in again]
     assert [r.class_id for r in records] == [1, 2, 3, 4]
-    assert sum(r.orbit_size for r in records) == len(connected_graph_reps(5))
+    # connected graphs on n vertices up to isomorphism, OEIS A001349
+    assert sum(r.orbit_size for r in records) == CONNECTED_GRAPH_COUNTS[5]
+    assert len(connected_graph_reps(5)) == CONNECTED_GRAPH_COUNTS[5]
     for r in records:
         assert is_connected(r.representative)
         orbit = lc_orbit(r.representative)
