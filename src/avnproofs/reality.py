@@ -184,40 +184,44 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
         )
 
 
-def _particle_certificates(g: Graph, qubits) -> dict:
-    """Element-of-reality certificates of one particle's qubits, from one
-    elimination: qubit -> {letter -> EoRWitness or None}.
+def _particle_masks(g: Graph, qubits) -> dict:
+    """Unverified element-of-reality certificates of one particle's qubits,
+    from one elimination: qubit -> {letter -> subset mask or None}.
 
     The rows are e_j (is j selected) and Gamma_j (parity of j's selected
     neighbours) for every member j.  For qubit i the letters need (e_i . s,
     Gamma_i . s) = (1, 0) for X, (1, 1) for Y and (0, 1) for Z with every
     other row 0, so X is the unit right-hand side of e_i, Z that of
-    Gamma_i, and Y their XOR.  Every certificate is checked before it is
-    returned.
+    Gamma_i, and Y their XOR.
     """
     rows = []
-    particle = 0
     for q in qubits:
         rows += (1 << (q - 1), g.adj[q - 1])
-        particle |= 1 << (q - 1)
     units = gf2_unit_solutions(rows)
     table = {}
     for t, i in enumerate(qubits):
         (sx, cx), (sz, cz) = units[2 * t], units[2 * t + 1]
-        found = {
+        table[i] = {
             "X": sx if not cx else None,
             "Y": sx ^ sz if cx == cz else None,
             "Z": sz if not cz else None,
         }
+    return table
+
+
+def _particle_certificates(g: Graph, qubits) -> dict:
+    """The particle's certificates, each checked and wrapped:
+    qubit -> {letter -> EoRWitness or None}."""
+    particle = 0
+    for q in qubits:
+        particle |= 1 << (q - 1)
+    table = _particle_masks(g, qubits)
+    for i, row in table.items():
         pmask = particle & ~(1 << (i - 1))
-        row = {}
-        for pauli, mask in found.items():
-            if mask is None:
-                row[pauli] = None
-            else:
+        for pauli, mask in row.items():
+            if mask is not None:
                 _verify_witness_subset(g, pmask, i, pauli, mask)
                 row[pauli] = EoRWitness(i, pauli, Bitvec(g.n, mask))
-        table[i] = row
     return table
 
 
@@ -226,7 +230,8 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     ``method="solver"`` reads it from the GF(2) table of i's particle (scales
     past exhaustive range; the subset is the solution with every free
-    variable zero); ``method="brute"`` scans all 2^n subsets in ascending
+    variable zero) and verifies only the entry it returns;
+    ``method="brute"`` scans all 2^n subsets in ascending
     order and returns the lowest certificate.
     """
     if d.n != g.n:
@@ -257,7 +262,11 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
-    return _particle_certificates(g, d.particles[d.particle_of(i)])[i][pauli]
+    mask = _particle_masks(g, d.particles[d.particle_of(i)])[i][pauli]
+    if mask is None:
+        return None
+    _verify_witness_subset(g, d.pmask(i), i, pauli, mask)
+    return EoRWitness(i, pauli, Bitvec(g.n, mask))
 
 
 @dataclass

@@ -14,6 +14,7 @@ from avnproofs import (
     graph_from_encoding,
     identity,
     lc_orbit,
+    local_complement,
     pauli_multiply,
 )
 
@@ -167,6 +168,137 @@ def classes_by_extension(n):
         candidates -= orbit
         classes.append((min(orbit), len(orbit)))
     return sorted(classes)
+
+
+def _refine(adj, colors):
+    """Stable neighborhood coloring; ranks are isomorphism-invariant."""
+    n = len(adj)
+    while True:
+        sigs = []
+        for v in range(n):
+            nb = []
+            m = adj[v]
+            while m:
+                low = m & -m
+                nb.append(colors[low.bit_length() - 1])
+                m ^= low
+            nb.sort()
+            sigs.append((colors[v], tuple(nb)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new_colors = tuple(ranks[s] for s in sigs)
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _twin_masks(adj):
+    """twin[v] = mask of vertices interchangeable with v by a transposition."""
+    n = len(adj)
+    twins = [0] * n
+    for v in range(n):
+        for w in range(v + 1, n):
+            if (adj[v] ^ adj[w]) & ~((1 << v) | (1 << w)) == 0:
+                twins[v] |= 1 << w
+                twins[w] |= 1 << v
+    return twins
+
+
+def _encode_order(adj, slots):
+    """Adjacency bitstring for a slot order, level blocks packed MSB-first."""
+    n = len(adj)
+    enc = 0
+    for j in range(1, n):
+        avj = adj[slots[j]]
+        block = 0
+        for i in range(j):
+            block |= ((avj >> slots[i]) & 1) << i
+        enc = (enc << j) | block
+    return enc
+
+
+def reference_canonical(adj):
+    """(encoding, perm) of the package's canonical labelling, computed the
+    plain way: every refinement round walks the adjacency bits, starts from
+    the uniform colouring, runs until the colours stop changing, and
+    individualizes by re-ranking (colour, in-target-cell) signatures.  The
+    package's kernel must return exactly this pair.
+    """
+    n = len(adj)
+    if n == 1:
+        return 0, (0,)
+    twins = _twin_masks(adj)
+    best = [None, None]
+
+    def descend(colors):
+        counts = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = None
+        for c in sorted(counts):
+            if counts[c] > 1:
+                target = c
+                break
+        if target is None:
+            slots = [0] * n
+            for v, c in enumerate(colors):
+                slots[c] = v
+            enc = _encode_order(adj, slots)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+                best[1] = tuple(colors)
+            return
+        cell = [v for v in range(n) if colors[v] == target]
+        kept = 0
+        for v in cell:
+            if twins[v] & kept:
+                continue
+            kept |= 1 << v
+            sigs = tuple(
+                (colors[w], 0 if w == v else 1 if colors[w] == target else 0)
+                for w in range(n)
+            )
+            ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            descend(_refine(adj, tuple(ranks[s] for s in sigs)))
+
+    descend(_refine(adj, (0,) * n))
+    return best[0], best[1]
+
+
+def connected_reps_by_full_extension(n):
+    """Sorted canonical encodings of the connected n-vertex graphs, from
+    every connected (n-1)-vertex graph joined to a new vertex by every
+    nonempty subset: no automorphism dedupe and no key filter.
+    """
+    if n == 1:
+        return (0,)
+    reps = set()
+    for parent_enc in connected_reps_by_full_extension(n - 1):
+        parent = graph_from_encoding(n - 1, parent_enc)
+        for subset in range(1, 1 << (n - 1)):
+            adj = [a | (((subset >> v) & 1) << (n - 1)) for v, a in enumerate(parent.adj)]
+            adj.append(subset)
+            reps.add(canonical_form(Graph(n, tuple(adj))).encoding)
+    return tuple(sorted(reps))
+
+
+def lc_orbit_by_full_walk(g):
+    """encoding -> perm over the LC orbit of a connected graph, found by
+    canonicalizing the local complement at every vertex of every member.
+
+    Members are expanded in the same last-found-first order as
+    ``lc_orbit``, and each perm is the one of the member's first discovery.
+    """
+    start = canonical_form(g)
+    found = {start.encoding: start.perm}
+    frontier = [start.encoding]
+    while frontier:
+        h = graph_from_encoding(g.n, frontier.pop())
+        for v in range(1, g.n + 1):
+            img = canonical_form(local_complement(h, v))
+            if img.encoding not in found:
+                found[img.encoding] = img.perm
+                frontier.append(img.encoding)
+    return found
 
 
 def connected_edge_set(n, edges):

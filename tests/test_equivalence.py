@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnproofs import (
     Graph,
@@ -24,7 +26,10 @@ from oracles import (
     CONNECTED_GRAPH_COUNTS,
     classes_by_extension,
     connected_edge_set,
+    connected_reps_by_full_extension,
     edge_sets,
+    lc_orbit_by_full_walk,
+    reference_canonical,
 )
 
 
@@ -64,6 +69,44 @@ def test_canonical_form_invariant_under_relabelling():
             assert canonical_form(relabel(g, tuple(perm))).encoding == base.encoding
 
 
+def _assert_matches_reference(g):
+    cg = canonical_form(g)
+    assert (cg.encoding, cg.perm) == reference_canonical(g.adj)
+
+
+def test_canonical_matches_reference_on_every_small_labelled_graph():
+    for n in range(1, 6):
+        for edges in edge_sets(n):
+            _assert_matches_reference(Graph.from_edges(n, edges))
+
+
+def test_canonical_matches_reference_on_census_graphs_and_lc_images():
+    for n in range(1, 8):
+        for enc in connected_graph_reps(n):
+            g = graph_from_encoding(n, enc)
+            _assert_matches_reference(g)
+            for v in range(1, n + 1):
+                _assert_matches_reference(local_complement(g, v))
+
+
+@st.composite
+def graphs(draw, max_n, connected):
+    """A random graph; when ``connected``, a random tree plus extra edges."""
+    n = draw(st.integers(2 if connected else 1, max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, k in zip(pairs, keep) if k}
+    if connected:
+        edges |= {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(10, connected=False))
+def test_canonical_matches_reference(g):
+    _assert_matches_reference(g)
+
+
 def test_canonical_form_separates_nonisomorphic():
     assert canonical_form(path_graph(4)).encoding != canonical_form(star_graph(4)).encoding
     assert canonical_form(ring_graph(6)).encoding != canonical_form(path_graph(6)).encoding
@@ -97,6 +140,28 @@ def test_connected_reps_match_brute_force_n_le_5():
         if n >= 2:
             # the orbits are disjoint and cover every connected graph
             assert sum(r.orbit_size for r in classify_all(n)) == len(brute)
+
+
+def test_connected_reps_match_full_extension():
+    for n in range(1, 8):
+        assert connected_graph_reps(n) == connected_reps_by_full_extension(n)
+
+
+def test_lc_orbit_matches_full_walk():
+    for n in range(2, 8):
+        for record in classify_all(n):
+            orbit = lc_orbit(record.representative)
+            assert {cg.encoding: cg.perm for cg in orbit} == lc_orbit_by_full_walk(
+                record.representative
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs(8, connected=True))
+def test_pruned_census_matches_unpruned(g):
+    assert canonical_form(g).encoding in connected_graph_reps(g.n)
+    orbit = lc_orbit(g)
+    assert {cg.encoding: cg.perm for cg in orbit} == lc_orbit_by_full_walk(g)
 
 
 def test_encoding_round_trip():

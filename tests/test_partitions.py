@@ -8,10 +8,13 @@ from avnproofs import (
     all_avn_distributions,
     allows_specific_avn,
     automorphisms,
+    classify_all,
     complete_graph,
     count_partitions_with_shape,
     enumerate_distributions,
+    graph_from_encoding,
     integer_partitions,
+    lc_orbit,
     min_party_distributions,
     minimal_shapes,
     parse_graph,
@@ -231,3 +234,13 @@ def test_refinement_closure_small():
 def test_integer_partitions():
     assert list(integer_partitions(4, parts=2)) == [(3, 1), (2, 2)]
     assert sum(1 for _ in integer_partitions(8)) == 22
+
+
+def test_min_party_count_is_constant_on_every_lc_orbit():
+    # cut-rank is LC-invariant, hence so are the verdicts and m_min
+    for n in range(3, 7):
+        for record in classify_all(n):
+            m_rep = min_party_distributions(record.representative)[0]
+            for cg in lc_orbit(record.representative):
+                g = graph_from_encoding(n, cg.encoding)
+                assert min_party_distributions(g)[0] == m_rep, (n, record.class_id)

@@ -216,6 +216,51 @@ def test_wrong_solver_subset_raises(monkeypatch, wrong, message):
         is_element_of_reality(LC4, d, 1, "X")
 
 
+def _count_verifications(monkeypatch):
+    calls = []
+    real = reality._verify_witness_subset
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reality, "_verify_witness_subset", counting)
+    return calls
+
+
+def test_lookup_verifies_only_the_entry_it_returns(monkeypatch):
+    calls = _count_verifications(monkeypatch)
+    d = parse_distribution("1,2|3,4", 4)
+    assert is_element_of_reality(LC4, d, 1, "X") is not None
+    assert [args[2:4] for args in calls] == [(1, "X")]
+    calls.clear()
+    assert is_element_of_reality(LC4, d, 1, "Z") is None
+    assert calls == []
+
+
+def test_table_verifies_every_entry(monkeypatch):
+    calls = _count_verifications(monkeypatch)
+    d = parse_distribution("1,2|3,4", 4)
+    decision = allows_specific_avn(LC4, d)
+    entries = {(i, p) for i, row in decision.eor.items() for p, w in row.items() if w}
+    assert len(calls) == len(entries)
+    assert {args[2:4] for args in calls} == entries
+
+
+def test_table_rejects_a_wrong_later_entry(monkeypatch):
+    # only qubit 4's Z unit (the last row) solves to a wrong mask
+    real = reality.gf2_unit_solutions
+
+    def wrong_last(rows):
+        units = real(rows)
+        return units[:-1] + [(0, 0)] if rows[-1] == LC4.adj[3] else units
+
+    monkeypatch.setattr(reality, "gf2_unit_solutions", wrong_last)
+    d = parse_distribution("1,2|3,4", 4)
+    with pytest.raises(AssertionError, match="on qubit 4"):
+        allows_specific_avn(LC4, d)
+
+
 def test_wrong_solver_subset_raises_under_python_O():
     script = """
 import sys
