@@ -45,8 +45,12 @@ class Graph:
                 raise ValueError(f"adjacency mask of vertex {v + 1} out of range")
             if (mask >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v + 1}")
-            for w in range(self.n):
-                if (mask >> w) & 1 and not ((self.adj[w] >> v) & 1):
+            m = mask
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                m ^= low
+                if not (self.adj[w] >> v) & 1:
                     raise ValueError(f"asymmetric edge {v + 1}-{w + 1}")
 
     @classmethod

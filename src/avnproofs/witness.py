@@ -135,14 +135,47 @@ def _eor_certifying_subsets(ops: dict, d) -> set:
     return out
 
 
+#: Largest number of prefixes walked plus index entries built in one search.
+MAX_SEARCH_WORK = 2_000_000
+
+
+def _first_subset_by_key(keys, h: int) -> dict:
+    """The lexicographically first h-subset of pool indices for each XOR of
+    their keys."""
+    index = {}
+    for combo in combinations(range(len(keys)), h):
+        key = 0
+        for j in combo:
+            key ^= keys[j]
+        index.setdefault(key, combo)
+    return index
+
+
 def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
     """Smallest witness over the candidate pool, or None within the bound.
 
     The default pool is every operator certifying an element of reality
     under the distribution plus all products of at most three generators;
-    ``exhaustive`` widens it to the whole stabilizer (n <= 5 only).  Search
-    is breadth-first over set sizes with lexicographic tie-breaking, so the
-    result is deterministic.
+    ``exhaustive`` widens it to the whole stabilizer (n <= 5 only).  Sizes
+    are tried in increasing order and, within a size, the lexicographically
+    first set of sorted pool masks is returned, so the result is
+    deterministic.
+
+    A set is a witness iff its parity keys (X part, Y part, Z part, sign
+    bit) XOR to (0, 0, 0, 1): every letter then occurs an even number of
+    times on every qubit, the assignment rows sum to 0 = 1, and stabilizer
+    elements are perfect correlations.  A size-k set is found by meeting in
+    the middle: the lexicographically first floor(k/2)-subset of each key
+    is indexed, and the ceil(k/2)-prefixes are walked in lexicographic order,
+    each looking up the complementary key.  The first hit is the first
+    witness: a matching suffix that started at or below the prefix's last
+    member would either complete a set that an earlier prefix completes, or
+    share a member with the prefix and leave a smaller witness, found at an
+    earlier size.  The search costs about C(P, ceil(k/2)) steps per size for
+    a pool of P members instead of C(P, k); prefixes walked plus index
+    entries built are bounded by ``MAX_SEARCH_WORK`` before any index is
+    built.  A hit whose suffix does not lie above its prefix, or that
+    ``verify_witness`` rejects, raises ``AssertionError``.
     """
     if not 2 <= max_size <= 8:
         raise ValueError(f"max_size must be in 2..8, got {max_size}")
@@ -159,33 +192,42 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
         pool |= {m for m in ops if m.bit_count() <= 3}
     pool = sorted(pool)
 
-    total = sum(math.comb(len(pool), k) for k in range(2, max_size + 1))
-    if total > 2_000_000:
+    sizes = range(2, max_size + 1)
+    work = sum(math.comb(len(pool), k - k // 2) for k in sizes)
+    work += sum(math.comb(len(pool), h) for h in {k // 2 for k in sizes})
+    if work > MAX_SEARCH_WORK:
         raise ResourceLimitError(
             f"witness search space too large ({len(pool)} candidates, size {max_size})"
         )
 
-    info = {}
+    n = g.n
+    keys = []
     for mask in pool:
         op = ops[mask]
         x, z = op.x.bits, op.z.bits
-        info[mask] = (x & ~z, x & z, z & ~x, sign_of(op))
+        negative = 1 if sign_of(op) < 0 else 0
+        keys.append((x & ~z) | (x & z) << n | (z & ~x) << 2 * n | negative << 3 * n)
+    target = 1 << 3 * n
 
-    for k in range(2, max_size + 1):
-        for combo in combinations(pool, k):
-            px = py = pz = 0
-            sign = 1
-            for mask in combo:
-                lx, ly, lz, s = info[mask]
-                px ^= lx
-                py ^= ly
-                pz ^= lz
-                sign *= s
-            if px or py or pz or sign != -1:
+    index, indexed = {}, 0
+    for k in sizes:
+        h = k // 2
+        if h != indexed:
+            index, indexed = _first_subset_by_key(keys, h), h
+        for prefix in combinations(range(len(pool)), k - h):
+            key = target
+            for j in prefix:
+                key ^= keys[j]
+            suffix = index.get(key)
+            if suffix is None:
                 continue
-            w = AvnWitness(tuple(Bitvec(g.n, m) for m in combo))
-            if verify_witness(w, g):
-                return w
+            if suffix[0] <= prefix[-1]:
+                raise AssertionError("witness suffix does not lie above its prefix")
+            combo = prefix + suffix
+            w = AvnWitness(tuple(Bitvec(n, pool[j]) for j in combo))
+            if not verify_witness(w, g):
+                raise AssertionError("parity-key match failed witness verification")
+            return w
     return None
 
 

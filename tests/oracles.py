@@ -4,11 +4,17 @@ Everything here is deliberately written the slow, obvious way (dense
 matrices, explicit enumeration) and never calls the code paths it checks.
 """
 
+import math
+from itertools import combinations
+
 import numpy as np
 
 from avnproofs import (
+    AvnWitness,
+    Bitvec,
     Gf2System,
     Graph,
+    ResourceLimitError,
     canonical_form,
     generators,
     graph_from_encoding,
@@ -16,7 +22,11 @@ from avnproofs import (
     lc_orbit,
     local_complement,
     pauli_multiply,
+    sign_of,
+    stabilizer_element,
+    verify_witness,
 )
+from avnproofs.witness import _eor_certifying_subsets
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -344,3 +354,55 @@ def all_sign_assignments_consistent(ops):
         if ok:
             return True
     return False
+
+
+def witness_by_sweep(g, d, max_size=4, exhaustive=False):
+    """First witness by trying every k-subset of the candidate pool, k = 2 up.
+
+    The combination sweep the package used before its meet-in-the-middle
+    search; same pool, guards and lexicographic order, capped at 2,000,000
+    combinations.
+    """
+    if not 2 <= max_size <= 8:
+        raise ValueError(f"max_size must be in 2..8, got {max_size}")
+    if exhaustive:
+        if g.n > 5:
+            raise ResourceLimitError("exhaustive pool limited to n <= 5")
+    elif g.n > 8:
+        raise ResourceLimitError("witness search limited to n <= 8")
+    ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << g.n)}
+    if exhaustive:
+        pool = set(ops)
+    else:
+        pool = _eor_certifying_subsets(ops, d)
+        pool |= {m for m in ops if m.bit_count() <= 3}
+    pool = sorted(pool)
+
+    total = sum(math.comb(len(pool), k) for k in range(2, max_size + 1))
+    if total > 2_000_000:
+        raise ResourceLimitError(
+            f"witness search space too large ({len(pool)} candidates, size {max_size})"
+        )
+
+    info = {}
+    for mask in pool:
+        op = ops[mask]
+        x, z = op.x.bits, op.z.bits
+        info[mask] = (x & ~z, x & z, z & ~x, sign_of(op))
+
+    for k in range(2, max_size + 1):
+        for combo in combinations(pool, k):
+            px = py = pz = 0
+            sign = 1
+            for mask in combo:
+                lx, ly, lz, s = info[mask]
+                px ^= lx
+                py ^= ly
+                pz ^= lz
+                sign *= s
+            if px or py or pz or sign != -1:
+                continue
+            w = AvnWitness(tuple(Bitvec(g.n, m) for m in combo))
+            if verify_witness(w, g):
+                return w
+    return None

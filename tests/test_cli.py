@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from avnproofs import LengthMismatchError, NonHermitianSignError, cli, partitions
+from avnproofs import LengthMismatchError, NonHermitianSignError, cli, partitions, witness
 from avnproofs.cli import main
 
 LC6 = "6: 1-2,2-3,3-4,4-5,5-6"
@@ -212,6 +212,57 @@ def test_witness_json_structure(capsys):
     data = json.loads(out)
     assert data["single_observable_qubits"] == [4]
     assert len(data["subsets"]) == 4
+
+
+RING8 = "8: 1-2, 2-3, 3-4, 4-5, 5-6, 6-7, 7-8, 1-8"
+
+
+def test_witness_past_the_old_combination_cap(capsys):
+    # 92 candidates: C(92, 2) + C(92, 3) + C(92, 4) combinations exceed the
+    # old 2,000,000 cap; the key search walks C(92, 1) + 2 C(92, 2) prefixes
+    code, out, _ = run(
+        capsys,
+        "witness",
+        "--graph",
+        RING8,
+        "--dist",
+        "1,4,5,8|2,3,6,7",
+        "--max-size",
+        "4",
+        "--format",
+        "json-lines",
+    )
+    assert code == 0
+    assert len(json.loads(out)["subsets"]) == 4
+
+
+def test_witness_rejected_by_verification_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(witness, "verify_witness", lambda w, g: False)
+    code, out, err = run(capsys, "witness", "--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: parity-key match failed witness verification\n"
+
+
+def test_witness_rejected_by_verification_exit_three_under_python_O():
+    script = """
+import sys
+import avnproofs.witness as witness
+from avnproofs.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+witness.verify_witness = lambda w, g: False
+sys.exit(main(["witness", "--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3"]))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "internal error: parity-key match failed witness verification\n"
 
 
 def test_verify_subcommand(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -202,6 +203,34 @@ def test_graph_validation():
         Graph(2, (0b01, 0b10))  # self-loop
     with pytest.raises(ValueError):
         Graph.from_edges(17, [])
+
+
+def _first_graph_error(n, adj):
+    """The validation message of the plain n x n symmetry scan, or None."""
+    full = (1 << n) - 1
+    for v, mask in enumerate(adj):
+        if mask & ~full:
+            return f"adjacency mask of vertex {v + 1} out of range"
+        if (mask >> v) & 1:
+            return f"self-loop at vertex {v + 1}"
+        for w in range(n):
+            if (mask >> w) & 1 and not ((adj[w] >> v) & 1):
+                return f"asymmetric edge {v + 1}-{w + 1}"
+    return None
+
+
+def test_graph_validation_messages_match_full_scan():
+    """Every adjacency tuple with n <= 3 and masks below 2^(n+1): the same
+    first message (or acceptance) as the n x n scan."""
+    for n in range(1, 4):
+        for adj in itertools.product(range(1 << (n + 1)), repeat=n):
+            expected = _first_graph_error(n, adj)
+            if expected is None:
+                assert Graph(n, adj).adj == adj
+            else:
+                with pytest.raises(ValueError) as err:
+                    Graph(n, adj)
+                assert str(err.value) == expected
 
 
 def test_relabel_and_connectivity():

@@ -30,6 +30,7 @@ from avnproofs import (
     stabilizer_element,
 )
 from oracles import eor_subset_by_system, gf2_rank, set_partitions
+from strategies import connected_cases
 
 LC4 = path_graph(4)
 LC6 = path_graph(6)
@@ -312,23 +313,6 @@ def test_table_matches_per_qubit_systems_exhaustively():
             for particles in set_partitions(range(1, n + 1)):
                 d = Distribution(n, particles)
                 assert _table_masks(allows_specific_avn(g, d)) == _oracle_masks(g, d)
-
-
-@st.composite
-def connected_cases(draw, max_n):
-    """A random connected graph (a random tree plus random extra edges) and a
-    random distribution of its qubits."""
-    n = draw(st.integers(3, max_n))
-    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges |= {pair for pair, k in zip(pairs, keep) if k}
-    m = draw(st.integers(1, n))
-    labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-    blocks = {}
-    for q, label in enumerate(labels, 1):
-        blocks.setdefault(label, []).append(q)
-    return Graph.from_edges(n, edges), Distribution(n, tuple(map(tuple, blocks.values())))
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,13 +2,18 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avnproofs import witness
 from avnproofs import (
     AvnWitness,
     Bitvec,
+    Distribution,
     Graph,
     ResourceLimitError,
     assignment_consistent,
+    classify_all,
     complete_graph,
     find_witness,
     format_witness,
@@ -18,10 +23,12 @@ from avnproofs import (
     ring_graph,
     sign_of,
     stabilizer_element,
+    star_graph,
     underrepresented_qubits,
     verify_witness,
 )
-from oracles import all_sign_assignments_consistent
+from oracles import all_sign_assignments_consistent, set_partitions, witness_by_sweep
+from strategies import connected_cases
 
 FC3 = complete_graph(3)
 FC4 = complete_graph(4)
@@ -189,3 +196,64 @@ def test_underrepresented_qubits_flags_fixed_observer():
     # every qubit of the three-qubit witness shows two observables
     w3 = find_witness(FC3, parse_distribution("1|2|3", 3), max_size=4)
     assert underrepresented_qubits(w3, FC3) == ()
+
+
+def _same_search(g, d, max_size, exhaustive=False):
+    """The meet-in-the-middle search returns the sweep's witness (or None),
+    and that witness verifies and is critical."""
+    found = find_witness(g, d, max_size=max_size, exhaustive=exhaustive)
+    swept = witness_by_sweep(g, d, max_size=max_size, exhaustive=exhaustive)
+    if swept is None:
+        assert found is None
+        return
+    assert found is not None and found.subsets == swept.subsets
+    assert verify_witness(found, g)
+    assert is_critical(found, g)
+
+
+def test_search_matches_sweep_on_every_small_class():
+    """Every n <= 5 class representative under every distribution, sizes
+    2..4; the whole stabilizer as pool too for n <= 4."""
+    for n in range(2, 6):
+        for record in classify_all(n):
+            g = record.representative
+            for particles in set_partitions(range(1, n + 1)):
+                d = Distribution(n, particles)
+                for max_size in (2, 3, 4):
+                    _same_search(g, d, max_size)
+                    if n <= 4:
+                        _same_search(g, d, max_size, exhaustive=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cases(6), st.integers(2, 4))
+def test_search_matches_sweep(case, max_size):
+    g, d = case
+    _same_search(g, d, max_size)
+
+
+RING8 = ring_graph(8)
+RING8_DIST = parse_distribution("1,4,5,8|2,3,6,7", 8)
+
+
+def test_ring8_size_four_past_the_old_cap():
+    with pytest.raises(ResourceLimitError, match=r"\(92 candidates, size 4\)"):
+        witness_by_sweep(RING8, RING8_DIST, max_size=4)
+    w = find_witness(RING8, RING8_DIST, max_size=4)
+    assert w is not None and len(w) == 4
+    assert verify_witness(w, RING8)
+    assert is_critical(w, RING8)
+    assert find_witness(RING8, RING8_DIST, max_size=3) is None
+    assert witness_by_sweep(RING8, RING8_DIST, max_size=3) is None
+
+
+def test_work_bound_raises_before_any_index(monkeypatch):
+    def no_index(keys, h):
+        raise AssertionError("index built before the work bound was checked")
+
+    monkeypatch.setattr(witness, "_first_subset_by_key", no_index)
+    g = star_graph(8)
+    d = parse_distribution("1|2|3|4|5|6|7|8", 8)
+    # 255 candidates: C(255, 4) prefixes at size 8 alone exceed the bound
+    with pytest.raises(ResourceLimitError, match=r"too large \(255 candidates, size 8\)"):
+        find_witness(g, d, max_size=8)
