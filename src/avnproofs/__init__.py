@@ -28,6 +28,7 @@ from .gf2 import Bitvec, Gf2System, gf2_solve, gf2_solve_explain, gf2_unit_solut
 from .graphstate import (
     Graph,
     complete_graph,
+    cut_rank,
     expectation,
     format_graph,
     full_stabilizer,
@@ -48,7 +49,6 @@ from .pauli import (
     identity,
     pauli_multiply,
     sign_of,
-    single_letter,
 )
 from .partitions import (
     all_avn_distributions,
@@ -71,7 +71,6 @@ from .reality import (
     format_distribution,
     is_element_of_reality,
     parse_distribution,
-    reduced_stabilizer,
 )
 from .reports import DistributionReport
 from .witness import (

@@ -225,6 +225,29 @@ def neighbour_parity(g: Graph, mask: int) -> int:
     return z
 
 
+def cut_rank(g: Graph, mask: int) -> int:
+    """E(A): the GF(2) rank of the adjacency block Gamma[A, V \\ A], where A
+    is the vertex set ``mask`` (bit q-1 for qubit q).
+
+    It equals the entanglement entropy of A in bits (Hein, Eisert &
+    Briegel, PRA 69, 062311, 2004), so it never exceeds |A| or n - |A|.
+    """
+    pivots = {}  # lowest set bit -> reduced row
+    m = mask
+    while m:
+        low = m & -m
+        row = g.adj[low.bit_length() - 1] & ~mask
+        while row:
+            col = row & -row
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            row ^= piv
+        m ^= low
+    return len(pivots)
+
+
 def stabilizer_element(g: Graph, subset) -> PauliOperator:
     """Product (with sign) of the selected generators, ascending index order.
 

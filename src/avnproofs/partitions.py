@@ -5,15 +5,21 @@ reality only when its largest particle does not outweigh the rest combined;
 the search schedule lists, level by ascending particle count, the shapes
 that could be the first success, and distributions are enumerated one
 representative per orbit of the graph's automorphism group.
+
+A distribution allows a specific AVN proof iff every particle A has full
+cut-rank, E(A) = |A|: the adjacency block Gamma[A, V \\ A] has full row rank,
+so every particle's reduced state is maximally mixed.  The searches admit
+distributions by that rank test, computing each particle's rank at most
+once per call, and build the element-of-reality table only for the
+distributions they report.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 from .errors import ResourceLimitError, UnsupportedInputError
-from .graphstate import Graph, is_connected
+from .graphstate import Graph, cut_rank, is_connected
 from .reality import Distribution, allows_specific_avn
 from .reports import DistributionReport
 
@@ -200,68 +206,63 @@ def _report_sort_key(report: DistributionReport):
     return tuple(-s for s in shape), report.distribution.canonical_key()
 
 
+def _require_connected(g: Graph) -> None:
+    if g.n < 3 or not is_connected(g):
+        raise UnsupportedInputError("need a connected graph on at least 3 vertices")
+
+
+def _admitting_reports(g: Graph, shapes, dedupe: bool, full_rank: dict) -> list:
+    """Reports for the distributions of these shapes whose particles all have
+    full cut-rank, canonically sorted.
+
+    ``full_rank`` memoizes the rank test per particle.  Each hit's
+    element-of-reality table is built and must allow; a hit it blocks is an
+    internal error (an explicit raise, so the check also runs under
+    ``python -O``).
+    """
+    hits = []
+    for shape in shapes:
+        for dist in enumerate_distributions(g, shape, dedupe=dedupe):
+            for particle in dist.particles:
+                ok = full_rank.get(particle)
+                if ok is None:
+                    mask = sum(1 << (q - 1) for q in particle)
+                    ok = full_rank[particle] = cut_rank(g, mask) == len(particle)
+                if not ok:
+                    break
+            else:
+                decision = allows_specific_avn(g, dist)
+                if not decision.allows:
+                    raise AssertionError(
+                        f"distribution {dist} has full cut-rank particles but is blocked"
+                    )
+                hits.append(DistributionReport(g, dist, decision))
+    hits.sort(key=_report_sort_key)
+    return hits
+
+
 def min_party_distributions(g: Graph, dedupe: bool = True):
     """Smallest particle count admitting a distribution-specific proof.
 
     Walks the shape schedule in ascending m; the first level with a success
     is returned in full as ``(m, reports)``, reports canonically sorted.
     """
-    if g.n < 3 or not is_connected(g):
-        raise UnsupportedInputError("need a connected graph on at least 3 vertices")
+    _require_connected(g)
+    full_rank = {}
     for m, shapes in minimal_shapes(g.n):
-        hits = []
-        for shape in shapes:
-            for dist in enumerate_distributions(g, shape, dedupe=dedupe):
-                decision = allows_specific_avn(g, dist)
-                if decision.allows:
-                    hits.append(DistributionReport(g, dist, decision))
+        hits = _admitting_reports(g, shapes, dedupe, full_rank)
         if hits:
-            hits.sort(key=_report_sort_key)
             return m, hits
     raise AssertionError("singleton level must allow for a connected graph, n >= 3")
 
 
-def _usable_cpu_count() -> int:
-    """CPUs this process may run on (its affinity set where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _allows_worker(task):
-    g, dist = task
-    return allows_specific_avn(g, dist)
-
-
-def all_avn_distributions(g: Graph, m: int, dedupe: bool = True, jobs: int = 1):
-    """Every (deduped) m-particle distribution that allows a specific proof.
-
-    ``jobs > 1`` evaluates verdicts in a process pool of at most ``jobs``
-    workers, and never more than the usable CPUs or the number of
-    distributions; results are reassembled in enumeration order and sorted
-    canonically, so the output is identical for any worker count.
-    """
+def all_avn_distributions(g: Graph, m: int, dedupe: bool = True):
+    """Every (deduped) m-particle distribution that allows a specific proof,
+    canonically sorted."""
     if not 2 <= m <= g.n:
         raise ValueError(f"m must be in 2..{g.n}, got {m}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    dists = []
-    for shape in sorted(integer_partitions(g.n, parts=m), reverse=True):
-        if not shape_feasible(shape):
-            continue
-        dists.extend(enumerate_distributions(g, shape, dedupe=dedupe))
-    workers = min(jobs, _usable_cpu_count(), len(dists))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            decisions = list(
-                pool.map(_allows_worker, [(g, d) for d in dists], chunksize=8)
-            )
-    else:
-        decisions = [allows_specific_avn(g, d) for d in dists]
-    hits = [
-        DistributionReport(g, d, dec) for d, dec in zip(dists, decisions) if dec.allows
+    _require_connected(g)
+    shapes = [
+        s for s in sorted(integer_partitions(g.n, parts=m), reverse=True) if shape_feasible(s)
     ]
-    hits.sort(key=_report_sort_key)
-    return hits
+    return _admitting_reports(g, shapes, dedupe, {})

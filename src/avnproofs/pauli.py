@@ -62,16 +62,6 @@ def identity(n: int) -> PauliOperator:
     return PauliOperator(Bitvec(n), Bitvec(n))
 
 
-def single_letter(n: int, qubit: int, letter: str) -> PauliOperator:
-    """The operator acting as ``letter`` on one 1-based qubit, identity elsewhere."""
-    if letter not in ("I", "X", "Y", "Z"):
-        raise ValueError(f"unknown Pauli letter {letter!r}")
-    bit = 1 << (qubit - 1)
-    x = bit if letter in ("X", "Y") else 0
-    z = bit if letter in ("Y", "Z") else 0
-    return PauliOperator(Bitvec(n, x), Bitvec(n, z))
-
-
 def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Exact operator product p*q, phases included.
 

@@ -12,11 +12,15 @@ the right-hand side differs, so one GF(2) elimination per particle decides
 the particle's whole table; its rank is |A| + E(A), where E(A) is the
 cut-rank of A.  A brute-force sweep over all 2^n subsets doubles as an
 oracle.
+
+The verdict itself is a rank test: a distribution allows a specific AVN
+proof iff every particle A has E(A) = |A| (``graphstate.cut_rank``).  The
+searches in ``partitions`` admit distributions by that test and build the
+table here only for the distributions they report.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -324,21 +328,3 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
     if shortcut is not None and allows:
         raise AssertionError(f"shortcut fired ({shortcut}) but the full check allows")
     return AvnDecision(allows=allows, eor=eor, shortcut=shortcut)
-
-
-def reduced_stabilizer(g: Graph, d: Distribution, particle: int) -> Counter:
-    """Multiset of all 2^n stabilizing operators restricted to one particle.
-
-    Signs are dropped; each entry is the letter string over the particle's
-    qubits in ascending order.  ``particle`` indexes ``d.particles``.
-    """
-    if not 0 <= particle < d.m:
-        raise ValueError(f"particle index {particle} out of range 0..{d.m - 1}")
-    if d.n != g.n:
-        raise LengthMismatchError(f"graph has {g.n} qubits, distribution {d.n}")
-    qubits = d.particles[particle]
-    out = Counter()
-    for mask in range(1 << g.n):
-        gamma = neighbour_parity(g, mask)
-        out["".join(_action_at(mask, gamma, q).value for q in qubits)] += 1
-    return out

@@ -5,6 +5,7 @@ matrices, explicit enumeration) and never calls the code paths it checks.
 """
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -12,16 +13,25 @@ import numpy as np
 from avnproofs import (
     AvnWitness,
     Bitvec,
+    DistributionReport,
     Gf2System,
     Graph,
+    PauliOperator,
     ResourceLimitError,
+    UnsupportedInputError,
+    allows_specific_avn,
     canonical_form,
+    enumerate_distributions,
     generators,
     graph_from_encoding,
     identity,
+    integer_partitions,
+    is_connected,
     lc_orbit,
     local_complement,
+    minimal_shapes,
     pauli_multiply,
+    shape_feasible,
     sign_of,
     stabilizer_element,
     verify_witness,
@@ -52,6 +62,14 @@ def operator_matrix(op):
     """Dense matrix of a PauliOperator."""
     letters = [op.letter(q) for q in range(1, op.n + 1)]
     return pauli_matrix(letters, op.phase)
+
+
+def single_letter(n, qubit, letter):
+    """The operator acting as ``letter`` on one 1-based qubit, identity elsewhere."""
+    bit = 1 << (qubit - 1)
+    x = bit if letter in ("X", "Y") else 0
+    z = bit if letter in ("Y", "Z") else 0
+    return PauliOperator(Bitvec(n, x), Bitvec(n, z))
 
 
 def stabilizer_by_products(g, mask):
@@ -119,6 +137,59 @@ def eor_subset_by_system(g, d, i, pauli):
     system.add_row(1 << (i - 1), need_i)
     system.add_row(g.adj[i - 1], need_par)
     return canonical_solution(system)
+
+
+def reduced_stabilizer(g, d, particle):
+    """Multiset of all 2^n stabilizing operators restricted to one particle.
+
+    Signs are dropped; each entry is the letter string over the particle's
+    qubits in ascending order.  ``particle`` indexes ``d.particles``.
+    """
+    qubits = d.particles[particle]
+    out = Counter()
+    for mask in range(1 << g.n):
+        op = stabilizer_by_products(g, mask)
+        out["".join(op.letter(q) for q in qubits)] += 1
+    return out
+
+
+def _report_sort_key(report):
+    shape = report.distribution.shape()
+    return tuple(-s for s in shape), report.distribution.canonical_key()
+
+
+def min_party_by_verdicts(g, dedupe=True):
+    """The minimum-party search by a full element-of-reality verdict on every
+    enumerated distribution of the schedule's shapes, level by level."""
+    if g.n < 3 or not is_connected(g):
+        raise UnsupportedInputError("need a connected graph on at least 3 vertices")
+    for m, shapes in minimal_shapes(g.n):
+        hits = []
+        for shape in shapes:
+            for dist in enumerate_distributions(g, shape, dedupe=dedupe):
+                decision = allows_specific_avn(g, dist)
+                if decision.allows:
+                    hits.append(DistributionReport(g, dist, decision))
+        if hits:
+            hits.sort(key=_report_sort_key)
+            return m, hits
+    raise AssertionError("singleton level must allow for a connected graph, n >= 3")
+
+
+def all_avn_by_verdicts(g, m, dedupe=True):
+    """Every m-particle distribution of a feasible shape that a full verdict
+    allows, canonically sorted."""
+    dists = []
+    for shape in sorted(integer_partitions(g.n, parts=m), reverse=True):
+        if not shape_feasible(shape):
+            continue
+        dists.extend(enumerate_distributions(g, shape, dedupe=dedupe))
+    decisions = [allows_specific_avn(g, d) for d in dists]
+    hits = [
+        DistributionReport(g, d, dec) for d, dec in zip(dists, decisions) if dec.allows
+    ]
+    hits.sort(key=_report_sort_key)
+    return hits
 
 
 def set_partitions(elements):

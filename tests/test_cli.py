@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from avnproofs import LengthMismatchError, NonHermitianSignError, cli, partitions, witness
+from avnproofs import (
+    AvnDecision,
+    LengthMismatchError,
+    NonHermitianSignError,
+    cli,
+    partitions,
+    witness,
+)
 from avnproofs.cli import main
 
 LC6 = "6: 1-2,2-3,3-4,4-5,5-6"
@@ -97,65 +103,6 @@ def test_classes_output_is_stable_across_runs(capsys):
     _, first, _ = run(capsys, "classes", "--n", "6", "--format", "json-lines")
     _, second, _ = run(capsys, "classes", "--n", "6", "--format", "json-lines")
     assert first == second
-
-
-def test_enumerate_jobs_identical_output(capsys):
-    _, seq, _ = run(capsys, "enumerate", "--graph", LC6, "--m", "3", "--format", "json-lines")
-    _, par, _ = run(
-        capsys,
-        "enumerate",
-        "--graph",
-        LC6,
-        "--m",
-        "3",
-        "--format",
-        "json-lines",
-        "--jobs",
-        "2",
-    )
-    assert seq == par
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_enumerate_jobs_below_one_exit_two(capsys, jobs):
-    code, out, err = run(capsys, "enumerate", "--graph", LC6, "--m", "3", "--jobs", jobs)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: jobs must be at least 1, got {jobs}\n"
-
-
-def test_enumerate_jobs_capped_by_cpu_and_distribution_count(capsys, monkeypatch):
-    started = []
-
-    class RecordingPool:
-        # runs in-process, so no worker is started
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    cpus = [3]
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(partitions, "_usable_cpu_count", lambda: cpus[0])
-    _, seq, _ = run(capsys, "enumerate", "--graph", LC6, "--m", "3", "--format", "json-lines")
-    assert started == []
-    code, par, _ = run(
-        capsys, "enumerate", "--graph", LC6, "--m", "3", "--format", "json-lines",
-        "--jobs", "1000000",
-    )
-    assert code == 0
-    assert started == [3]  # 41 distributions, 3 CPUs
-    assert par == seq
-    cpus[0] = 100
-    run(capsys, "enumerate", "--graph", LC6, "--m", "2", "--jobs", "1000000")
-    assert started == [3, 7]  # 7 distributions, 100 CPUs
 
 
 def test_cli_import_does_not_load_numpy():
@@ -265,6 +212,41 @@ sys.exit(main(["witness", "--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3"]))
     assert proc.stderr == "internal error: parity-key match failed witness verification\n"
 
 
+BLOCKED_HIT = "internal error: distribution 1,3|2,4 has full cut-rank particles but is blocked\n"
+
+
+def test_rank_hit_blocked_by_table_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(
+        partitions, "allows_specific_avn", lambda g, d: AvnDecision(False, {})
+    )
+    code, out, err = run(capsys, "min-parties", "--graph", "4: 1-2,2-3,3-4")
+    assert code == 3
+    assert out == ""
+    assert err == BLOCKED_HIT
+
+
+def test_rank_hit_blocked_by_table_exit_three_under_python_O():
+    script = """
+import sys
+import avnproofs.partitions as partitions
+from avnproofs import AvnDecision
+from avnproofs.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+partitions.allows_specific_avn = lambda g, d: AvnDecision(False, {})
+sys.exit(main(["min-parties", "--graph", "4: 1-2,2-3,3-4"]))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == BLOCKED_HIT
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--graph", LC6)
     assert code == 0
@@ -300,6 +282,7 @@ def test_internal_value_errors_exit_three(capsys, monkeypatch, error):
     [
         ("classes", "--n", "4", "--jobs", "2"),
         ("verify", "--graph", LC6, "--format", "table"),
+        ("enumerate", "--graph", LC6, "--m", "3", "--jobs", "2"),
     ],
 )
 def test_removed_flags_are_rejected(capsys, argv):

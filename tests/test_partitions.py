@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from avnproofs import (
     Distribution,
@@ -11,10 +12,13 @@ from avnproofs import (
     classify_all,
     complete_graph,
     count_partitions_with_shape,
+    cut_rank,
     enumerate_distributions,
     graph_from_encoding,
     integer_partitions,
+    is_element_of_reality,
     lc_orbit,
+    local_complement,
     min_party_distributions,
     minimal_shapes,
     parse_graph,
@@ -24,7 +28,14 @@ from avnproofs import (
     shape_feasible,
     star_graph,
 )
-from oracles import refines, set_partitions
+from oracles import (
+    all_avn_by_verdicts,
+    gf2_rank,
+    min_party_by_verdicts,
+    refines,
+    set_partitions,
+)
+from strategies import connected_cases
 
 Y6 = parse_graph("6: 1-2, 2-3, 3-4, 4-5, 3-6")
 
@@ -180,6 +191,14 @@ def test_min_party_matches_all_partition_brute_force():
         assert all(r.distribution.m == m for r in reports)
 
 
+def test_all_avn_rejects_bad_input():
+    # the same scope as min_party_distributions, also when no distribution
+    # of the graph passes the rank test
+    for text in ("4: 1-2, 3-4", "3: 1-2", "2:"):
+        with pytest.raises(UnsupportedInputError):
+            all_avn_distributions(parse_graph(text), 2)
+
+
 def test_all_avn_lc6_contains_split_of_winning_bipartition():
     reports = all_avn_distributions(path_graph(6), 4)
     keys = {r.distribution.canonical_key() for r in reports}
@@ -244,3 +263,58 @@ def test_min_party_count_is_constant_on_every_lc_orbit():
             for cg in lc_orbit(record.representative):
                 g = graph_from_encoding(n, cg.encoding)
                 assert min_party_distributions(g)[0] == m_rep, (n, record.class_id)
+
+
+def _mask(particle):
+    return sum(1 << (q - 1) for q in particle)
+
+
+def rank_allows(g, d):
+    """The cut-rank test: every particle A has E(A) = |A|."""
+    return all(cut_rank(g, _mask(p)) == len(p) for p in d.particles)
+
+
+def test_cut_rank_test_equals_verdict_exhaustively():
+    """On every class representative with n <= 7 under every set partition
+    into at least two particles, the rank test gives the solver's verdict."""
+    for n in range(3, 8):
+        for record in classify_all(n):
+            g = record.representative
+            for particles in set_partitions(range(1, n + 1)):
+                if len(particles) < 2:
+                    continue
+                d = Distribution(n, particles)
+                assert rank_allows(g, d) == allows_specific_avn(g, d).allows, (n, particles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cases(10))
+def test_rank_solver_and_brute_verdicts_agree(case):
+    g, d = case
+    brute = all(
+        is_element_of_reality(g, d, i, p, method="brute") is not None
+        for i in range(1, g.n + 1)
+        for p in "XY"
+    )
+    assert rank_allows(g, d) == allows_specific_avn(g, d).allows == brute
+    for p in d.particles:
+        mask = _mask(p)
+        rank = cut_rank(g, mask)
+        assert rank == gf2_rank([g.adj[q - 1] & ~mask for q in p], g.n)
+        assert rank == cut_rank(local_complement(g, p[0]), mask)
+        assert rank == cut_rank(g, ((1 << g.n) - 1) & ~mask)
+
+
+def test_searches_equal_the_verdict_loop():
+    """Same reports in the same order as a full verdict on every enumerated
+    distribution, on every class representative with n <= 7, for every m,
+    with and without dedupe."""
+    for n in range(3, 8):
+        for record in classify_all(n):
+            g = record.representative
+            for dedupe in (True, False):
+                assert min_party_distributions(g, dedupe) == min_party_by_verdicts(g, dedupe)
+                for m in range(2, n + 1):
+                    assert all_avn_distributions(g, m, dedupe) == all_avn_by_verdicts(
+                        g, m, dedupe
+                    ), (n, record.class_id, m, dedupe)

@@ -14,10 +14,9 @@ from avnproofs import (
     pauli_multiply,
     path_graph,
     sign_of,
-    single_letter,
     stabilizer_element,
 )
-from oracles import operator_matrix
+from oracles import operator_matrix, single_letter
 
 
 def all_paulis(n, phases=(0,)):

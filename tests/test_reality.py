@@ -24,12 +24,11 @@ from avnproofs import (
     local_complement,
     parse_distribution,
     path_graph,
-    reduced_stabilizer,
     relabel,
     ring_graph,
     stabilizer_element,
 )
-from oracles import eor_subset_by_system, gf2_rank, set_partitions
+from oracles import eor_subset_by_system, gf2_rank, reduced_stabilizer, set_partitions
 from strategies import connected_cases
 
 LC4 = path_graph(4)
