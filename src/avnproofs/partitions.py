@@ -8,10 +8,12 @@ representative per orbit of the graph's automorphism group.
 
 A distribution allows a specific AVN proof iff every particle A has full
 cut-rank, E(A) = |A|: the adjacency block Gamma[A, V \\ A] has full row rank,
-so every particle's reduced state is maximally mixed.  The searches admit
-distributions by that rank test, computing each particle's rank at most
-once per call, and build the element-of-reality table only for the
-distributions they report.
+so every particle's reduced state is maximally mixed.  The searches
+enumerate only such distributions: the set-partition recursion drops a
+block that fails the rank test before recursing, so a failing block never
+grows into distributions, and the automorphism group is listed only once a
+shape has a hit.  The element-of-reality table is built only for the
+distributions the searches report.
 """
 
 from __future__ import annotations
@@ -102,6 +104,26 @@ def partitions_with_shape(n: int, shape):
     shape = _validate_shape(shape)
     if sum(shape) != n:
         raise ValueError(f"shape {shape} does not sum to {n}")
+    yield from _set_partitions(n, shape, None)
+
+
+def _set_partitions(n: int, shape, g: Graph | None):
+    """The stream of ``partitions_with_shape``; given a graph g, only the
+    partitions whose blocks all have full cut-rank in g, in the same order.
+
+    The recursion anchors the lowest uncovered qubit and chooses the other
+    members of its block, so a block that fails the rank test is dropped
+    before any partition is built on it.  Each block's rank is computed at
+    most once per call.
+    """
+    full_rank = {}
+
+    def admits(block):
+        ok = full_rank.get(block)
+        if ok is None:
+            mask = sum(1 << (q - 1) for q in block)
+            ok = full_rank[block] = cut_rank(g, mask) == len(block)
+        return ok
 
     def rec(elements, sizes):
         if not elements:
@@ -114,11 +136,13 @@ def partitions_with_shape(n: int, shape):
             remaining.remove(size)
             for members in combinations(rest, size - 1):
                 block = (anchor,) + members
+                if g is not None and not admits(block):
+                    continue
                 left = tuple(e for e in rest if e not in members)
                 for tail in rec(left, remaining):
                     yield (block,) + tail
 
-    yield from rec(tuple(range(1, n + 1)), list(shape))
+    return rec(tuple(range(1, n + 1)), list(shape))
 
 
 def count_partitions_with_shape(n: int, shape) -> int:
@@ -177,25 +201,40 @@ def _permuted_blocks(blocks, perm):
     )
 
 
-def enumerate_distributions(g: Graph, shape, dedupe: bool = True):
+def enumerate_distributions(
+    g: Graph, shape, dedupe: bool = True, *, full_rank_only: bool = False
+):
     """Stream distributions of g's qubits with the given shape.
 
     With ``dedupe`` every orbit of the automorphism group contributes exactly
     one representative: the member with the lexicographically least canonical
-    encoding.
+    encoding.  The group is listed only when the first distribution is about
+    to be yielded, and not at all for the all-singletons shape, whose one
+    partition every automorphism fixes.
+
+    With ``full_rank_only`` the stream keeps only the distributions whose
+    particles all have full cut-rank, E(A) = |A|, which are exactly those
+    that allow a specific proof.  Blocks are tested inside the set-partition
+    recursion, so the stream is the default one with every other
+    distribution removed, in the same order.  Cut-rank is invariant under
+    automorphisms, so the kept set is a union of orbits and the deduped
+    representatives are unchanged too.
     """
     shape = _validate_shape(shape)
     if sum(shape) != g.n:
         raise ValueError(f"shape {shape} does not sum to n={g.n}")
-    if not dedupe:
-        for blocks in partitions_with_shape(g.n, shape):
+    stream = _set_partitions(g.n, shape, g if full_rank_only else None)
+    if not dedupe or shape[0] == 1:
+        for blocks in stream:
             yield Distribution(g.n, blocks)
         return
-    auts = automorphisms(g)
+    auts = None
     seen = set()
-    for blocks in partitions_with_shape(g.n, shape):
+    for blocks in stream:
         if blocks in seen:
             continue
+        if auts is None:
+            auts = automorphisms(g)
         orbit = {_permuted_blocks(blocks, perm) for perm in auts}
         seen |= orbit
         yield Distribution(g.n, min(orbit))
@@ -211,32 +250,23 @@ def _require_connected(g: Graph) -> None:
         raise UnsupportedInputError("need a connected graph on at least 3 vertices")
 
 
-def _admitting_reports(g: Graph, shapes, dedupe: bool, full_rank: dict) -> list:
+def _admitting_reports(g: Graph, shapes, dedupe: bool) -> list:
     """Reports for the distributions of these shapes whose particles all have
     full cut-rank, canonically sorted.
 
-    ``full_rank`` memoizes the rank test per particle.  Each hit's
-    element-of-reality table is built and must allow; a hit it blocks is an
-    internal error (an explicit raise, so the check also runs under
-    ``python -O``).
+    Each hit's element-of-reality table is built and must allow; a hit it
+    blocks is an internal error (an explicit raise, so the check also runs
+    under ``python -O``).
     """
     hits = []
     for shape in shapes:
-        for dist in enumerate_distributions(g, shape, dedupe=dedupe):
-            for particle in dist.particles:
-                ok = full_rank.get(particle)
-                if ok is None:
-                    mask = sum(1 << (q - 1) for q in particle)
-                    ok = full_rank[particle] = cut_rank(g, mask) == len(particle)
-                if not ok:
-                    break
-            else:
-                decision = allows_specific_avn(g, dist)
-                if not decision.allows:
-                    raise AssertionError(
-                        f"distribution {dist} has full cut-rank particles but is blocked"
-                    )
-                hits.append(DistributionReport(g, dist, decision))
+        for dist in enumerate_distributions(g, shape, dedupe=dedupe, full_rank_only=True):
+            decision = allows_specific_avn(g, dist)
+            if not decision.allows:
+                raise AssertionError(
+                    f"distribution {dist} has full cut-rank particles but is blocked"
+                )
+            hits.append(DistributionReport(g, dist, decision))
     hits.sort(key=_report_sort_key)
     return hits
 
@@ -248,9 +278,8 @@ def min_party_distributions(g: Graph, dedupe: bool = True):
     is returned in full as ``(m, reports)``, reports canonically sorted.
     """
     _require_connected(g)
-    full_rank = {}
     for m, shapes in minimal_shapes(g.n):
-        hits = _admitting_reports(g, shapes, dedupe, full_rank)
+        hits = _admitting_reports(g, shapes, dedupe)
         if hits:
             return m, hits
     raise AssertionError("singleton level must allow for a connected graph, n >= 3")
@@ -265,4 +294,4 @@ def all_avn_distributions(g: Graph, m: int, dedupe: bool = True):
     shapes = [
         s for s in sorted(integer_partitions(g.n, parts=m), reverse=True) if shape_feasible(s)
     ]
-    return _admitting_reports(g, shapes, dedupe, {})
+    return _admitting_reports(g, shapes, dedupe)

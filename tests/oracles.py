@@ -208,6 +208,48 @@ def set_partitions(elements):
             )
 
 
+def full_rank_masks(g):
+    """The vertex sets A (bit q-1 for qubit q) with full cut-rank, E(A) = |A|,
+    each rank read off a dense 0/1 matrix of the block Gamma[A, V \\ A]."""
+    full = set()
+    for mask in range(1, 1 << g.n):
+        rows = [q for q in range(g.n) if (mask >> q) & 1]
+        cols = [v for v in range(g.n) if not (mask >> v) & 1]
+        mat = [[(g.adj[q] >> v) & 1 for v in cols] for q in rows]
+        if len(_row_reduce(mat, len(cols))) == len(rows):
+            full.add(mask)
+    return full
+
+
+def full_rank_partitions(g):
+    """Every set partition of g's qubits into blocks of full cut-rank, blocks
+    as sorted 1-based tuples ordered by minimum.
+
+    Full rank is tabulated over all 2^n masks first; the recursion then
+    tries every block that holds the lowest uncovered qubit.
+    """
+    full = full_rank_masks(g)
+
+    def rec(uncovered):
+        if not uncovered:
+            yield ()
+            return
+        low = uncovered & -uncovered
+        rest = uncovered ^ low
+        sub = rest
+        while True:
+            block = low | sub
+            if block in full:
+                qubits = tuple(q + 1 for q in range(g.n) if (block >> q) & 1)
+                for tail in rec(uncovered & ~block):
+                    yield (qubits,) + tail
+            if not sub:
+                return
+            sub = (sub - 1) & rest
+
+    return list(rec((1 << g.n) - 1))
+
+
 def refines(fine, coarse):
     """Does every block of ``fine`` sit inside one block of ``coarse``?"""
     return all(any(set(b) <= set(c) for c in coarse) for b in fine)

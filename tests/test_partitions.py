@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings
 
+import avnproofs.partitions as partitions_module
 from avnproofs import (
     Distribution,
+    ResourceLimitError,
     UnsupportedInputError,
     all_avn_distributions,
     allows_specific_avn,
@@ -30,6 +32,8 @@ from avnproofs import (
 )
 from oracles import (
     all_avn_by_verdicts,
+    full_rank_masks,
+    full_rank_partitions,
     gf2_rank,
     min_party_by_verdicts,
     refines,
@@ -318,3 +322,98 @@ def test_searches_equal_the_verdict_loop():
                     assert all_avn_distributions(g, m, dedupe) == all_avn_by_verdicts(
                         g, m, dedupe
                     ), (n, record.class_id, m, dedupe)
+
+
+def _rank_filtered(g, full, shape, dedupe):
+    """The default stream, keeping the distributions whose particles are all
+    full-rank sets of the oracle's table."""
+    return [
+        d
+        for d in enumerate_distributions(g, shape, dedupe)
+        if all(_mask(p) in full for p in d.particles)
+    ]
+
+
+def test_full_rank_stream_is_the_filtered_stream():
+    """Same distributions in the same order, on every class representative
+    with n <= 7, for every shape, with and without dedupe."""
+    for n in range(2, 8):
+        for record in classify_all(n):
+            g = record.representative
+            full = full_rank_masks(g)
+            for shape in integer_partitions(n):
+                for dedupe in (True, False):
+                    pruned = list(enumerate_distributions(g, shape, dedupe, full_rank_only=True))
+                    assert pruned == _rank_filtered(g, full, shape, dedupe), (
+                        n,
+                        record.class_id,
+                        shape,
+                        dedupe,
+                    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_cases(10))
+def test_full_rank_stream_is_the_filtered_stream_by_property(case):
+    g, d = case
+    shape = d.shape()
+    pruned = list(enumerate_distributions(g, shape, dedupe=False, full_rank_only=True))
+    assert pruned == _rank_filtered(g, full_rank_masks(g), shape, dedupe=False)
+
+
+def _assert_schedule_finds_every_least_partition(g):
+    """The least block count over all full-rank block partitions, and every
+    partition at it, equal the schedule search; each hit's shape is one the
+    schedule lists at that level."""
+    found = full_rank_partitions(g)
+    m_least = min(len(blocks) for blocks in found)
+    m, reports = min_party_distributions(g, dedupe=False)
+    assert m == m_least
+    keys = [r.distribution.canonical_key() for r in reports]
+    assert sorted(keys) == sorted(blocks for blocks in found if len(blocks) == m_least)
+    level = dict(minimal_shapes(g.n))[m]
+    assert all(r.distribution.shape() in level for r in reports)
+
+
+def test_schedule_search_equals_full_rank_partitions_exhaustively():
+    for n in range(3, 9):
+        for record in classify_all(n):
+            _assert_schedule_finds_every_least_partition(record.representative)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_cases(10))
+def test_schedule_search_equals_full_rank_partitions_by_property(case):
+    _assert_schedule_finds_every_least_partition(case[0])
+
+
+def test_singleton_levels_list_no_automorphisms(monkeypatch):
+    """Star and complete graphs admit only the all-singletons distribution,
+    so their deduped searches never list the group, also above n = 10."""
+
+    def refuse(g):
+        raise ResourceLimitError("automorphisms listed")
+
+    monkeypatch.setattr(partitions_module, "automorphisms", refuse)
+    for g in (star_graph(10), complete_graph(12)):
+        m, reports = min_party_distributions(g)
+        assert m == g.n
+        assert [r.distribution.canonical_key() for r in reports] == [
+            tuple((q,) for q in range(1, g.n + 1))
+        ]
+
+
+def test_automorphisms_listed_once_per_shape_with_a_hit(monkeypatch):
+    calls = []
+    real = partitions_module.automorphisms
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(partitions_module, "automorphisms", counting)
+    min_party_distributions(star_graph(9))
+    assert calls == []
+    m, reports = min_party_distributions(ring_graph(8))
+    hit_shapes = {r.distribution.shape() for r in reports}
+    assert m < 8 and len(calls) == len(hit_shapes)
