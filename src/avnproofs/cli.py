@@ -6,6 +6,11 @@ blocks/false/none, 2 for malformed input, and 3 for an internal error (a
 failed cross-check, or a length or sign mismatch between internal objects,
 which parsed input cannot cause), so that a failure never reads as a
 verdict.
+
+Each call builds the parser of the invoked subcommand only; with no
+arguments, ``-h``, an unknown command or an option first it builds every
+subcommand's parser.  Usage lines, help and error text are the same either
+way.
 """
 
 from __future__ import annotations
@@ -181,67 +186,109 @@ def cmd_verify(args) -> int:
     return 0 if bad == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="avnproofs",
-        description="Decide which qubit distributions of a graph state admit "
-        "distribution-specific all-versus-nothing proofs.",
+def _add_format(p) -> None:
+    p.add_argument(
+        "--format",
+        choices=("table", "json-lines"),
+        default="table",
+        help="output format (default: table)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--format",
-            choices=("table", "json-lines"),
-            default="table",
-            help="output format (default: table)",
-        )
 
+# Each adder reads its cmd_* function when it runs, so a command patched on
+# this module after import is the one that runs.
+
+
+def _add_classes(sub) -> None:
     p = sub.add_parser("classes", help="census of graph-state classes")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_classes)
 
+
+def _add_check(sub) -> None:
     p = sub.add_parser("check", help="verdict for one graph and distribution")
     p.add_argument("--graph", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with brute force and statevector")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_check)
 
+
+def _add_min_parties(sub) -> None:
     p = sub.add_parser("min-parties", help="smallest admitting party count")
     p.add_argument("--graph", required=True)
     p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--oracle", action="store_true")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_min_parties)
 
+
+def _add_enumerate(sub) -> None:
     p = sub.add_parser("enumerate", help="all admitting m-party distributions")
     p.add_argument("--graph", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--oracle", action="store_true")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_enumerate)
 
+
+def _add_witness(sub) -> None:
     p = sub.add_parser("witness", help="search for a contradiction witness")
     p.add_argument("--graph", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--exhaustive", action="store_true")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_witness)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="statevector check of all perfect correlations")
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_verify)
 
+
+#: Subcommand name -> the function adding its parser, in help order.
+_COMMANDS = {
+    "classes": _add_classes,
+    "check": _add_check,
+    "min-parties": _add_min_parties,
+    "enumerate": _add_enumerate,
+    "witness": _add_witness,
+    "verify": _add_verify,
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A one-command parser names all commands in its usage line, so its usage
+    and its errors read exactly as the full parser's.  The full parser keeps
+    the metavar unset, because with no command its error names ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="avnproofs",
+        description="Decide which qubit distributions of a graph state admit "
+        "distribution-specific all-versus-nothing proofs.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(sub)
+    else:
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        _COMMANDS[command](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (AssertionError, LengthMismatchError, NonHermitianSignError) as exc:

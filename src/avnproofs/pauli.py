@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .errors import LengthMismatchError, NonHermitianSignError
 from .gf2 import Bitvec
 
-_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+#: Letter of one qubit, indexed by ``x | z << 1``.
+_LETTERS = "IXZY"
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class PauliOperator:
         if not 1 <= qubit <= self.n:
             raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
         q = qubit - 1
-        return _LETTERS[(self.x.bits >> q) & 1, (self.z.bits >> q) & 1]
+        return _LETTERS[(self.x.bits >> q & 1) | (self.z.bits >> q & 1) << 1]
 
     def support(self) -> tuple:
         """1-based qubits where the operator is not the identity."""
@@ -98,7 +99,13 @@ def sign_of(p: PauliOperator) -> int:
 def format_pauli(p: PauliOperator) -> str:
     """Render like ``-X1 X2 X3 Z4`` (identity letters omitted, no leading +)."""
     sign = "-" if sign_of(p) < 0 else ""
-    parts = [f"{p.letter(q)}{q}" for q in p.support()]
-    if not parts:
+    x, z = p.x.bits, p.z.bits
+    rest = x | z
+    if not rest:
         return sign + "1"
+    parts = []
+    while rest:
+        q = (rest & -rest).bit_length() - 1
+        parts.append(f"{_LETTERS[(x >> q & 1) | (z >> q & 1) << 1]}{q + 1}")
+        rest &= rest - 1
     return sign + " ".join(parts)

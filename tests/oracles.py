@@ -72,6 +72,15 @@ def single_letter(n, qubit, letter):
     return PauliOperator(Bitvec(n, x), Bitvec(n, z))
 
 
+def format_pauli_by_letters(op):
+    """``format_pauli`` spelled with ``support`` and the range-checked ``letter``."""
+    sign = "-" if sign_of(op) < 0 else ""
+    parts = [f"{op.letter(q)}{q}" for q in op.support()]
+    if not parts:
+        return sign + "1"
+    return sign + " ".join(parts)
+
+
 def stabilizer_by_products(g, mask):
     """Stabilizer element of a generator subset as an explicit product.
 

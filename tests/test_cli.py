@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -290,3 +291,104 @@ def test_removed_flags_are_rejected(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The same argv through ``main``, which builds the invoked command's parser
+# only, and through the parser of every command.
+
+VALID = {
+    "classes": ("--n", "4"),
+    "check": ("--graph", LC6, "--dist", "1,4,5|2,3,6"),
+    "min-parties": ("--graph", "4: 1-2,2-3,3-4"),
+    "enumerate": ("--graph", LC6, "--m", "4"),
+    "witness": ("--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3"),
+    "verify": ("--graph", LC6),
+}
+
+
+def exit_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def parser_exits(command):
+    valid = VALID[command]
+    return [
+        (command, "--help"),
+        (command,),  # a required option missing
+        (command, *valid, "--format", "bad"),
+        (command, "--n", "x"),
+        (command, "--m", "x"),
+        (command, "--max-size", "x"),
+        (command, *valid, "extra"),
+    ]
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_one_command_parser_reads_as_the_full_parser(capsys, command):
+    full = cli.build_parser()
+    for argv in parser_exits(command):
+        assert exit_outcome(capsys, main, argv) == exit_outcome(capsys, full.parse_args, argv), argv
+
+
+FULL_PARSE = "import sys; from avnproofs.cli import build_parser; build_parser().parse_args(sys.argv[1:])"
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_command_line_text_matches_the_full_parser(columns):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS=columns)
+
+    def outcome(*command):
+        proc = subprocess.run(command, env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    got = {}
+    for argv in [(), ("--help",), ("unknown",), ("check", "--help")]:
+        got[argv] = outcome(sys.executable, "-m", "avnproofs", *argv)
+        assert got[argv] == outcome(sys.executable, "-c", FULL_PARSE, *argv), argv
+    code, _, err = got[()]
+    assert code == 2
+    assert err.endswith("avnproofs: error: the following arguments are required: command\n")
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """``[ArgumentParser constructions, build_parser calls]`` since the fixture ran."""
+    counts = [0, 0]
+    init = argparse.ArgumentParser.__init__
+    build = cli.build_parser
+
+    def counting_init(self, *args, **kwargs):
+        counts[0] += 1
+        init(self, *args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        counts[1] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    return counts
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_a_command_builds_two_parsers(capsys, parsers_built, command):
+    assert main([command, *VALID[command]]) in (0, 1)
+    assert parsers_built == [2, 1]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("unknown",)])
+def test_help_and_unknown_command_build_every_parser(capsys, parsers_built, argv):
+    with pytest.raises(SystemExit):
+        main(list(argv))
+    assert parsers_built == [7, 1]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, parsers_built):
+    monkeypatch.setattr(sys, "argv", ["avnproofs", "check", *VALID["check"]])
+    assert main() == 0
+    assert "verdict: allows" in capsys.readouterr().out
+    assert parsers_built == [2, 1]

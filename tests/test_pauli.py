@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnproofs import (
     Bitvec,
@@ -16,7 +18,7 @@ from avnproofs import (
     sign_of,
     stabilizer_element,
 )
-from oracles import operator_matrix, single_letter
+from oracles import format_pauli_by_letters, operator_matrix, single_letter
 
 
 def all_paulis(n, phases=(0,)):
@@ -107,3 +109,25 @@ def test_letters_and_support():
     assert op.support() == (2,)
     assert format_pauli(op) == "Y2"
     assert format_pauli(identity(3)) == "1"
+    for letter in "IXYZ":
+        assert single_letter(1, 1, letter).letter(1) == letter
+
+
+def test_format_pauli_matches_letter_spelling_exhaustive_n4():
+    for n in range(5):
+        for op in all_paulis(n, phases=(0, 2)):
+            assert format_pauli(op) == format_pauli_by_letters(op)
+
+
+@st.composite
+def sign_valid_paulis(draw):
+    n = draw(st.integers(1, 16))
+    x = draw(st.integers(0, (1 << n) - 1))
+    z = draw(st.integers(0, (1 << n) - 1))
+    return PauliOperator(Bitvec(n, x), Bitvec(n, z), draw(st.sampled_from((0, 2))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(sign_valid_paulis())
+def test_format_pauli_matches_letter_spelling_up_to_n16(op):
+    assert format_pauli(op) == format_pauli_by_letters(op)
