@@ -37,6 +37,7 @@ from .graphstate import (
     neighbour_parity,
     parse_graph,
     path_graph,
+    perfect_correlation_report,
     relabel,
     ring_graph,
     star_graph,

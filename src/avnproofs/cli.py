@@ -29,10 +29,10 @@ from .errors import (
 )
 from .graphstate import (
     MAX_STATE_QUBITS,
-    expectation,
     format_graph,
     full_stabilizer,
     parse_graph,
+    perfect_correlation_report,
     stabilizer_element,
     statevector,
 )
@@ -41,7 +41,6 @@ from .partitions import all_avn_distributions, min_party_distributions
 from .reality import allows_specific_avn, format_distribution, parse_distribution
 from .reports import DistributionReport, particle_columns_header, particle_columns_row
 from .witness import (
-    PERFECT_CORRELATION_TOL,
     find_witness,
     format_witness,
     underrepresented_qubits,
@@ -70,14 +69,15 @@ def _oracle_check(g, dist, decision):
                     f"solver and brute-force disagree on {letter}{qubit}"
                 )
     if g.n <= MAX_STATE_QUBITS:
-        sv = statevector(g)
-        for row in decision.eor.values():
-            for w in row.values():
-                if w is None:
-                    continue
-                val = expectation(sv, stabilizer_element(g, w.subset))
-                if abs(val - 1.0) > PERFECT_CORRELATION_TOL:
-                    raise AssertionError("witness operator is not a perfect correlation")
+        ops = [
+            stabilizer_element(g, w.subset)
+            for row in decision.eor.values()
+            for w in row.values()
+            if w is not None
+        ]
+        _, failures = perfect_correlation_report(statevector(g), ops)
+        if failures:
+            raise AssertionError("witness operator is not a perfect correlation")
 
 
 def cmd_classes(args) -> int:
@@ -170,20 +170,14 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse_graph(args.graph)
-    sv = statevector(g)
-    worst = 0.0
-    bad = 0
-    for op in full_stabilizer(g):
-        dev = abs(expectation(sv, op) - 1.0)
-        worst = max(worst, dev)
-        if dev > PERFECT_CORRELATION_TOL:
-            bad += 1
-            print(f"FAIL {format_pauli(op)} deviates by {dev:.3e}")
+    worst, failures = perfect_correlation_report(statevector(g), full_stabilizer(g))
+    for op, dev in failures:
+        print(f"FAIL {format_pauli(op)} deviates by {dev:.3e}")
     print(
         f"{1 << g.n} stabilizing operators checked, "
         f"max deviation from 1: {worst:.3e}"
     )
-    return 0 if bad == 0 else 1
+    return 0 if not failures else 1
 
 
 def _add_format(p) -> None:

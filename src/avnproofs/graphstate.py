@@ -6,6 +6,18 @@ statevector path is an independent numerical check on the exact symplectic
 arithmetic: both must agree that every stabilizing operator is a perfect
 correlation.  numpy is imported inside the oracle functions only, so the
 exact paths load without it.
+
+``perfect_correlation_report`` decides each operator exactly on the state's
+sign bits.  Graph-state amplitudes are real and all of magnitude 1/sqrt(N),
+N = 2^n, so with Q the N-bit set of negative amplitudes the operator
+``i**k X^x Z^z`` (k = phase + |x & z| mod 4) has expectation
+``i**k (N - 2 |D|) / N`` with D(b) = Q(b ^ x) ^ Q(b) ^ (z . b).  It is a
+perfect correlation exactly when k = 0 and D is empty, or k = 2 and D is
+full.  D is one N-bit integer: Q(b ^ x) comes from the previous operator's
+by a block swap per bit of x that changed, and the parity z . b by one XOR
+with a coordinate bitset per bit of z that changed.  An operator that does
+not pass takes the float path of ``expectation``; every passing one has the
+float deviation of the first, which is computed once.
 """
 
 from __future__ import annotations
@@ -25,6 +37,8 @@ from .pauli import PauliOperator
 MAX_QUBITS = 16
 #: Memory guard for the dense statevector oracle.
 MAX_STATE_QUBITS = 12
+#: Largest deviation of an expectation from 1 that counts as a perfect correlation.
+PERFECT_CORRELATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -317,11 +331,9 @@ def statevector(g: Graph) -> np.ndarray:
     return (signs / np.sqrt(dim)).astype(np.complex128)
 
 
-def expectation(sv: np.ndarray, p: PauliOperator) -> float:
-    """Exact ``<sv| p |sv>`` computed basis-state-wise."""
-    import numpy as np
-
-    dim = sv.shape[0]
+def _check_real_expectation(dim: int, p: PauliOperator) -> None:
+    """Raise unless ``p`` acts on a state of dimension ``dim`` with a real
+    expectation."""
     if dim != (1 << p.n):
         raise LengthMismatchError(
             f"state dimension {dim} does not match {p.n}-qubit operator"
@@ -330,6 +342,14 @@ def expectation(sv: np.ndarray, p: PauliOperator) -> float:
         raise NonHermitianSignError(
             "expectation of an operator with phase +-i is not real"
         )
+
+
+def expectation(sv: np.ndarray, p: PauliOperator) -> float:
+    """Exact ``<sv| p |sv>`` computed basis-state-wise."""
+    import numpy as np
+
+    dim = sv.shape[0]
+    _check_real_expectation(dim, p)
     # p = i**(phase + popcount(x & z)) * X^x Z^z as a whole tensor; the sum
     # below is imaginary exactly when that exponent is odd, so the product
     # is real for any Hermitian operator.
@@ -339,3 +359,74 @@ def expectation(sv: np.ndarray, p: PauliOperator) -> float:
     terms = np.conj(sv[np.bitwise_xor(idx, np.uint32(p.x.bits))]) * sv
     val = (1j ** k) * np.sum(np.where(par == 1, -terms, terms))
     return float(val.real)
+
+
+def _coordinate_bits(j: int, dim: int) -> int:
+    """The dim-bit set of basis indices b with bit j of b set."""
+    width = 1 << j
+    bits = ((1 << width) - 1) << width
+    width *= 2
+    while width < dim:
+        bits |= bits << width
+        width *= 2
+    return bits
+
+
+def perfect_correlation_report(sv: np.ndarray, ops) -> tuple:
+    """``(worst, failures)`` for the operators ``ops`` on the state ``sv``.
+
+    ``worst`` is the largest ``abs(expectation(sv, op) - 1.0)`` (0.0 for no
+    operators) and ``failures`` lists, in input order, the ``(op, deviation)``
+    pairs above ``PERFECT_CORRELATION_TOL``: the same values, bit for bit, as
+    a loop calling ``expectation`` on every operator.  Each operator is
+    decided on the sign bits of ``sv`` (see the module docstring), and only
+    the first passing one and the ones that do not pass are evaluated in
+    floating point.  ``sv`` must be real, finite and of one magnitude, as
+    every graph state is; otherwise ``AssertionError`` is raised.  Each
+    operator raises what ``expectation`` raises before it is decided.
+    """
+    import numpy as np
+
+    dim = sv.shape[0]
+    real = sv.real
+    if (
+        dim == 0
+        or sv.imag.any()
+        or not np.isfinite(real).all()
+        or not (np.abs(real) == abs(real[0])).all()
+    ):
+        raise AssertionError("statevector is not real with entries of one magnitude")
+    coords = [_coordinate_bits(j, dim) for j in range(dim.bit_length() - 1)]
+    signs = int.from_bytes(np.packbits(real < 0, bitorder="little").tobytes(), "little")
+    shifted, parity = signs, 0  # bit b: Q(b ^ x) and z . b of the previous operator
+    prev_x = prev_z = 0
+    worst = 0.0
+    passing_dev = None
+    failures = []
+    for op in ops:
+        _check_real_expectation(dim, op)
+        x, z = op.x.bits, op.z.bits
+        flip = x ^ prev_x
+        while flip:
+            low = flip & -flip
+            j = low.bit_length() - 1
+            shifted = ((shifted & ~coords[j]) << low) | ((shifted & coords[j]) >> low)
+            flip ^= low
+        flip = z ^ prev_z
+        while flip:
+            low = flip & -flip
+            parity ^= coords[low.bit_length() - 1]
+            flip ^= low
+        prev_x, prev_z = x, z
+        k = (op.phase + (x & z).bit_count()) % 4
+        ones = (shifted ^ signs ^ parity).bit_count()
+        if (k == 0 and ones == 0) or (k == 2 and ones == dim):
+            if passing_dev is None:
+                passing_dev = abs(expectation(sv, op) - 1.0)
+            dev = passing_dev
+        else:
+            dev = abs(expectation(sv, op) - 1.0)
+        worst = max(worst, dev)
+        if dev > PERFECT_CORRELATION_TOL:
+            failures.append((op, dev))
+    return worst, failures

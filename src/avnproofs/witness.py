@@ -19,13 +19,11 @@ from .gf2 import Bitvec, Gf2System, gf2_solve_explain
 from .graphstate import (
     MAX_STATE_QUBITS,
     Graph,
-    expectation,
+    perfect_correlation_report,
     stabilizer_element,
     statevector,
 )
 from .pauli import format_pauli, sign_of
-
-PERFECT_CORRELATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,9 @@ def verify_witness(w: AvnWitness, g: Graph) -> bool:
     if assignment_consistent(ops).consistent:
         return False
     if g.n <= MAX_STATE_QUBITS:
-        sv = statevector(g)
-        for op in ops:
-            if abs(expectation(sv, op) - 1.0) > PERFECT_CORRELATION_TOL:
-                return False
+        _, failures = perfect_correlation_report(statevector(g), ops)
+        if failures:
+            return False
     return True
 
 

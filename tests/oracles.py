@@ -22,6 +22,8 @@ from avnproofs import (
     allows_specific_avn,
     canonical_form,
     enumerate_distributions,
+    expectation,
+    full_stabilizer,
     generators,
     graph_from_encoding,
     identity,
@@ -34,8 +36,10 @@ from avnproofs import (
     shape_feasible,
     sign_of,
     stabilizer_element,
+    statevector,
     verify_witness,
 )
+from avnproofs.graphstate import PERFECT_CORRELATION_TOL
 from avnproofs.witness import _eor_certifying_subsets
 
 I2 = np.eye(2, dtype=complex)
@@ -528,3 +532,33 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
             if verify_witness(w, g):
                 return w
     return None
+
+
+def correlations_by_expectation(sv, ops):
+    """``(worst, failures)`` from the float ``expectation`` of every operator:
+    the loop ``avnproofs verify`` ran before operators were decided on sign
+    bits."""
+    worst = 0.0
+    failures = []
+    for op in ops:
+        dev = abs(expectation(sv, op) - 1.0)
+        worst = max(worst, dev)
+        if dev > PERFECT_CORRELATION_TOL:
+            failures.append((op, dev))
+    return worst, failures
+
+
+def verify_by_expectation(g):
+    """``(worst, failures)`` over the whole stabilizer of g."""
+    return correlations_by_expectation(statevector(g), full_stabilizer(g))
+
+
+def verify_output_by_expectation(g, ops=None):
+    """(stdout, exit status) of ``avnproofs verify`` on g, checking ``ops``
+    (the whole stabilizer by default) with the float loop."""
+    if ops is None:
+        ops = full_stabilizer(g)
+    worst, failures = correlations_by_expectation(statevector(g), ops)
+    lines = [f"FAIL {format_pauli_by_letters(op)} deviates by {dev:.3e}" for op, dev in failures]
+    lines.append(f"{1 << g.n} stabilizing operators checked, max deviation from 1: {worst:.3e}")
+    return "".join(line + "\n" for line in lines), 1 if failures else 0

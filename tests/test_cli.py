@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,18 @@ import pytest
 
 from avnproofs import (
     AvnDecision,
+    Graph,
     LengthMismatchError,
     NonHermitianSignError,
+    PauliOperator,
     cli,
+    format_graph,
+    parse_graph,
     partitions,
     witness,
 )
 from avnproofs.cli import main
+from oracles import verify_output_by_expectation
 
 LC6 = "6: 1-2,2-3,3-4,4-5,5-6"
 
@@ -252,6 +258,55 @@ def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--graph", LC6)
     assert code == 0
     assert "64 stabilizing operators checked" in out
+
+
+def seeded_graph(n):
+    """A random connected graph on n vertices drawn from the seed n."""
+    rng = random.Random(n)
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    edges |= {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.3}
+    return Graph.from_edges(n, edges)
+
+
+def test_verify_output_matches_the_float_loop(capsys):
+    for g in [parse_graph(LC6)] + [seeded_graph(n) for n in range(1, 13)]:
+        code, out, err = run(capsys, "verify", "--graph", format_graph(g))
+        assert (out, code) == verify_output_by_expectation(g), format_graph(g)
+        assert err == ""
+
+
+def test_verify_reports_an_injected_failure(capsys, monkeypatch):
+    g = parse_graph(LC6)
+    ops = list(cli.full_stabilizer(g))
+    ops[13] = PauliOperator(ops[13].x, ops[13].z, ops[13].phase + 2)
+    monkeypatch.setattr(cli, "full_stabilizer", lambda graph: iter(ops))
+    code, out, err = run(capsys, "verify", "--graph", LC6)
+    assert (out, code) == verify_output_by_expectation(g, ops)
+    assert err == ""
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL -X1 Y3 Y4 Z5 deviates by 2.000e+00"
+
+
+def test_verify_statevector_guard_exit_two(capsys):
+    graph = ", ".join(f"{i}-{i + 1}" for i in range(1, 13))
+    code, out, err = run(capsys, "verify", "--graph", f"13: {graph}")
+    assert (code, out, err) == (2, "", "error: statevector limited to n <= 12, got 13\n")
+
+
+def test_verify_prints_the_same_bytes_under_python_O():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "avnproofs", "verify", "--graph", LC6],
+            env=env,
+            capture_output=True,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+    assert plain == optimized
+    assert plain == (0, verify_output_by_expectation(parse_graph(LC6))[0].encode(), b"")
 
 
 def test_internal_error_exit_three(capsys, monkeypatch):

@@ -1,0 +1,193 @@
+"""The sign-bit perfect-correlation report against the float expectation loop."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import avnproofs
+from avnproofs import (
+    Bitvec,
+    Graph,
+    LengthMismatchError,
+    NonHermitianSignError,
+    PauliOperator,
+    complete_graph,
+    expectation,
+    full_stabilizer,
+    path_graph,
+    perfect_correlation_report,
+    ring_graph,
+    statevector,
+)
+from avnproofs import graphstate
+from oracles import correlations_by_expectation, edge_sets, verify_by_expectation
+from strategies import connected_cases
+
+LC6 = path_graph(6)
+
+
+def report_and_oracle(sv, ops):
+    ops = list(ops)
+    return perfect_correlation_report(sv, ops), correlations_by_expectation(sv, ops)
+
+
+def assert_same(report, oracle):
+    (worst, failures), (want_worst, want_failures) = report, oracle
+    assert worst.hex() == want_worst.hex()
+    assert [(op, dev.hex()) for op, dev in failures] == [
+        (op, dev.hex()) for op, dev in want_failures
+    ]
+
+
+def test_every_graph_up_to_four_vertices():
+    graphs = 0
+    for n in range(1, 5):
+        for edges in edge_sets(n):
+            g = Graph.from_edges(n, edges)
+            assert_same(perfect_correlation_report(statevector(g), full_stabilizer(g)), verify_by_expectation(g))
+            graphs += 1
+    assert graphs == 1 + 2 + 8 + 64  # "1:" and every disconnected graph included
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_cases(12))
+def test_connected_graphs_up_to_twelve_vertices(case):
+    g, _ = case
+    assert_same(perfect_correlation_report(statevector(g), full_stabilizer(g)), verify_by_expectation(g))
+
+
+def test_worst_is_the_identity_deviation_bit_for_bit():
+    """Every stabilizer element has the float deviation of the identity, so
+    the report's single float evaluation gives the loop's maximum."""
+    for n in range(1, 13):
+        g = ring_graph(n) if n >= 3 else path_graph(n)
+        sv = statevector(g)
+        worst, failures = perfect_correlation_report(sv, full_stabilizer(g))
+        identity_dev = abs(expectation(sv, next(full_stabilizer(g))) - 1.0)
+        assert failures == []
+        assert worst.hex() == identity_dev.hex() == verify_by_expectation(g)[0].hex()
+
+
+@pytest.fixture
+def float_evaluations(monkeypatch):
+    """The operators passed to ``expectation`` since the fixture ran."""
+    seen = []
+    real = graphstate.expectation
+
+    def counting(sv, op):
+        seen.append(op)
+        return real(sv, op)
+
+    monkeypatch.setattr(graphstate, "expectation", counting)
+    return seen
+
+
+def test_a_graph_state_needs_one_float_evaluation(float_evaluations):
+    for n in range(1, 11):
+        for g in [path_graph(n), complete_graph(n)]:
+            float_evaluations.clear()
+            ops = list(full_stabilizer(g))
+            assert perfect_correlation_report(statevector(g), reversed(ops)) == (
+                verify_by_expectation(g)[0],
+                [],
+            )
+            assert float_evaluations == [ops[-1]]
+
+
+def flipped(op):
+    return PauliOperator(op.x, op.z, op.phase + 2)
+
+
+def z_on_qubit_one(n):
+    return PauliOperator(Bitvec(n, 0), Bitvec(n, 1))
+
+
+def x_times_z_on_qubit_one(n):
+    """Phase 0 with |x & z| = 1: k is odd and the expectation imaginary."""
+    return PauliOperator(Bitvec(n, 1), Bitvec(n, 1))
+
+
+@pytest.mark.parametrize(
+    "insert",
+    [
+        lambda ops: ops.__setitem__(13, flipped(ops[13])),
+        lambda ops: ops.insert(5, z_on_qubit_one(6)),
+        lambda ops: ops.insert(40, x_times_z_on_qubit_one(6)),
+        lambda ops: ops.extend([flipped(ops[0]), x_times_z_on_qubit_one(6), z_on_qubit_one(6), flipped(ops[9])]),
+    ],
+    ids=["sign-flipped", "non-stabilizer", "odd-k", "all-three-in-order"],
+)
+def test_failures_match_the_oracle(insert, float_evaluations):
+    ops = list(full_stabilizer(LC6))
+    insert(ops)
+    report, oracle = report_and_oracle(statevector(LC6), ops)
+    assert_same(report, oracle)
+    failed = [op for op, _ in report[1]]
+    assert failed
+    assert float_evaluations == [ops[0], *failed]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (PauliOperator(Bitvec(6, 1), Bitvec(6, 2), 1), NonHermitianSignError),
+        (PauliOperator(Bitvec(5, 1), Bitvec(5, 2), 0), LengthMismatchError),
+    ],
+    ids=["odd-phase", "wrong-length"],
+)
+def test_errors_match_the_oracle(bad, error):
+    ops = list(full_stabilizer(LC6))
+    ops[7] = flipped(ops[7])
+    ops.insert(20, bad)
+    sv = statevector(LC6)
+    with pytest.raises(error) as got:
+        perfect_correlation_report(sv, ops)
+    with pytest.raises(error) as want:
+        correlations_by_expectation(sv, ops)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0, 2.0, 0.0])
+def test_any_uniform_real_vector_matches_the_oracle(scale):
+    """A global sign passes every operator; a wrong norm fails every one."""
+    sv = statevector(ring_graph(5)) * scale
+    for vec in (sv, sv.real.copy()):
+        assert_same(*report_and_oracle(vec, full_stabilizer(ring_graph(5))))
+
+
+def test_empty_operator_list():
+    assert perfect_correlation_report(statevector(LC6), []) == (0.0, [])
+
+
+NOT_A_GRAPH_STATE = {
+    "non-uniform": "np.array([0.6, 0.8, 0.0, 0.0])",
+    "complex": "np.array([0.5, 0.5 + 0.1j, 0.5, 0.5])",
+    "non-finite": "np.array([0.5, 0.5, 0.5, np.nan])",
+}
+
+
+@pytest.mark.parametrize("vector", NOT_A_GRAPH_STATE.values(), ids=NOT_A_GRAPH_STATE.keys())
+def test_not_a_graph_state_raises_under_python_O(vector):
+    script = f"""
+import sys
+import numpy as np
+from avnproofs import path_graph, full_stabilizer, perfect_correlation_report
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    perfect_correlation_report({vector}, full_stabilizer(path_graph(2)))
+except AssertionError as exc:
+    print(exc)
+"""
+    src = str(Path(avnproofs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "statevector is not real with entries of one magnitude\n"
