@@ -7,20 +7,31 @@ orbits of the complementation moves.
 
 Canonical labelling uses color refinement with individualization: vertices
 are iteratively colored by their neighborhoods, branching only inside
-ambiguous color cells (interchangeable twin vertices collapse to one
-branch), and the canonical encoding is the least adjacency bitstring over
-the surviving orderings.  Two graphs get the same encoding iff they are
-isomorphic; a brute-force relabelling sweep backs this up in the tests.
-The colour ranks are part of the contract: a different cell order would
-pick a different least encoding and so change the printed representatives.
+ambiguous color cells, and the canonical encoding is the least adjacency
+bitstring over the orderings the search reaches.  Two graphs get the same
+encoding iff they are isomorphic; a brute-force relabelling sweep backs
+this up in the tests.  The colour ranks are part of the contract: a
+different cell order would pick a different least encoding and so change
+the printed representatives.
 
-The census canonicalizes only what it must.  Vertex extension keeps a child
-only when its new vertex has the largest (degree, sum of neighbour degrees)
-key among the non-cut vertices (see ``connected_graph_reps``), and the
-orbit walk skips local complements that give a graph already found: at a
-vertex of degree at most 1, at a twin of an earlier vertex, and at the
-vertex leading back to the member it was reached from (see ``lc_orbit``).
-Both rules are exact; the tests compare them with the unpruned versions.
+The search also returns generators of the automorphism group, and prunes
+by them (McKay & Piperno, "Practical graph isomorphism, II", 2014).  The
+transpositions of consecutive twins (vertices whose neighbourhoods agree
+outside the pair) are automorphisms, and so is the map between two leaves
+with the same encoding.  A branch is skipped when an automorphism found so
+far fixes the individualized vertices and maps an explored sibling onto it:
+its subtree is the image of one already searched, so the first least leaf,
+and with it the encoding and the perm, is the one of the unpruned search.
+
+The census canonicalizes only what it must and reuses the generators.
+Vertex extension keeps a child only when its new vertex has the largest
+(degree, sum of neighbour degrees) key among the non-cut vertices, and
+attaches one subset per orbit of the parent's generators (see
+``_children``).  The orbit walk complements each member only at the least
+vertex of each automorphism orbit, and skips vertices of degree at most 1
+and orbits leading back to the member they were reached from (see
+``lc_orbit``).  Every rule is exact; the tests compare them with the
+unpruned versions.
 """
 
 from __future__ import annotations
@@ -37,17 +48,22 @@ MAX_CANONICAL_VERTICES = 10
 MAX_CENSUS_VERTICES = 8
 
 
-def local_complement(g: Graph, v: int) -> Graph:
-    """Toggle every edge between neighbors of 1-based vertex v."""
-    nbrs = g.nbr_mask(v)
-    adj = list(g.adj)
+def _complement_at(adj, x):
+    """Adjacency masks after local complementation at 0-based vertex x."""
+    nbrs = adj[x]
+    out = list(adj)
     m = nbrs
     while m:
         low = m & -m
-        u = low.bit_length() - 1
-        adj[u] ^= nbrs & ~low
+        out[low.bit_length() - 1] ^= nbrs & ~low
         m ^= low
-    return Graph(g.n, tuple(adj))
+    return out
+
+
+def local_complement(g: Graph, v: int) -> Graph:
+    """Toggle every edge between neighbors of 1-based vertex v."""
+    g.nbr_mask(v)  # rejects a vertex out of range
+    return Graph(g.n, tuple(_complement_at(g.adj, v - 1)))
 
 
 @dataclass(frozen=True)
@@ -65,17 +81,47 @@ def _refine(nbrs, colors, count):
     their sorted neighbour colours, so the ranks are isomorphism-invariant
     and every cell keeps its place in the colour order.  A round that adds
     no colour changes no rank, so the loop stops there; a discrete colouring
-    needs no round.  Returns (colors, count)."""
+    needs no round.  Returns (colors, count).
+
+    The colours must refine the degree ranking, so the vertices of one cell
+    have equal degree and their sorted neighbour-colour lists compare like
+    colour-count vectors read "more of a smaller colour first".  A vertex of
+    colour c is keyed by one integer, ``base[c]`` minus the ``weight`` of
+    each neighbour's colour (see ``_key_tables``): the weights give a
+    smaller colour the more significant digit and no count reaches the
+    digit's base, so the keys sort exactly like the (colour, sorted
+    neighbour colours) tuples.  A singleton cell cannot split and skips its
+    neighbour scan.
+    """
     n = len(nbrs)
+    weight, base = _key_tables(n)
     while count < n:
-        sigs = [(c, *sorted([colors[u] for u in nb])) for c, nb in zip(colors, nbrs)]
-        distinct = set(sigs)
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        keys = [
+            base[c] - sum([weight[colors[u]] for u in nb]) if sizes[c] > 1 else base[c]
+            for c, nb in zip(colors, nbrs)
+        ]
+        distinct = set(keys)
         if len(distinct) == count:
             break
-        ranks = {s: i for i, s in enumerate(sorted(distinct))}
-        colors = [ranks[s] for s in sigs]
+        ranks = {k: i for i, k in enumerate(sorted(distinct))}
+        colors = [ranks[k] for k in keys]
         count = len(distinct)
     return colors, count
+
+
+@lru_cache(maxsize=None)
+def _key_tables(n):
+    """(weight, base) of the refinement keys for n vertices: with digits of
+    shift = n.bit_length() bits, weight[c] = 2 ** (shift * (n - 1 - c)) and
+    base[c] = c << (shift * n), above every sum of n - 1 weights."""
+    shift = n.bit_length()
+    return (
+        tuple(1 << shift * (n - 1 - c) for c in range(n)),
+        tuple(c << shift * n for c in range(n)),
+    )
 
 
 def _twin_masks(adj):
@@ -83,7 +129,8 @@ def _twin_masks(adj):
 
     v and w are twins when their neighbourhoods agree outside {v, w}: equal
     open neighbourhoods when they are not adjacent, equal closed ones when
-    they are.
+    they are.  Both relations are equivalences and no vertex has twins of
+    both kinds, so the twin classes partition the vertices.
     """
     open_nbhd = {}
     closed_nbhd = {}
@@ -117,47 +164,97 @@ def _edge_weights(n):
     )
 
 
+def _orbit(v, gens):
+    """Mask of v's orbit under the group generated by ``gens``."""
+    orbit = 1 << v
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for s in gens:
+            w = s[u]
+            if not (orbit >> w) & 1:
+                orbit |= 1 << w
+                stack.append(w)
+    return orbit
+
+
 def _canonical(adj):
-    """(encoding, perm) minimizing the bitstring over refinement-compatible orders."""
+    """(encoding, perm, gens): the least bitstring over refinement-compatible
+    orders, the first order reaching it, and generators of the automorphism
+    group, each a tuple mapping 0-based v to its image.
+
+    A branch is pruned when a generator fixing the individualized prefix
+    maps an explored sibling onto it.  The generators are complete: at every
+    node on the path to the best leaf, each explored sibling in the
+    best child's orbit ends at a leaf equal to the best, and each pruned one
+    is reached from an explored one, so the generators fixing the prefix
+    give the node's whole stabilizer."""
     n = len(adj)
     if n == 1:
-        return 0, (0,)
+        return 0, (0,), ()
     bits = _bit_lists(n)
     nbrs = [bits[a] for a in adj]
     edges = [(v, u) for v, a in enumerate(adj) for u in bits[a & ((1 << v) - 1)]]
     weights = _edge_weights(n)
     degrees = [len(nb) for nb in nbrs]
     ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    best = [None, None]
-    twins = None
+    best = [None, None, None]  # encoding, colours, slot -> vertex
+    gens = []
+    fixes = []  # fixes[k] = mask of the vertices gens[k] fixes
 
-    def descend(colors, count):
-        nonlocal twins
+    def add_gen(s):
+        gens.append(s)
+        fixes.append(sum([1 << v for v in range(n) if s[v] == v]))
+
+    def descend(colors, count, prefix):
         if count == n:
             enc = sum([weights[colors[v]][colors[u]] for v, u in edges])
             if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best[1] = tuple(colors)
+                inverse = [0] * n
+                for v, c in enumerate(colors):
+                    inverse[c] = v
+                best[:] = enc, tuple(colors), inverse
+            elif enc == best[0]:
+                # both orders give the same graph, so mapping each vertex to
+                # the best order's vertex in its slot is an automorphism
+                inverse = best[2]
+                add_gen(tuple([inverse[c] for c in colors]))
             return
         sizes = [0] * count
         for c in colors:
             sizes[c] += 1
         target = next(c for c in range(count) if sizes[c] > 1)
-        if twins is None:
-            twins = _twin_masks(adj)
-        kept = 0
+        explored = 0
         for v in range(n):
-            if colors[v] != target or twins[v] & kept:
+            if colors[v] != target:
                 continue
-            kept |= 1 << v
+            if explored:
+                # an automorphism fixing the prefix maps an explored sibling's
+                # subtree onto v's, leaf encodings and all
+                stab = [s for s, f in zip(gens, fixes) if not prefix & ~f]
+                if stab and _orbit(v, stab) & explored:
+                    continue
+            explored |= 1 << v
             # individualize v: it keeps the cell's rank, the rest of the
             # cell and every higher colour move up by one
             split = [c + (c >= target) for c in colors]
             split[v] = target
-            descend(*_refine(nbrs, split, count + 1))
+            descend(*_refine(nbrs, split, count + 1), prefix | 1 << v)
 
-    descend(*_refine(nbrs, [ranks[d] for d in degrees], len(ranks)))
-    return best[0], best[1]
+    colors, count = _refine(nbrs, [ranks[d] for d in degrees], len(ranks))
+    if count < n:
+        # a discrete colouring leaves no automorphism; otherwise the
+        # transpositions of consecutive twins generate each twin class's
+        # symmetric group
+        for v, t in enumerate(_twin_masks(adj)):
+            below = t & ((1 << v) - 1)
+            if below:
+                s = list(range(n))
+                u = below.bit_length() - 1
+                s[u], s[v] = v, u
+                add_gen(tuple(s))
+    descend(colors, count, 0)
+    return best[0], best[1], tuple(gens)
 
 
 def canonical_form(g: Graph) -> CanonicalGraph:
@@ -166,43 +263,60 @@ def canonical_form(g: Graph) -> CanonicalGraph:
         raise ResourceLimitError(
             f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}, got {g.n}"
         )
-    enc, perm = _canonical(g.adj)
+    enc, perm, _ = _canonical(g.adj)
     return CanonicalGraph(g.n, enc, perm)
+
+
+def _decode(n, encoding):
+    """Adjacency masks of the graph whose canonical-order bitstring is
+    ``encoding``."""
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        block = encoding & ((1 << j) - 1)
+        encoding >>= j
+        adj[j] |= block
+        m = block
+        while m:
+            low = m & -m
+            adj[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    return adj
 
 
 def graph_from_encoding(n: int, encoding: int) -> Graph:
     """Rebuild the graph whose canonical-order bitstring is ``encoding``."""
-    blocks = []
-    for j in range(n - 1, 0, -1):
-        blocks.append(encoding & ((1 << j) - 1))
-        encoding >>= j
-    blocks.reverse()
-    adj = [0] * n
-    for j in range(1, n):
-        block = blocks[j - 1]
-        for i in range(j):
-            if (block >> i) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return Graph(n, tuple(_decode(n, encoding)))
+
+
+def _to_slots(gens, perm):
+    """The automorphisms ``gens`` of a graph, moved onto its canonical
+    slots: s'(perm[v]) = perm[s(v)]."""
+    out = []
+    for s in gens:
+        t = [0] * len(perm)
+        for v, p in enumerate(perm):
+            t[p] = perm[s[v]]
+        out.append(tuple(t))
+    return out
 
 
 def lc_orbit(g: Graph) -> set:
     """Closure of the graph under local complementation, as canonical forms.
 
-    Members are expanded last-found first, and at each member three kinds
-    of vertex are skipped, each because its local complement is isomorphic
-    to a graph already in the orbit:
+    Members are expanded last-found first.  Each member carries the
+    automorphism generators of the search that canonicalized it, moved onto
+    its canonical slots, and is complemented only at the least vertex x of
+    each automorphism orbit, and only when
 
-    - degree at most 1: the local complement is the graph itself;
-    - a twin w of an earlier vertex v (neighbourhoods equal outside
-      {v, w}): the transposition (v w) is an automorphism, so LC_w gives a
-      graph isomorphic to LC_v's;
-    - the way back: LC is an involution, so if a member's canonical form
-      came from LC_v(h), LC at its slot ``perm[v]`` rebuilds h.
+    - deg x >= 2: otherwise the local complement is the graph itself;
+    - the orbit holds no way-back slot: LC is an involution, so if a
+      member's canonical form came from LC_v(h), LC at its slot ``perm[v]``
+      rebuilds h.
 
-    No skip drops a new member, so members are found in the same order, with
-    the same perms, as by complementing at every vertex.
+    An automorphism mapping x to y maps LC_x(h) onto LC_y(h), so a skipped
+    vertex only gives a graph already in the orbit.  No skip drops a new
+    member, so members are found in the same order, with the same perms, as
+    by complementing at every vertex.
     """
     if not is_connected(g):
         raise UnsupportedInputError("orbit computation needs a connected graph")
@@ -210,25 +324,31 @@ def lc_orbit(g: Graph) -> set:
         raise ResourceLimitError(
             f"orbit computation limited to n <= {MAX_CENSUS_VERTICES}, got {g.n}"
         )
-    start = canonical_form(g)
-    seen = {start}
-    by_encoding = {start.encoding}
+    n = g.n
+    enc, perm, gens = _canonical(g.adj)
+    members = {CanonicalGraph(n, enc, perm)}
+    found = {enc}
     back = {}  # encoding -> mask of slots leading back into the orbit
-    frontier = [start]
+    frontier = [(enc, _to_slots(gens, perm))]
     while frontier:
-        cg = frontier.pop()
-        h = graph_from_encoding(cg.n, cg.encoding)
-        skip = back.get(cg.encoding, 0)
-        for x, twins in enumerate(_twin_masks(h.adj)):
-            if (skip >> x) & 1 or twins & ((1 << x) - 1) or h.adj[x].bit_count() <= 1:
+        enc, auts = frontier.pop()
+        adj = _decode(n, enc)
+        skip = back.get(enc, 0)
+        covered = 0
+        for x in range(n):
+            if (covered >> x) & 1:
                 continue
-            img = canonical_form(local_complement(h, x + 1))
-            back[img.encoding] = back.get(img.encoding, 0) | (1 << img.perm[x])
-            if img.encoding not in by_encoding:
-                by_encoding.add(img.encoding)
-                seen.add(img)
-                frontier.append(img)
-    return seen
+            orbit = _orbit(x, auts)
+            covered |= orbit
+            if orbit & skip or adj[x].bit_count() <= 1:
+                continue
+            img, img_perm, img_gens = _canonical(_complement_at(adj, x))
+            back[img] = back.get(img, 0) | (1 << img_perm[x])
+            if img not in found:
+                found.add(img)
+                members.add(CanonicalGraph(n, img, img_perm))
+                frontier.append((img, _to_slots(img_gens, img_perm)))
+    return members
 
 
 def _components_without(adj, u):
@@ -254,12 +374,36 @@ def _components_without(adj, u):
 @lru_cache(maxsize=None)
 def connected_graph_reps(n: int):
     """Canonical encodings of all connected graphs on n vertices, one per
-    isomorphism class, sorted ascending.
+    isomorphism class, sorted ascending."""
+    if not 1 <= n <= MAX_CENSUS_VERTICES:
+        raise ResourceLimitError(f"census limited to n <= {MAX_CENSUS_VERTICES}")
+    if n == 1:
+        return (0,)
+    return tuple(sorted({enc for enc, _, _ in _children(n)}))
 
-    Generated by vertex extension: every connected graph arises from a
-    connected graph on one vertex fewer by attaching the new vertex to a
-    nonempty subset (a non-cutvertex always exists), and subsets equivalent
-    under the parent's automorphisms give isomorphic children.
+
+@lru_cache(maxsize=None)
+def _parents(n):
+    """encoding -> automorphism generators in canonical slots, for every
+    connected n-vertex graph up to isomorphism."""
+    if n == 1:
+        return {0: []}
+    reps = {}
+    for enc, perm, gens in _children(n):
+        if enc not in reps:
+            reps[enc] = _to_slots(gens, perm)
+    return reps
+
+
+def _children(n):
+    """(encoding, perm, gens) of every child the vertex extension
+    canonicalizes; together they meet every connected n-vertex graph.
+
+    Every connected graph arises from a connected graph on one vertex fewer
+    by attaching the new vertex to a nonempty subset (a non-cutvertex always
+    exists), and subsets equivalent under the parent's automorphisms give
+    isomorphic children, so each accepted subset's orbit under the parent's
+    generators is closed and skipped.
 
     Only children whose new vertex has the largest key (degree, sum of
     neighbour degrees) among the non-cut vertices are canonicalized.  The
@@ -270,20 +414,16 @@ def connected_graph_reps(n: int):
     under isomorphisms fixing the new vertex, so a rejected subset's whole
     orbit is rejected too and only accepted orbits are recorded.
     """
-    if not 1 <= n <= MAX_CENSUS_VERTICES:
-        raise ResourceLimitError(f"census limited to n <= {MAX_CENSUS_VERTICES}")
-    if n == 1:
-        return (0,)
-    reps = set()
-    for parent_enc in connected_graph_reps(n - 1):
-        parent = graph_from_encoding(n - 1, parent_enc)
-        padj = parent.adj
+    bits = _bit_lists(n - 1)
+    for parent_enc, auts in _parents(n - 1).items():
+        padj = _decode(n - 1, parent_enc)
         pdeg = [a.bit_count() for a in padj]
-        psum = [sum(pdeg[u] for u in range(n - 1) if (a >> u) & 1) for a in padj]
+        psum = [sum(pdeg[u] for u in bits[a]) for a in padj]
         # deleting v from the child leaves it connected iff the new vertex
         # meets every component of parent - v
         pcomps = [_components_without(padj, v) for v in range(n - 1)]
-        auts = [p for p in automorphisms(parent) if p != tuple(range(n - 1))]
+        # per parent automorphism, the image bit of each vertex
+        images = [[1 << t for t in s] for s in auts]
         seen_subsets = set()
         for subset in range(1, 1 << (n - 1)):
             if subset in seen_subsets:
@@ -304,21 +444,17 @@ def connected_graph_reps(n: int):
                     break
             if beaten:
                 continue
-            if auts:
-                orbit = {subset}
-                for perm in auts:
-                    img = 0
-                    m = subset
-                    while m:
-                        low = m & -m
-                        img |= 1 << perm[low.bit_length() - 1]
-                        m ^= low
-                    orbit.add(img)
-                seen_subsets |= orbit
+            stack = [subset]
+            while stack and images:
+                m = bits[stack.pop()]
+                for image in images:
+                    img = sum([image[v] for v in m])
+                    if img not in seen_subsets:
+                        seen_subsets.add(img)
+                        stack.append(img)
             adj = [a | (((subset >> v) & 1) << (n - 1)) for v, a in enumerate(padj)]
             adj.append(subset)
-            reps.add(_canonical(adj)[0])
-    return tuple(sorted(reps))
+            yield _canonical(adj)
 
 
 @dataclass

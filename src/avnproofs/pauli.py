@@ -49,9 +49,6 @@ class PauliOperator:
         both = self.x.bits | self.z.bits
         return tuple(q + 1 for q in range(self.n) if (both >> q) & 1)
 
-    def is_identity_pauli(self) -> bool:
-        return self.x.bits == 0 and self.z.bits == 0
-
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return pauli_multiply(self, other)
 

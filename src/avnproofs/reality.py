@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import LengthMismatchError, ParseError, UnsupportedInputError
 from .gf2 import Bitvec, gf2_unit_solutions
@@ -213,6 +215,16 @@ def _particle_masks(g: Graph, qubits) -> dict:
     return table
 
 
+@lru_cache(maxsize=1024)
+def _particle_lookup(g: Graph, qubits):
+    """Read-only view of ``_particle_masks``: (qubit, letter) -> unverified
+    subset mask or None.  Shared between lookups, so it is never mutated."""
+    table = _particle_masks(g, qubits)
+    return MappingProxyType(
+        {(i, pauli): mask for i, row in table.items() for pauli, mask in row.items()}
+    )
+
+
 def _particle_certificates(g: Graph, qubits) -> dict:
     """The particle's certificates, each checked and wrapped:
     qubit -> {letter -> EoRWitness or None}."""
@@ -234,7 +246,8 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     ``method="solver"`` reads it from the GF(2) table of i's particle (scales
     past exhaustive range; the subset is the solution with every free
-    variable zero) and verifies only the entry it returns;
+    variable zero), eliminating once per graph and particle for repeated
+    lookups, and verifies the entry it returns on every lookup;
     ``method="brute"`` scans all 2^n subsets in ascending
     order and returns the lowest certificate.
     """
@@ -266,7 +279,7 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
-    mask = _particle_masks(g, d.particles[d.particle_of(i)])[i][pauli]
+    mask = _particle_lookup(g, d.particles[d.particle_of(i)])[i, pauli]
     if mask is None:
         return None
     _verify_witness_subset(g, d.pmask(i), i, pauli, mask)

@@ -562,3 +562,116 @@ def verify_output_by_expectation(g, ops=None):
     lines = [f"FAIL {format_pauli_by_letters(op)} deviates by {dev:.3e}" for op, dev in failures]
     lines.append(f"{1 << g.n} stabilizing operators checked, max deviation from 1: {worst:.3e}")
     return "".join(line + "\n" for line in lines), 1 if failures else 0
+
+
+def refine_by_sorted_neighbours(nbrs, colors, count):
+    """Stable neighbourhood colouring from dense ranks ``colors`` (``count``
+    colours): each round ranks the vertices by their colour followed by
+    their sorted neighbour colours, so the ranks are isomorphism-invariant
+    and every cell keeps its place in the colour order.  A round that adds
+    no colour changes no rank, so the loop stops there; a discrete colouring
+    needs no round.  Returns (colors, count)."""
+    n = len(nbrs)
+    while count < n:
+        sigs = [(c, *sorted([colors[u] for u in nb])) for c, nb in zip(colors, nbrs)]
+        distinct = set(sigs)
+        if len(distinct) == count:
+            break
+        ranks = {s: i for i, s in enumerate(sorted(distinct))}
+        colors = [ranks[s] for s in sigs]
+        count = len(distinct)
+    return colors, count
+
+
+def group_order(gens, n):
+    """Order of the permutation group on range(n) generated by ``gens``
+    (tuples mapping v to s[v]), by deterministic Schreier-Sims with the base
+    0, 1, ..., n-1."""
+    ident = tuple(range(n))
+
+    def mul(a, b):  # v -> a[b[v]]
+        return tuple(a[x] for x in b)
+
+    def inv(a):
+        out = [0] * n
+        for v, x in enumerate(a):
+            out[x] = v
+        return tuple(out)
+
+    strong = [s for s in gens if s != ident]
+
+    def level_gens(i):
+        return [s for s in strong if all(s[j] == j for j in range(i))]
+
+    def transversal(i):
+        """point -> an element of the level-i group mapping i to it."""
+        t = {i: ident}
+        stack = [i]
+        gs = level_gens(i)
+        while stack:
+            p = stack.pop()
+            for s in gs:
+                if s[p] not in t:
+                    t[s[p]] = mul(s, t[p])
+                    stack.append(s[p])
+        return t
+
+    def strip(h, i):
+        for j in range(i, n):
+            u = trans[j].get(h[j])
+            if u is None:
+                return h, j
+            h = mul(inv(u), h)
+        return h, n
+
+    trans = [transversal(i) for i in range(n)]
+    i = n - 1
+    while i >= 0:
+        # every Schreier generator of level i must sift through the levels above
+        failed = None
+        for p, u in trans[i].items():
+            for s in level_gens(i):
+                h, j = strip(mul(inv(trans[i][s[p]]), mul(s, u)), i + 1)
+                if h != ident:
+                    failed = h, j
+                    break
+            if failed:
+                break
+        if failed is None:
+            i -= 1
+            continue
+        h, j = failed
+        strong.append(h)
+        trans[: j + 1] = [transversal(k) for k in range(j + 1)]
+        i = j
+    order = 1
+    for t in trans:
+        order *= len(t)
+    return order
+
+
+def aut_order_by_point_stabilizers(adj):
+    """|Aut| of the graph with adjacency masks ``adj``: the product over v of
+    the number of vertices w that some automorphism fixing 0..v-1 maps v to,
+    each decided by a first-hit backtracking search over vertex images."""
+    n = len(adj)
+    deg = [a.bit_count() for a in adj]
+
+    def consistent(image, w):
+        v = len(image)
+        return (
+            deg[w] == deg[v]
+            and w not in image
+            and all(((adj[v] >> u) & 1) == ((adj[w] >> image[u]) & 1) for u in range(v))
+        )
+
+    def extends(image):
+        if len(image) == n:
+            return True
+        return any(consistent(image, w) and extends(image + [w]) for w in range(n))
+
+    order = 1
+    for v in range(n):
+        fixed = list(range(v))
+        order *= sum(1 for w in range(n) if consistent(fixed, w) and extends(fixed + [w]))
+    return order

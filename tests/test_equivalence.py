@@ -22,14 +22,19 @@ from avnproofs import (
     ring_graph,
     star_graph,
 )
+from avnproofs import equivalence
+from avnproofs.partitions import automorphisms
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
+    aut_order_by_point_stabilizers,
     classes_by_extension,
     connected_edge_set,
     connected_reps_by_full_extension,
     edge_sets,
+    group_order,
     lc_orbit_by_full_walk,
     reference_canonical,
+    refine_by_sorted_neighbours,
 )
 
 
@@ -105,6 +110,77 @@ def graphs(draw, max_n, connected):
 @given(graphs(10, connected=False))
 def test_canonical_matches_reference(g):
     _assert_matches_reference(g)
+
+
+def _generators(g):
+    """The search's generators, each checked to preserve adjacency."""
+    _, _, gens = equivalence._canonical(g.adj)
+    for s in gens:
+        assert sorted(s) == list(range(g.n))
+        for v, a in enumerate(g.adj):
+            assert g.adj[s[v]] == sum(1 << s[u] for u in range(g.n) if (a >> u) & 1)
+    return gens
+
+
+def test_generators_span_the_automorphism_group_exhaustively():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for enc in connected_graph_reps(n):
+            rep = graph_from_encoding(n, enc)
+            assert aut_order_by_point_stabilizers(rep.adj) == len(automorphisms(rep))
+            for h in [rep] + [local_complement(rep, v) for v in range(1, n + 1)]:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = relabel(h, tuple(perm))
+                assert group_order(_generators(g), n) == len(automorphisms(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(10, connected=False))
+def test_generators_span_the_automorphism_group(g):
+    assert group_order(_generators(g), g.n) == aut_order_by_point_stabilizers(g.adj)
+
+
+def _refine_calls_match_oracle(monkeypatch, graphs_):
+    kernel = equivalence._refine
+    calls = []
+
+    def checked(nbrs, colors, count):
+        out = kernel(nbrs, colors, count)
+        assert out == refine_by_sorted_neighbours(nbrs, colors, count)
+        calls.append(count)
+        return out
+
+    monkeypatch.setattr(equivalence, "_refine", checked)
+    for g in graphs_:
+        equivalence._canonical(g.adj)
+    return calls
+
+
+def test_refinement_keys_match_sorted_tuples_on_census_graphs(monkeypatch):
+    census = [graph_from_encoding(n, e) for n in range(2, 8) for e in connected_graph_reps(n)]
+    assert len(_refine_calls_match_oracle(monkeypatch, census)) > len(census)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(10, connected=False))
+def test_refinement_keys_match_sorted_tuples(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _refine_calls_match_oracle(monkeypatch, [g])
+
+
+def _complete_bipartite(a, b):
+    edges = [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)]
+    return Graph.from_edges(a + b, edges)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lc_orbit_matches_full_walk_on_symmetric_families(n):
+    family = [star_graph(n), complete_graph(n), ring_graph(n), path_graph(n)]
+    family += [_complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+    for g in family:
+        orbit = lc_orbit(g)
+        assert {cg.encoding: cg.perm for cg in orbit} == lc_orbit_by_full_walk(g)
 
 
 def test_canonical_form_separates_nonisomorphic():

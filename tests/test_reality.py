@@ -204,11 +204,20 @@ def test_distribution_preserves_user_particle_order():
     assert d.canonical_key() == ((1, 4), (2, 3))
 
 
+@pytest.fixture
+def fresh_lookups():
+    """Clear the solver's lookup table around a test that patches the
+    elimination, so no table crosses the patch in either direction."""
+    reality._particle_lookup.cache_clear()
+    yield
+    reality._particle_lookup.cache_clear()
+
+
 @pytest.mark.parametrize(
     "wrong,message",
     [(0b0000, "does not show X on qubit 1"), (0b0001, "acts on particle mate 2")],
 )
-def test_wrong_solver_subset_raises(monkeypatch, wrong, message):
+def test_wrong_solver_subset_raises(monkeypatch, fresh_lookups, wrong, message):
     # every unit right-hand side "solves" to the wrong mask, with no conflict
     monkeypatch.setattr(reality, "gf2_unit_solutions", lambda rows: [(wrong, 0)] * len(rows))
     d = parse_distribution("1,2|3,4", 4)
@@ -236,6 +245,31 @@ def test_lookup_verifies_only_the_entry_it_returns(monkeypatch):
     calls.clear()
     assert is_element_of_reality(LC4, d, 1, "Z") is None
     assert calls == []
+
+
+def test_repeated_lookups_eliminate_once_and_verify_every_time(monkeypatch, fresh_lookups):
+    solves = []
+    real = reality.gf2_unit_solutions
+
+    def counting(rows):
+        solves.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(reality, "gf2_unit_solutions", counting)
+    calls = _count_verifications(monkeypatch)
+    d = parse_distribution("1,2|3,4", 4)
+    found = [
+        is_element_of_reality(LC4, d, i, p) for _ in range(2) for i in range(1, 5) for p in "XYZ"
+    ]
+    assert len(solves) == 2  # one elimination per particle
+    assert len(calls) == sum(w is not None for w in found)
+    assert found[:12] == found[12:]
+    with pytest.raises(TypeError):
+        reality._particle_lookup(LC4, (1, 2))[1, "X"] = 0
+    # building a table wraps its own copy, not the lookups'
+    assert isinstance(allows_specific_avn(LC4, d).eor[1]["X"], reality.EoRWitness)
+    assert reality._particle_lookup(LC4, (1, 2))[1, "X"] == found[0].subset.bits
+    assert len(solves) == 4
 
 
 def test_table_verifies_every_entry(monkeypatch):
