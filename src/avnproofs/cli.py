@@ -7,10 +7,12 @@ failed cross-check, or a length or sign mismatch between internal objects,
 which parsed input cannot cause), so that a failure never reads as a
 verdict.
 
-Each call builds the parser of the invoked subcommand only; with no
-arguments, ``-h``, an unknown command or an option first it builds every
-subcommand's parser.  Usage lines, help and error text are the same either
-way.
+When the first argument names a subcommand, ``main`` parses the rest with
+that subcommand's parser alone.  If that leaves arguments over, the full
+parser parses the whole line again and reports them as unrecognized.  With
+no arguments, a top-level ``-h``, an unknown command or an option first, the
+full parser runs directly.  Usage lines, help and error text are the same
+either way.
 """
 
 from __future__ import annotations
@@ -193,15 +195,13 @@ def _add_format(p) -> None:
 # this module after import is the one that runs.
 
 
-def _add_classes(sub) -> None:
-    p = sub.add_parser("classes", help="census of graph-state classes")
+def _add_classes(p) -> None:
     p.add_argument("--n", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_classes)
 
 
-def _add_check(sub) -> None:
-    p = sub.add_parser("check", help="verdict for one graph and distribution")
+def _add_check(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with brute force and statevector")
@@ -209,8 +209,7 @@ def _add_check(sub) -> None:
     p.set_defaults(func=cmd_check)
 
 
-def _add_min_parties(sub) -> None:
-    p = sub.add_parser("min-parties", help="smallest admitting party count")
+def _add_min_parties(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--oracle", action="store_true")
@@ -218,8 +217,7 @@ def _add_min_parties(sub) -> None:
     p.set_defaults(func=cmd_min_parties)
 
 
-def _add_enumerate(sub) -> None:
-    p = sub.add_parser("enumerate", help="all admitting m-party distributions")
+def _add_enumerate(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--no-dedupe", action="store_true")
@@ -228,8 +226,7 @@ def _add_enumerate(sub) -> None:
     p.set_defaults(func=cmd_enumerate)
 
 
-def _add_witness(sub) -> None:
-    p = sub.add_parser("witness", help="search for a contradiction witness")
+def _add_witness(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--max-size", type=int, default=4)
@@ -238,43 +235,40 @@ def _add_witness(sub) -> None:
     p.set_defaults(func=cmd_witness)
 
 
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="statevector check of all perfect correlations")
+def _add_verify(p) -> None:
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_verify)
 
 
-#: Subcommand name -> the function adding its parser, in help order.
+#: Subcommand name -> (help, the function filling its parser), in help order.
 _COMMANDS = {
-    "classes": _add_classes,
-    "check": _add_check,
-    "min-parties": _add_min_parties,
-    "enumerate": _add_enumerate,
-    "witness": _add_witness,
-    "verify": _add_verify,
+    "classes": ("census of graph-state classes", _add_classes),
+    "check": ("verdict for one graph and distribution", _add_check),
+    "min-parties": ("smallest admitting party count", _add_min_parties),
+    "enumerate": ("all admitting m-party distributions", _add_enumerate),
+    "witness": ("search for a contradiction witness", _add_witness),
+    "verify": ("statevector check of all perfect correlations", _add_verify),
 }
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.
+    """The parser of ``command`` alone, or with no command the full parser.
 
-    A one-command parser names all commands in its usage line, so its usage
-    and its errors read exactly as the full parser's.  The full parser keeps
-    the metavar unset, because with no command its error names ``command``.
+    A command's parser is the one the full parser's ``add_parser`` makes for
+    it: same prog, options and defaults, so its help and errors read the same.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"avnproofs {command}")
+        _COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="avnproofs",
         description="Decide which qubit distributions of a graph state admit "
         "distribution-specific all-versus-nothing proofs.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _COMMANDS.values():
-            add(sub)
-    else:
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-        _COMMANDS[command](sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add) in _COMMANDS.items():
+        add(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -282,7 +276,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if command is not None:
+        args, extra = build_parser(command).parse_known_args(argv[1:])
+    if command is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AssertionError, LengthMismatchError, NonHermitianSignError) as exc:

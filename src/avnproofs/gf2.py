@@ -68,19 +68,9 @@ class Bitvec:
     def count(self) -> int:
         return self.bits.bit_count()
 
-    def parity(self) -> int:
-        return self.bits.bit_count() & 1
-
-    def indices(self) -> tuple:
-        """0-based positions of the set bits, ascending."""
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
-
     def indices_1based(self) -> tuple:
         """Set bits as 1-based labels (qubit/generator numbering at interfaces)."""
         return tuple(i + 1 for i in range(self.n) if (self.bits >> i) & 1)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __str__(self):
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))

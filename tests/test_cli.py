@@ -348,8 +348,8 @@ def test_removed_flags_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# The same argv through ``main``, which builds the invoked command's parser
-# only, and through the parser of every command.
+# The same argv through ``main``, which parses with the invoked command's
+# parser alone, and through the parser of every command.
 
 VALID = {
     "classes": ("--n", "4"),
@@ -378,6 +378,12 @@ def parser_exits(command):
         (command, "--m", "x"),
         (command, "--max-size", "x"),
         (command, *valid, "extra"),
+        (command, *valid, "--bogus"),
+        (command, *(a[:4] if a.startswith("--") else a for a in valid), "--fo", "bad"),
+        (command, *(f"{o}={v}" for o, v in zip(valid[::2], valid[1::2])), "--format=bad"),
+        (command, "--", *valid),
+        (command, *valid, "-h"),
+        (command, *valid, "--he"),
     ]
 
 
@@ -401,7 +407,8 @@ def test_command_line_text_matches_the_full_parser(columns):
         return proc.returncode, proc.stdout, proc.stderr
 
     got = {}
-    for argv in [(), ("--help",), ("unknown",), ("check", "--help")]:
+    leftover = ("check", *VALID["check"], "--bogus")
+    for argv in [(), ("--help",), ("unknown",), ("check", "--help"), leftover]:
         got[argv] = outcome(sys.executable, "-m", "avnproofs", *argv)
         assert got[argv] == outcome(sys.executable, "-c", FULL_PARSE, *argv), argv
     code, _, err = got[()]
@@ -430,9 +437,15 @@ def parsers_built(monkeypatch):
 
 
 @pytest.mark.parametrize("command", list(VALID))
-def test_a_command_builds_two_parsers(capsys, parsers_built, command):
+def test_a_command_builds_one_parser(capsys, parsers_built, command):
     assert main([command, *VALID[command]]) in (0, 1)
-    assert parsers_built == [2, 1]
+    assert parsers_built == [1, 1]
+
+
+def test_a_leftover_argument_builds_the_full_parser_after_the_command(capsys, parsers_built):
+    with pytest.raises(SystemExit):
+        main(["check", *VALID["check"], "extra"])
+    assert parsers_built == [8, 2]
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("unknown",)])
@@ -446,4 +459,4 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, parsers_built):
     monkeypatch.setattr(sys, "argv", ["avnproofs", "check", *VALID["check"]])
     assert main() == 0
     assert "verdict: allows" in capsys.readouterr().out
-    assert parsers_built == [2, 1]
+    assert parsers_built == [1, 1]

@@ -58,7 +58,7 @@ def test_involution_for_sign_valid_operators():
     for n in (1, 2, 3):
         for p in all_paulis(n, phases=(0, 2)):
             sq = pauli_multiply(p, p)
-            assert sq.x.is_zero() and sq.z.is_zero()
+            assert sq.x.bits == 0 and sq.z.bits == 0
             assert sign_of(sq) == 1
 
 
