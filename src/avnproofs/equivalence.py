@@ -22,6 +22,9 @@ with the same encoding.  A branch is skipped when an automorphism found so
 far fixes the individualized vertices and maps an explored sibling onto it:
 its subtree is the image of one already searched, so the first least leaf,
 and with it the encoding and the perm, is the one of the unpruned search.
+It is the package's only search over vertex orderings: the group order is
+a product of orbit lengths along its base (``automorphism_group``), and
+orbit dedupe closes orbits under its generators, so no group is listed.
 
 The census canonicalizes only what it must and reuses the generators.
 Vertex extension keeps a child only when its new vertex has the largest
@@ -41,10 +44,7 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError, UnsupportedInputError
 from .graphstate import Graph, is_connected
-from .partitions import automorphisms
 
-#: Exhaustive-mode guard for canonical forms and orbits.
-MAX_CANONICAL_VERTICES = 10
 MAX_CENSUS_VERTICES = 8
 
 
@@ -145,9 +145,9 @@ def _twin_masks(adj):
 
 
 @lru_cache(maxsize=None)
-def _bit_lists(n):
-    """bits[mask] = the set bits of an n-bit mask, ascending."""
-    return tuple(tuple(u for u in range(n) if (m >> u) & 1) for m in range(1 << n))
+def _bits(mask):
+    """The set bits of ``mask``, ascending."""
+    return tuple([u for u in range(mask.bit_length()) if (mask >> u) & 1])
 
 
 @lru_cache(maxsize=None)
@@ -179,9 +179,10 @@ def _orbit(v, gens):
 
 
 def _canonical(adj):
-    """(encoding, perm, gens): the least bitstring over refinement-compatible
-    orders, the first order reaching it, and generators of the automorphism
-    group, each a tuple mapping 0-based v to its image.
+    """(encoding, perm, gens, base): the least bitstring over
+    refinement-compatible orders, the first order reaching it, generators of
+    the automorphism group, each a tuple mapping 0-based v to its image, and
+    the vertices individualized on the path to that order, in order.
 
     A branch is pruned when a generator fixing the individualized prefix
     maps an explored sibling onto it.  The generators are complete: at every
@@ -190,17 +191,15 @@ def _canonical(adj):
     is reached from an explored one, so the generators fixing the prefix
     give the node's whole stabilizer."""
     n = len(adj)
-    if n == 1:
-        return 0, (0,), ()
-    bits = _bit_lists(n)
-    nbrs = [bits[a] for a in adj]
-    edges = [(v, u) for v, a in enumerate(adj) for u in bits[a & ((1 << v) - 1)]]
+    nbrs = [_bits(a) for a in adj]
+    edges = [(v, u) for v, a in enumerate(adj) for u in _bits(a & ((1 << v) - 1))]
     weights = _edge_weights(n)
     degrees = [len(nb) for nb in nbrs]
     ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    best = [None, None, None]  # encoding, colours, slot -> vertex
+    best = [None, None, None, None]  # encoding, colours, slot -> vertex, base
     gens = []
     fixes = []  # fixes[k] = mask of the vertices gens[k] fixes
+    path = []  # the individualized vertices, in order
 
     def add_gen(s):
         gens.append(s)
@@ -213,7 +212,7 @@ def _canonical(adj):
                 inverse = [0] * n
                 for v, c in enumerate(colors):
                     inverse[c] = v
-                best[:] = enc, tuple(colors), inverse
+                best[:] = enc, tuple(colors), inverse, tuple(path)
             elif enc == best[0]:
                 # both orders give the same graph, so mapping each vertex to
                 # the best order's vertex in its slot is an automorphism
@@ -239,7 +238,9 @@ def _canonical(adj):
             # cell and every higher colour move up by one
             split = [c + (c >= target) for c in colors]
             split[v] = target
+            path.append(v)
             descend(*_refine(nbrs, split, count + 1), prefix | 1 << v)
+            path.pop()
 
     colors, count = _refine(nbrs, [ranks[d] for d in degrees], len(ranks))
     if count < n:
@@ -254,17 +255,27 @@ def _canonical(adj):
                 s[u], s[v] = v, u
                 add_gen(tuple(s))
     descend(colors, count, 0)
-    return best[0], best[1], tuple(gens)
+    return best[0], best[1], tuple(gens), best[3]
 
 
 def canonical_form(g: Graph) -> CanonicalGraph:
     """Canonical encoding of the graph; equal encodings iff isomorphic."""
-    if g.n > MAX_CANONICAL_VERTICES:
-        raise ResourceLimitError(
-            f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}, got {g.n}"
-        )
-    enc, perm, _ = _canonical(g.adj)
+    enc, perm, _, _ = _canonical(g.adj)
     return CanonicalGraph(g.n, enc, perm)
+
+
+def automorphism_group(g: Graph):
+    """(gens, order): the canonical search's automorphism generators and the
+    group's order.  With base the vertices the search individualized on its
+    path to the best leaf, the generators fixing base[:k] generate the
+    stabilizer G_k of base[:k] (see ``_canonical``) and the last G_k is
+    trivial, so |Aut| is the product over k of |G_k| / |G_k+1|, the orbit
+    length of base[k] under G_k (McKay & Piperno 2014)."""
+    _, _, gens, base = _canonical(g.adj)
+    order = 1
+    for k, v in enumerate(base):
+        order *= _orbit(v, [s for s in gens if all([s[u] == u for u in base[:k]])]).bit_count()
+    return gens, order
 
 
 def _decode(n, encoding):
@@ -325,7 +336,7 @@ def lc_orbit(g: Graph) -> set:
             f"orbit computation limited to n <= {MAX_CENSUS_VERTICES}, got {g.n}"
         )
     n = g.n
-    enc, perm, gens = _canonical(g.adj)
+    enc, perm, gens, _ = _canonical(g.adj)
     members = {CanonicalGraph(n, enc, perm)}
     found = {enc}
     back = {}  # encoding -> mask of slots leading back into the orbit
@@ -342,7 +353,7 @@ def lc_orbit(g: Graph) -> set:
             covered |= orbit
             if orbit & skip or adj[x].bit_count() <= 1:
                 continue
-            img, img_perm, img_gens = _canonical(_complement_at(adj, x))
+            img, img_perm, img_gens, _ = _canonical(_complement_at(adj, x))
             back[img] = back.get(img, 0) | (1 << img_perm[x])
             if img not in found:
                 found.add(img)
@@ -379,7 +390,7 @@ def connected_graph_reps(n: int):
         raise ResourceLimitError(f"census limited to n <= {MAX_CENSUS_VERTICES}")
     if n == 1:
         return (0,)
-    return tuple(sorted({enc for enc, _, _ in _children(n)}))
+    return tuple(sorted({enc for enc, _, _, _ in _children(n)}))
 
 
 @lru_cache(maxsize=None)
@@ -389,14 +400,14 @@ def _parents(n):
     if n == 1:
         return {0: []}
     reps = {}
-    for enc, perm, gens in _children(n):
+    for enc, perm, gens, _ in _children(n):
         if enc not in reps:
             reps[enc] = _to_slots(gens, perm)
     return reps
 
 
 def _children(n):
-    """(encoding, perm, gens) of every child the vertex extension
+    """(encoding, perm, gens, base) of every child the vertex extension
     canonicalizes; together they meet every connected n-vertex graph.
 
     Every connected graph arises from a connected graph on one vertex fewer
@@ -414,11 +425,10 @@ def _children(n):
     under isomorphisms fixing the new vertex, so a rejected subset's whole
     orbit is rejected too and only accepted orbits are recorded.
     """
-    bits = _bit_lists(n - 1)
     for parent_enc, auts in _parents(n - 1).items():
         padj = _decode(n - 1, parent_enc)
         pdeg = [a.bit_count() for a in padj]
-        psum = [sum(pdeg[u] for u in bits[a]) for a in padj]
+        psum = [sum(pdeg[u] for u in _bits(a)) for a in padj]
         # deleting v from the child leaves it connected iff the new vertex
         # meets every component of parent - v
         pcomps = [_components_without(padj, v) for v in range(n - 1)]
@@ -446,7 +456,7 @@ def _children(n):
                 continue
             stack = [subset]
             while stack and images:
-                m = bits[stack.pop()]
+                m = _bits(stack.pop())
                 for image in images:
                     img = sum([image[v] for v in m])
                     if img not in seen_subsets:
@@ -502,7 +512,7 @@ def _classify_cached(n: int):
     for class_id, (enc, orbit_size) in enumerate(classes, start=1):
         rep = graph_from_encoding(n, enc)
         records.append(
-            GraphClassRecord(class_id, n, rep, orbit_size, len(automorphisms(rep)))
+            GraphClassRecord(class_id, n, rep, orbit_size, automorphism_group(rep)[1])
         )
     return tuple(records)
 

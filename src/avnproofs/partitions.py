@@ -4,15 +4,16 @@ A shape is the multiset of particle sizes.  A shape can host elements of
 reality only when its largest particle does not outweigh the rest combined;
 the search schedule lists, level by ascending particle count, the shapes
 that could be the first success, and distributions are enumerated one
-representative per orbit of the graph's automorphism group.
+representative per orbit of the graph's automorphism group, closed under
+the canonical search's generators (``equivalence.automorphism_group``).
 
 A distribution allows a specific AVN proof iff every particle A has full
 cut-rank, E(A) = |A|: the adjacency block Gamma[A, V \\ A] has full row rank,
 so every particle's reduced state is maximally mixed.  The searches
 enumerate only such distributions: the set-partition recursion drops a
 block that fails the rank test before recursing, so a failing block never
-grows into distributions, and the automorphism group is listed only once a
-shape has a hit.  The element-of-reality table is built only for the
+grows into distributions, and the automorphism generators are computed only
+once a shape has a hit.  The element-of-reality table is built only for the
 distributions the searches report.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .equivalence import automorphism_group
 from .errors import ResourceLimitError, UnsupportedInputError
 from .graphstate import Graph, cut_rank, is_connected
 from .reality import Distribution, allows_specific_avn
@@ -158,47 +160,33 @@ def count_partitions_with_shape(n: int, shape) -> int:
     return total
 
 
+def _closure(start, gens, act):
+    """The orbit of ``start`` under the group generated by ``gens``, where
+    ``act(x, s)`` is the image of x under the generator s."""
+    orbit = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = act(x, s)
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
 def automorphisms(g: Graph) -> list:
-    """All adjacency-preserving vertex permutations, as 0-based tuples."""
+    """All adjacency-preserving vertex permutations, as sorted 0-based tuples."""
     if g.n > 10:
         raise ResourceLimitError(f"automorphism search limited to n <= 10, got {g.n}")
-    n, adj = g.n, g.adj
-    deg = [m.bit_count() for m in adj]
-    perms = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v):
-        if v == n:
-            perms.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if ((adj[v] >> u) & 1) != ((adj[w] >> image[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-        image[v] = -1
-
-    extend(0)
-    return perms
+    gens, _ = automorphism_group(g)
+    return sorted(_closure(tuple(range(g.n)), gens, lambda p, s: tuple([s[v] for v in p])))
 
 
 def _permuted_blocks(blocks, perm):
-    """Apply a 0-based vertex permutation to 1-based blocks, re-canonicalized."""
-    return tuple(
-        sorted(
-            (tuple(sorted(perm[q - 1] + 1 for q in b)) for b in blocks),
-            key=lambda b: b[0],
-        )
-    )
+    """Apply a 0-based vertex permutation to 1-based blocks, re-canonicalized
+    (disjoint sorted blocks sort by their least element)."""
+    return tuple(sorted([tuple(sorted([perm[q - 1] + 1 for q in b])) for b in blocks]))
 
 
 def enumerate_distributions(
@@ -208,7 +196,8 @@ def enumerate_distributions(
 
     With ``dedupe`` every orbit of the automorphism group contributes exactly
     one representative: the member with the lexicographically least canonical
-    encoding.  The group is listed only when the first distribution is about
+    encoding, found by closing its first member under the canonical search's
+    generators, which are computed only when the first distribution is about
     to be yielded, and not at all for the all-singletons shape, whose one
     partition every automorphism fixes.
 
@@ -228,14 +217,14 @@ def enumerate_distributions(
         for blocks in stream:
             yield Distribution(g.n, blocks)
         return
-    auts = None
+    gens = None
     seen = set()
     for blocks in stream:
         if blocks in seen:
             continue
-        if auts is None:
-            auts = automorphisms(g)
-        orbit = {_permuted_blocks(blocks, perm) for perm in auts}
+        if gens is None:
+            gens = automorphism_group(g)[0]
+        orbit = _closure(blocks, gens, _permuted_blocks)
         seen |= orbit
         yield Distribution(g.n, min(orbit))
 

@@ -675,3 +675,34 @@ def aut_order_by_point_stabilizers(adj):
         fixed = list(range(v))
         order *= sum(1 for w in range(n) if consistent(fixed, w) and extends(fixed + [w]))
     return order
+
+
+def automorphisms_by_backtracking(g):
+    """All adjacency-preserving vertex permutations, as 0-based tuples."""
+    n, adj = g.n, g.adj
+    deg = [m.bit_count() for m in adj]
+    perms = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            perms.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or deg[w] != deg[v]:
+                continue
+            ok = True
+            for u in range(v):
+                if ((adj[v] >> u) & 1) != ((adj[w] >> image[u]) & 1):
+                    ok = False
+                    break
+            if ok:
+                image[v] = w
+                used[w] = True
+                extend(v + 1)
+                used[w] = False
+        image[v] = -1
+
+    extend(0)
+    return perms

@@ -6,10 +6,10 @@ from avnproofs import Distribution, Graph
 
 
 @st.composite
-def connected_cases(draw, max_n):
+def connected_cases(draw, max_n, min_n=3):
     """A random connected graph (a random tree plus random extra edges) and a
     random distribution of its qubits."""
-    n = draw(st.integers(3, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))

@@ -254,6 +254,26 @@ sys.exit(main(["min-parties", "--graph", "4: 1-2,2-3,3-4"]))
     assert proc.stderr == BLOCKED_HIT
 
 
+def test_min_parties_dedupes_above_ten_vertices_also_under_python_O():
+    graph = "11: " + ", ".join(f"{i}-{i + 1}" for i in range(1, 11))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "avnproofs", "min-parties", "--graph", graph],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+    assert plain == optimized
+    code, out, err = plain
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "m_min: 3"
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--graph", LC6)
     assert code == 0

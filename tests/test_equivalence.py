@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from avnproofs import (
     Graph,
-    ResourceLimitError,
     UnsupportedInputError,
     canonical_form,
     classify_all,
@@ -23,10 +23,11 @@ from avnproofs import (
     star_graph,
 )
 from avnproofs import equivalence
-from avnproofs.partitions import automorphisms
+from avnproofs.equivalence import automorphism_group
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
     aut_order_by_point_stabilizers,
+    automorphisms_by_backtracking,
     classes_by_extension,
     connected_edge_set,
     connected_reps_by_full_extension,
@@ -114,7 +115,7 @@ def test_canonical_matches_reference(g):
 
 def _generators(g):
     """The search's generators, each checked to preserve adjacency."""
-    _, _, gens = equivalence._canonical(g.adj)
+    _, _, gens, _ = equivalence._canonical(g.adj)
     for s in gens:
         assert sorted(s) == list(range(g.n))
         for v, a in enumerate(g.adj):
@@ -127,18 +128,74 @@ def test_generators_span_the_automorphism_group_exhaustively():
     for n in range(1, 8):
         for enc in connected_graph_reps(n):
             rep = graph_from_encoding(n, enc)
-            assert aut_order_by_point_stabilizers(rep.adj) == len(automorphisms(rep))
+            assert aut_order_by_point_stabilizers(rep.adj) == len(
+                automorphisms_by_backtracking(rep)
+            )
             for h in [rep] + [local_complement(rep, v) for v in range(1, n + 1)]:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 g = relabel(h, tuple(perm))
-                assert group_order(_generators(g), n) == len(automorphisms(g))
+                order = len(automorphisms_by_backtracking(g))
+                assert group_order(_generators(g), n) == order
+                assert automorphism_group(g)[1] == order
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(10, connected=False))
 def test_generators_span_the_automorphism_group(g):
-    assert group_order(_generators(g), g.n) == aut_order_by_point_stabilizers(g.adj)
+    order = aut_order_by_point_stabilizers(g.adj)
+    assert group_order(_generators(g), g.n) == order
+    assert automorphism_group(g)[1] == order
+
+
+def _cayley(elements, connection):
+    """The graph on ``elements`` joining a to every b in connection(a)."""
+    index = {a: i for i, a in enumerate(elements, start=1)}
+    edges = {
+        tuple(sorted((index[a], index[b])))
+        for a in elements
+        for b in connection(a)
+        if a != b
+    }
+    return Graph.from_edges(len(elements), edges)
+
+
+Z4_SQUARED = [(i, j) for i in range(4) for j in range(4)]
+NAMED_GROUP_ORDERS = {
+    "rook-4x4": (
+        _cayley(Z4_SQUARED, lambda a: [(a[0], k) for k in range(4)] + [(k, a[1]) for k in range(4)]),
+        1152,
+    ),
+    # Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)
+    "shrikhande": (
+        _cayley(
+            Z4_SQUARED,
+            lambda a: [
+                ((a[0] + dx) % 4, (a[1] + dy) % 4)
+                for dx, dy in [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+            ],
+        ),
+        192,
+    ),
+    "4-cube": (_cayley(list(range(16)), lambda a: [a ^ (1 << k) for k in range(4)]), 384),
+    # the 4-cube plus its antipodal edges
+    "clebsch": (
+        _cayley(list(range(16)), lambda a: [a ^ (1 << k) for k in range(4)] + [a ^ 15]),
+        1920,
+    ),
+    # differences that are nonzero squares mod 13
+    "paley-13": (_cayley(list(range(13)), lambda a: [(a + x * x) % 13 for x in range(1, 13)]), 78),
+    "path-16": (path_graph(16), 2),
+    "ring-16": (ring_graph(16), 32),
+    "star-16": (star_graph(16), math.factorial(15)),
+    "complete-16": (complete_graph(16), math.factorial(16)),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_GROUP_ORDERS)
+def test_group_order_of_named_graphs(name):
+    g, order = NAMED_GROUP_ORDERS[name]
+    assert automorphism_group(g)[1] == order
 
 
 def _refine_calls_match_oracle(monkeypatch, graphs_):
@@ -297,12 +354,28 @@ def test_classify_records_are_stable_and_consistent():
         assert min(cg.encoding for cg in orbit) == canonical_form(r.representative).encoding
 
 
+def test_canonical_form_invariant_under_relabelling_on_named_graphs():
+    rng = random.Random(16)
+    for g, _ in NAMED_GROUP_ORDERS.values():
+        base = canonical_form(g)
+        assert relabel(g, base.perm) == graph_from_encoding(g.n, base.encoding)
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, tuple(perm))).encoding == base.encoding
+
+
 def test_guards():
     with pytest.raises(UnsupportedInputError):
         lc_orbit(Graph.from_edges(4, [(1, 2), (3, 4)]))
     with pytest.raises(ValueError):
         classify_all(9)
-    with pytest.raises(ResourceLimitError):
-        canonical_form(path_graph(11))
+    # canonical forms run up to the graph size limit, n = 16
+    rng = random.Random(9)
+    pairs = [(i, j) for i in range(1, 17) for j in range(i + 1, 17)]
+    g = Graph.from_edges(16, [p for p in pairs if rng.random() < 0.4])
+    perm = list(range(16))
+    rng.shuffle(perm)
+    assert canonical_form(relabel(g, tuple(perm))).encoding == canonical_form(g).encoding
     with pytest.raises(ValueError):
         local_complement(path_graph(4), 5)

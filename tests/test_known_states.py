@@ -5,13 +5,13 @@ import pytest
 
 from avnproofs import (
     allows_specific_avn,
-    automorphisms,
     complete_graph,
     min_party_distributions,
     parse_distribution,
     path_graph,
     ring_graph,
 )
+from oracles import automorphisms_by_backtracking
 
 
 def orbit_representative(g, d):
@@ -22,7 +22,7 @@ def orbit_representative(g, d):
                 key=min,
             )
         )
-        for perm in automorphisms(g)
+        for perm in automorphisms_by_backtracking(g)
     )
 
 

@@ -1,7 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import avnproofs.partitions as partitions_module
 from avnproofs import (
@@ -13,6 +14,7 @@ from avnproofs import (
     automorphisms,
     classify_all,
     complete_graph,
+    connected_graph_reps,
     count_partitions_with_shape,
     cut_rank,
     enumerate_distributions,
@@ -32,6 +34,8 @@ from avnproofs import (
 )
 from oracles import (
     all_avn_by_verdicts,
+    aut_order_by_point_stabilizers,
+    automorphisms_by_backtracking,
     full_rank_masks,
     full_rank_partitions,
     gf2_rank,
@@ -108,7 +112,7 @@ def test_dedupe_path4_and_fc4():
 
 def test_dedupe_orbit_union_covers_everything():
     g = path_graph(5)
-    auts = automorphisms(g)
+    auts = automorphisms_by_backtracking(g)
     for shape in ((2, 2, 1), (3, 1, 1)):
         full = set(partitions_with_shape(5, shape))
         reps = [d.canonical_key() for d in enumerate_distributions(g, shape, dedupe=True)]
@@ -139,7 +143,7 @@ def test_dedupe_orbit_union_covers_everything():
 
 def test_dedupe_respects_verdicts():
     g = path_graph(5)
-    auts = automorphisms(g)
+    auts = automorphisms_by_backtracking(g)
     for d in enumerate_distributions(g, (2, 2, 1), dedupe=True):
         verdict = allows_specific_avn(g, d).allows
         for perm in auts:
@@ -224,7 +228,7 @@ def test_all_avn_empty_when_no_feasible_shape():
 
 def test_all_avn_dedupe_orbits_cover_full_success_set():
     g = path_graph(6)
-    auts = automorphisms(g)
+    auts = automorphisms_by_backtracking(g)
     full = {r.distribution.canonical_key() for r in all_avn_distributions(g, 2, dedupe=False)}
     union = set()
     for rep in all_avn_distributions(g, 2, dedupe=True):
@@ -389,12 +393,12 @@ def test_schedule_search_equals_full_rank_partitions_by_property(case):
 
 def test_singleton_levels_list_no_automorphisms(monkeypatch):
     """Star and complete graphs admit only the all-singletons distribution,
-    so their deduped searches never list the group, also above n = 10."""
+    so their deduped searches never compute the group."""
 
     def refuse(g):
-        raise ResourceLimitError("automorphisms listed")
+        raise ResourceLimitError("automorphism group computed")
 
-    monkeypatch.setattr(partitions_module, "automorphisms", refuse)
+    monkeypatch.setattr(partitions_module, "automorphism_group", refuse)
     for g in (star_graph(10), complete_graph(12)):
         m, reports = min_party_distributions(g)
         assert m == g.n
@@ -405,15 +409,75 @@ def test_singleton_levels_list_no_automorphisms(monkeypatch):
 
 def test_automorphisms_listed_once_per_shape_with_a_hit(monkeypatch):
     calls = []
-    real = partitions_module.automorphisms
+    real = partitions_module.automorphism_group
 
     def counting(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(partitions_module, "automorphisms", counting)
+    monkeypatch.setattr(partitions_module, "automorphism_group", counting)
     min_party_distributions(star_graph(9))
     assert calls == []
     m, reports = min_party_distributions(ring_graph(8))
     hit_shapes = {r.distribution.shape() for r in reports}
     assert m < 8 and len(calls) == len(hit_shapes)
+
+
+def test_automorphisms_list_the_backtracked_group():
+    """The listing is the backtracker's, order included, on every class
+    representative with n <= 7 and its local complements."""
+    for n in range(1, 8):
+        for enc in connected_graph_reps(n):
+            rep = graph_from_encoding(n, enc)
+            for g in [rep] + [local_complement(rep, v) for v in range(1, n + 1)]:
+                assert automorphisms(g) == automorphisms_by_backtracking(g)
+
+
+def _image(blocks, perm):
+    return tuple(sorted((tuple(sorted(perm[q - 1] + 1 for q in b)) for b in blocks), key=min))
+
+
+def _assert_dedupe_keeps_orbit_least_hits(g, reports, every):
+    """The deduped reports are exactly the orbit-least members of the
+    undeduped hits under the backtracked group, in canonical order."""
+    auts = automorphisms_by_backtracking(g)
+    keys = [r.distribution.canonical_key() for r in every]
+    least = {min(_image(blocks, perm) for perm in auts) for blocks in keys}
+    assert [r.distribution.canonical_key() for r in reports] == [b for b in keys if b in least]
+
+
+@pytest.mark.parametrize("family", [path_graph, ring_graph])
+@pytest.mark.parametrize("n", [11, 12])
+def test_dedupe_above_ten_vertices(family, n):
+    g = family(n)
+    m, reports = min_party_distributions(g)
+    m_all, every = min_party_distributions(g, dedupe=False)
+    assert m_all == m < n and len(reports) < len(every)
+    _assert_dedupe_keeps_orbit_least_hits(g, reports, every)
+    for parties in (2, n - 1):
+        _assert_dedupe_keeps_orbit_least_hits(
+            g,
+            all_avn_distributions(g, parties),
+            all_avn_distributions(g, parties, dedupe=False),
+        )
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_cases(12, min_n=11), st.integers(1, 3))
+def test_dedupe_above_ten_vertices_by_property(case, pairs):
+    """Each orbit of the full-rank stream of a shape with 1..3 pairs yields
+    its least member, at the place of its first member.  The oracle lists
+    the group, so graphs with more than 10^4 automorphisms are skipped."""
+    g = case[0]
+    assume(aut_order_by_point_stabilizers(g.adj) <= 10**4)
+    auts = automorphisms_by_backtracking(g)
+    shape = (2,) * pairs + (1,) * (g.n - 2 * pairs)
+    stream = enumerate_distributions(g, shape, dedupe=False, full_rank_only=True)
+    expected, seen = [], set()
+    for blocks in (dist.canonical_key() for dist in stream):
+        if blocks not in seen:
+            orbit = {_image(blocks, perm) for perm in auts}
+            seen |= orbit
+            expected.append(min(orbit))
+    deduped = enumerate_distributions(g, shape, full_rank_only=True)
+    assert [dist.canonical_key() for dist in deduped] == expected
