@@ -6,12 +6,12 @@ rings of even length already work with two parties holding half each.
 
 from avnproofs import (
     complete_graph,
-    min_party_distributions,
+    format_graph,
     minimal_shapes,
     path_graph,
     ring_graph,
 )
-from avnproofs.reports import particle_columns_header, particle_columns_row
+from avnproofs.cli import main
 
 print("candidate shape schedule for n = 6:")
 for m, shapes in minimal_shapes(6):
@@ -22,9 +22,7 @@ for label, g in [
     ("linear cluster, n=6", path_graph(6)),
     ("ring, n=6", ring_graph(6)),
     ("linear cluster, n=8", path_graph(8)),
+    ("linear cluster, n=10", path_graph(10)),
 ]:
-    m, reports = min_party_distributions(g)
-    print(f"\n{label}  ->  minimum parties: {m}")
-    print(particle_columns_header(max(r.distribution.m for r in reports)))
-    for r in reports:
-        print(particle_columns_row(r))
+    print(f"\n{label}:")
+    main(["min-parties", "--graph", format_graph(g)])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 
 from .equivalence import classify_all
@@ -41,22 +42,12 @@ from .graphstate import (
 from .pauli import format_pauli
 from .partitions import all_avn_distributions, min_party_distributions
 from .reality import allows_specific_avn, format_distribution, parse_distribution
-from .reports import DistributionReport, particle_columns_header, particle_columns_row
+from .reports import DistributionReport
 from .witness import (
     find_witness,
     format_witness,
     underrepresented_qubits,
 )
-
-
-def _emit_reports(reports):
-    if not reports:
-        print("(none)")
-        return
-    maxp = max(r.distribution.m for r in reports)
-    print(particle_columns_header(maxp))
-    for r in reports:
-        print(particle_columns_row(r))
 
 
 def _oracle_check(g, dist, decision):
@@ -109,35 +100,44 @@ def cmd_check(args) -> int:
     return 0 if decision.allows else 1
 
 
-def cmd_min_parties(args) -> int:
-    g = parse_graph(args.graph)
-    m, reports = min_party_distributions(g, dedupe=not args.no_dedupe)
+def _print_search(args, g, heading: str, reports) -> None:
+    """Output of ``min-parties`` and ``enumerate``: the optional oracle
+    check, then one JSON record per report, or a table with one column per
+    particle (A, B, C, ...), each as wide as its longest cell and at least 8."""
     if args.oracle:
         for r in reports:
             _oracle_check(g, r.distribution, r.decision)
     if args.format == "json-lines":
         for r in reports:
             print(json.dumps(r.to_json_dict(), sort_keys=True))
-    else:
-        print(f"graph: {format_graph(g)}")
-        print(f"m_min: {m}")
-        _emit_reports(reports)
+        return
+    print(f"graph: {format_graph(g)}")
+    print(heading)
+    if not reports:
+        print("(none)")
+        return
+    rows = [
+        [str(r.distribution.m)] + [",".join(map(str, p)) for p in r.distribution.particles]
+        for r in reports
+    ]
+    m_width = max(len(row[0]) for row in rows)
+    width = max([8] + [len(c) for row in rows for c in row[1:]])
+    labels = ["m"] + list(string.ascii_uppercase[: max(len(row) for row in rows) - 1])
+    for row in [labels] + rows:
+        print(f"{row[0]:<{m_width}}  " + "  ".join(f"{c:<{width}}" for c in row[1:]))
+
+
+def cmd_min_parties(args) -> int:
+    g = parse_graph(args.graph)
+    m, reports = min_party_distributions(g, dedupe=not args.no_dedupe)
+    _print_search(args, g, f"m_min: {m}", reports)
     return 0
 
 
 def cmd_enumerate(args) -> int:
     g = parse_graph(args.graph)
     reports = all_avn_distributions(g, args.m, dedupe=not args.no_dedupe)
-    if args.oracle:
-        for r in reports:
-            _oracle_check(g, r.distribution, r.decision)
-    if args.format == "json-lines":
-        for r in reports:
-            print(json.dumps(r.to_json_dict(), sort_keys=True))
-    else:
-        print(f"graph: {format_graph(g)}")
-        print(f"m: {args.m}")
-        _emit_reports(reports)
+    _print_search(args, g, f"m: {args.m}", reports)
     return 0 if reports else 1
 
 

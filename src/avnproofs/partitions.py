@@ -19,6 +19,7 @@ distributions the searches report.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .equivalence import automorphism_group
@@ -43,7 +44,7 @@ def _validate_shape(shape) -> tuple:
     return shape
 
 
-def integer_partitions(n: int, parts: int | None = None, max_part: int | None = None):
+def integer_partitions(n: int, parts: int | None = None):
     """Non-increasing positive partitions of n (optionally with a fixed part count)."""
     def rec(remaining, cap, count):
         if remaining == 0:
@@ -56,7 +57,7 @@ def integer_partitions(n: int, parts: int | None = None, max_part: int | None = 
             for rest in rec(remaining - first, first, count + 1):
                 yield (first,) + rest
 
-    yield from rec(n, max_part if max_part is not None else n, 0)
+    yield from rec(n, n, 0)
 
 
 def _schedule_keeps(shape) -> bool:
@@ -109,16 +110,23 @@ def partitions_with_shape(n: int, shape):
     yield from _set_partitions(n, shape, None)
 
 
+@lru_cache(maxsize=1)
+def _block_ranks(g: Graph) -> dict:
+    """The rank memo of g's blocks, block -> has full cut-rank, kept for the
+    graph most recently searched."""
+    return {}
+
+
 def _set_partitions(n: int, shape, g: Graph | None):
     """The stream of ``partitions_with_shape``; given a graph g, only the
     partitions whose blocks all have full cut-rank in g, in the same order.
 
     The recursion anchors the lowest uncovered qubit and chooses the other
     members of its block, so a block that fails the rank test is dropped
-    before any partition is built on it.  Each block's rank is computed at
-    most once per call.
+    before any partition is built on it.  Block ranks are memoized per
+    graph (``_block_ranks``), so the shapes of one search share them.
     """
-    full_rank = {}
+    full_rank = _block_ranks(g) if g is not None else None
 
     def admits(block):
         ok = full_rank.get(block)

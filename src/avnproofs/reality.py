@@ -10,8 +10,11 @@ and letter of a particle A the coefficient rows are the same, {e_j,
 Gamma_j : j in A} (selection and neighbour parity of each member), and only
 the right-hand side differs, so one GF(2) elimination per particle decides
 the particle's whole table; its rank is |A| + E(A), where E(A) is the
-cut-rank of A.  A brute-force sweep over all 2^n subsets doubles as an
-oracle.
+cut-rank of A.  That table is eliminated once per (graph, particle) and
+cached read-only; ``allows_specific_avn`` (and so ``check``, the searches
+and ``--oracle``) and ``is_element_of_reality`` all read it, and every
+certificate is verified against the graph each time it is handed out.  A
+brute-force sweep over all 2^n subsets doubles as an oracle.
 
 The verdict itself is a rank test: a distribution allows a specific AVN
 proof iff every particle A has E(A) = |A| (``graphstate.cut_rank``).  The
@@ -190,9 +193,12 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
         )
 
 
-def _particle_masks(g: Graph, qubits) -> dict:
-    """Unverified element-of-reality certificates of one particle's qubits,
-    from one elimination: qubit -> {letter -> subset mask or None}.
+@lru_cache(maxsize=1024)
+def _particle_lookup(g: Graph, qubits):
+    """Element-of-reality certificates of one particle's qubits, from one
+    elimination: a read-only (qubit, letter) -> subset mask or None map.
+    The masks are unverified, and the map is shared by every caller, so it
+    is never mutated.
 
     The rows are e_j (is j selected) and Gamma_j (parity of j's selected
     neighbours) for every member j.  For qubit i the letters need (e_i . s,
@@ -207,49 +213,29 @@ def _particle_masks(g: Graph, qubits) -> dict:
     table = {}
     for t, i in enumerate(qubits):
         (sx, cx), (sz, cz) = units[2 * t], units[2 * t + 1]
-        table[i] = {
-            "X": sx if not cx else None,
-            "Y": sx ^ sz if cx == cz else None,
-            "Z": sz if not cz else None,
-        }
-    return table
+        table[i, "X"] = sx if not cx else None
+        table[i, "Y"] = sx ^ sz if cx == cz else None
+        table[i, "Z"] = sz if not cz else None
+    return MappingProxyType(table)
 
 
-@lru_cache(maxsize=1024)
-def _particle_lookup(g: Graph, qubits):
-    """Read-only view of ``_particle_masks``: (qubit, letter) -> unverified
-    subset mask or None.  Shared between lookups, so it is never mutated."""
-    table = _particle_masks(g, qubits)
-    return MappingProxyType(
-        {(i, pauli): mask for i, row in table.items() for pauli, mask in row.items()}
-    )
-
-
-def _particle_certificates(g: Graph, qubits) -> dict:
-    """The particle's certificates, each checked and wrapped:
-    qubit -> {letter -> EoRWitness or None}."""
-    particle = 0
-    for q in qubits:
-        particle |= 1 << (q - 1)
-    table = _particle_masks(g, qubits)
-    for i, row in table.items():
-        pmask = particle & ~(1 << (i - 1))
-        for pauli, mask in row.items():
-            if mask is not None:
-                _verify_witness_subset(g, pmask, i, pauli, mask)
-                row[pauli] = EoRWitness(i, pauli, Bitvec(g.n, mask))
-    return table
+def _certificate(g: Graph, pmask: int, i: int, pauli: str, mask):
+    """The looked-up entry for ``pauli`` on qubit i, checked and wrapped as
+    an ``EoRWitness``, or None for an empty entry."""
+    if mask is None:
+        return None
+    _verify_witness_subset(g, pmask, i, pauli, mask)
+    return EoRWitness(i, pauli, Bitvec(g.n, mask))
 
 
 def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method: str = "solver"):
     """Witness subset if ``pauli`` on qubit i is an element of reality, else None.
 
-    ``method="solver"`` reads it from the GF(2) table of i's particle (scales
-    past exhaustive range; the subset is the solution with every free
-    variable zero), eliminating once per graph and particle for repeated
-    lookups, and verifies the entry it returns on every lookup;
-    ``method="brute"`` scans all 2^n subsets in ascending
-    order and returns the lowest certificate.
+    ``method="solver"`` reads it from the cached GF(2) table of i's particle
+    (scales past exhaustive range; the subset is the solution with every
+    free variable zero) and verifies the entry it returns on every lookup;
+    ``method="brute"`` scans all 2^n subsets in ascending order and returns
+    the lowest certificate.
     """
     if d.n != g.n:
         raise LengthMismatchError(f"graph has {g.n} qubits, distribution {d.n}")
@@ -279,11 +265,8 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
-    mask = _particle_lookup(g, d.particles[d.particle_of(i)])[i, pauli]
-    if mask is None:
-        return None
-    _verify_witness_subset(g, d.pmask(i), i, pauli, mask)
-    return EoRWitness(i, pauli, Bitvec(g.n, mask))
+    lookup = _particle_lookup(g, d.particles[d.particle_of(i)])
+    return _certificate(g, d.pmask(i), i, pauli, lookup[i, pauli])
 
 
 @dataclass
@@ -323,7 +306,10 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
     if method == "solver":
         table = {}
         for particle in d.particles:
-            table.update(_particle_certificates(g, particle))
+            inside = sum(1 << (q - 1) for q in particle)
+            for (i, p), mask in _particle_lookup(g, particle).items():
+                row = table.setdefault(i, {})
+                row[p] = _certificate(g, inside & ~(1 << (i - 1)), i, p, mask)
     else:
         table = {
             i: {p: is_element_of_reality(g, d, i, p, method=method) for p in PAULI_LETTERS}

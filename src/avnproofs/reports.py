@@ -1,13 +1,11 @@
 """Serializable verdict reports and their table rendering.
 
 The machine-readable form round-trips: parsing an emitted record yields an
-equal report.  The table form mirrors the particle-column layout used for
-distribution listings (one column per particle A, B, C, ...).
+equal report.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 from .gf2 import Bitvec
@@ -123,13 +121,3 @@ class DistributionReport:
             lines.append("witness:")
             lines.extend(f"  {eq}" for eq in format_witness(self.witness, self.graph))
         return "\n".join(lines)
-
-
-def particle_columns_header(max_parts: int) -> str:
-    labels = string.ascii_uppercase[:max_parts]
-    return "m  " + "  ".join(f"{c:<8}" for c in labels)
-
-
-def particle_columns_row(report: DistributionReport) -> str:
-    cells = [",".join(str(q) for q in p) for p in report.distribution.particles]
-    return f"{report.distribution.m}  " + "  ".join(f"{c:<8}" for c in cells)

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -480,3 +481,17 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, parsers_built):
     assert main() == 0
     assert "verdict: allows" in capsys.readouterr().out
     assert parsers_built == [1, 1]
+
+
+def test_particle_columns_line_up_under_the_header(capsys):
+    """Columns widen to their longest cell: path10 has 11-character cells."""
+    graph = "10: " + ", ".join(f"{i}-{i + 1}" for i in range(1, 10))
+    code, out, _ = run(capsys, "min-parties", "--graph", graph)
+    assert code == 0
+    header, *rows = out.splitlines()[2:]
+    assert header == "m  A           B         "
+    assert rows[0] == "2  1,3,5,7,9   2,4,6,8,10"
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    for row in rows:
+        assert len(row) == len(header)
+        assert [m.start() for m in re.finditer(r"\S+", row)] == starts

@@ -9,11 +9,8 @@ from avnproofs import (
     parse_distribution,
     path_graph,
 )
-from avnproofs.reports import (
-    DistributionReport,
-    particle_columns_header,
-    particle_columns_row,
-)
+from avnproofs.cli import main
+from avnproofs.reports import DistributionReport
 
 
 def make_report(with_witness=False):
@@ -86,9 +83,8 @@ def test_render_table_mentions_verdict_and_equations():
     assert "witness:" in text
 
 
-def test_particle_columns():
-    report = make_report()
-    assert particle_columns_header(2).startswith("m  A")
-    row = particle_columns_row(report)
-    assert row.startswith("2  1,4")
-    assert "2,3" in row
+def test_particle_columns(capsys):
+    assert main(["enumerate", "--graph", "4: 1-2,2-3,3-4", "--m", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "m  A         B       "
+    assert lines[3:] == ["2  1,3       2,4     ", "2  1,4       2,3     "]

@@ -481,3 +481,21 @@ def test_dedupe_above_ten_vertices_by_property(case, pairs):
             expected.append(min(orbit))
     deduped = enumerate_distributions(g, shape, full_rank_only=True)
     assert [dist.canonical_key() for dist in deduped] == expected
+
+
+@pytest.mark.parametrize("family", [star_graph, complete_graph])
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_search_ranks_each_block_once(monkeypatch, family, n):
+    """The shapes of one search share their block ranks: every block's
+    cut-rank is computed once, however many shapes try it."""
+    blocks = []
+    real = partitions_module.cut_rank
+
+    def counting(g, mask):
+        blocks.append(mask)
+        return real(g, mask)
+
+    monkeypatch.setattr(partitions_module, "cut_rank", counting)
+    partitions_module._block_ranks.cache_clear()
+    min_party_distributions(family(n), dedupe=False)
+    assert blocks and len(blocks) == len(set(blocks))

@@ -22,6 +22,7 @@ from avnproofs import (
     gf2_unit_solutions,
     is_element_of_reality,
     local_complement,
+    min_party_distributions,
     parse_distribution,
     path_graph,
     relabel,
@@ -247,7 +248,7 @@ def test_lookup_verifies_only_the_entry_it_returns(monkeypatch):
     assert calls == []
 
 
-def test_repeated_lookups_eliminate_once_and_verify_every_time(monkeypatch, fresh_lookups):
+def _count_eliminations(monkeypatch):
     solves = []
     real = reality.gf2_unit_solutions
 
@@ -256,20 +257,59 @@ def test_repeated_lookups_eliminate_once_and_verify_every_time(monkeypatch, fres
         return real(rows)
 
     monkeypatch.setattr(reality, "gf2_unit_solutions", counting)
+    return solves
+
+
+def test_repeated_lookups_eliminate_once_and_verify_every_time(monkeypatch, fresh_lookups):
+    """Tables and lookups of the same particles share one elimination per
+    particle, and every entry they return is verified on every call."""
+    solves = _count_eliminations(monkeypatch)
     calls = _count_verifications(monkeypatch)
     d = parse_distribution("1,2|3,4", 4)
+    tables = [allows_specific_avn(LC4, d) for _ in range(2)]
+    entries = sum(w is not None for row in tables[0].eor.values() for w in row.values())
+    assert len(solves) == 2  # one elimination per particle
+    assert len(calls) == 2 * entries
+    assert tables[0].eor == tables[1].eor
+    assert tables[0].eor[1] is not tables[1].eor[1]  # fresh rows on each call
+    calls.clear()
     found = [
         is_element_of_reality(LC4, d, i, p) for _ in range(2) for i in range(1, 5) for p in "XYZ"
     ]
-    assert len(solves) == 2  # one elimination per particle
-    assert len(calls) == sum(w is not None for w in found)
+    assert len(solves) == 2
+    assert len(calls) == 2 * entries
     assert found[:12] == found[12:]
+    assert found[:12] == [tables[0].eor[i][p] for i in range(1, 5) for p in "XYZ"]
     with pytest.raises(TypeError):
         reality._particle_lookup(LC4, (1, 2))[1, "X"] = 0
-    # building a table wraps its own copy, not the lookups'
-    assert isinstance(allows_specific_avn(LC4, d).eor[1]["X"], reality.EoRWitness)
     assert reality._particle_lookup(LC4, (1, 2))[1, "X"] == found[0].subset.bits
-    assert len(solves) == 4
+
+
+def test_table_entries_equal_the_lookups():
+    """``check``'s table and ``is_element_of_reality`` read the same entries,
+    on every distribution of the connected n <= 5 class representatives."""
+    for n in range(3, 6):
+        for record in classify_all(n):
+            g = record.representative
+            for particles in set_partitions(range(1, n + 1)):
+                d = Distribution(n, particles)
+                eor = allows_specific_avn(g, d).eor
+                for i in range(1, n + 1):
+                    for p in "XYZ":
+                        assert eor[i][p] == is_element_of_reality(g, d, i, p)
+
+
+def test_search_eliminates_once_per_reported_particle(monkeypatch, fresh_lookups):
+    solves = _count_eliminations(monkeypatch)
+    graphs = [path_graph(8), ring_graph(8), complete_graph(6)]
+    graphs += [record.representative for record in classify_all(6)]
+    for g in graphs:
+        for dedupe in (True, False):
+            reality._particle_lookup.cache_clear()
+            solves.clear()
+            _, reports = min_party_distributions(g, dedupe=dedupe)
+            particles = {p for r in reports for p in r.distribution.particles}
+            assert len(solves) == len(particles)
 
 
 def test_table_verifies_every_entry(monkeypatch):
@@ -281,7 +321,7 @@ def test_table_verifies_every_entry(monkeypatch):
     assert {args[2:4] for args in calls} == entries
 
 
-def test_table_rejects_a_wrong_later_entry(monkeypatch):
+def test_table_rejects_a_wrong_later_entry(monkeypatch, fresh_lookups):
     # only qubit 4's Z unit (the last row) solves to a wrong mask
     real = reality.gf2_unit_solutions
 
