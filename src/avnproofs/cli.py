@@ -32,11 +32,12 @@ from .errors import (
 )
 from .graphstate import (
     MAX_STATE_QUBITS,
+    _report_words,
     format_graph,
-    full_stabilizer,
     parse_graph,
     perfect_correlation_report,
     stabilizer_element,
+    stabilizer_walk,
     statevector,
 )
 from .pauli import format_pauli
@@ -172,8 +173,8 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse_graph(args.graph)
-    worst, failures = perfect_correlation_report(statevector(g), full_stabilizer(g))
-    for op, dev in failures:
+    worst, failures = _report_words(statevector(g), stabilizer_walk(g))
+    for op, dev in sorted(failures, key=lambda f: f[0].x.bits):
         print(f"FAIL {format_pauli(op)} deviates by {dev:.3e}")
     print(
         f"{1 << g.n} stabilizing operators checked, "

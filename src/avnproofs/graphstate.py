@@ -7,17 +7,27 @@ arithmetic: both must agree that every stabilizing operator is a perfect
 correlation.  numpy is imported inside the oracle functions only, so the
 exact paths load without it.
 
-``perfect_correlation_report`` decides each operator exactly on the state's
-sign bits.  Graph-state amplitudes are real and all of magnitude 1/sqrt(N),
-N = 2^n, so with Q the N-bit set of negative amplitudes the operator
-``i**k X^x Z^z`` (k = phase + |x & z| mod 4) has expectation
-``i**k (N - 2 |D|) / N`` with D(b) = Q(b ^ x) ^ Q(b) ^ (z . b).  It is a
-perfect correlation exactly when k = 0 and D is empty, or k = 2 and D is
-full.  D is one N-bit integer: Q(b ^ x) comes from the previous operator's
-by a block swap per bit of x that changed, and the parity z . b by one XOR
-with a coordinate bitset per bit of z that changed.  An operator that does
-not pass takes the float path of ``expectation``; every passing one has the
-float deviation of the first, which is computed once.
+``stabilizer_walk`` yields the 2^n stabilizing operators as plain
+``(x, z, phase)`` integer words in Gray-code order: each step toggles one
+generator, so x changes in one bit, z by one XOR with that generator's
+neighbour mask, and the parity of the inner edge count by a popcount.
+
+The statevector check decides each word exactly on the state's sign bits.
+Graph-state amplitudes are real and all of magnitude 1/sqrt(N), N = 2^n, so
+with Q the N-bit set of negative amplitudes the operator ``i**k X^x Z^z``
+(k = phase + |x & z| mod 4) has expectation ``i**k (N - 2 |D|) / N`` with
+D(b) = Q(b ^ x) ^ Q(b) ^ (z . b).  It is a perfect correlation exactly when
+k = 0 and D is empty, or k = 2 and D is full.  D is one N-bit integer:
+Q(b ^ x) comes from the previous word's by a block swap per bit of x that
+changed, and the parity z . b by one XOR with the parity set of the change
+in z, memoized by that change.  On the walk there are at most n distinct
+changes, so each step costs one swap and one XOR.  One private core does
+this for ``verify`` (on the walk, with its FAIL lines printed in ascending
+subset order) and for ``perfect_correlation_report`` (on operators, in
+input order).  A ``PauliOperator`` is built only for the first passing word
+and for each word that does not pass, and takes the float path of
+``expectation``; every passing word has the float deviation of the first,
+which is computed once.
 """
 
 from __future__ import annotations
@@ -293,6 +303,27 @@ def full_stabilizer(g: Graph):
         yield stabilizer_element(g, mask)
 
 
+def stabilizer_walk(g: Graph):
+    """Yield ``(x, z, phase)`` for all 2^n stabilizing operators in Gray-code
+    order, starting from the identity.
+
+    Step t toggles generator v, the lowest set bit of t, so x (the subset
+    mask) changes in bit v only and z (Gamma x) by ``adj[v]``.  The edge
+    count inside the subset moves by |adj[v] & x| whether v joins or leaves,
+    so only its parity e is kept, and the phase of ``stabilizer_element(g,
+    x)`` is ``(2 e - |x & z|) mod 4``.
+    """
+    adj = g.adj
+    x = z = odd = 0
+    yield 0, 0, 0
+    for t in range(1, 1 << g.n):
+        v = (t & -t).bit_length() - 1
+        odd ^= (adj[v] & x).bit_count() & 1
+        x ^= 1 << v
+        z ^= adj[v]
+        yield x, z, (2 * odd - (x & z).bit_count()) % 4
+
+
 # ---------------------------------------------------------------------------
 # Dense statevector oracle
 
@@ -372,6 +403,73 @@ def _coordinate_bits(j: int, dim: int) -> int:
     return bits
 
 
+def _report_words(sv: np.ndarray, words) -> tuple:
+    """``(worst, failures)`` for operators given as ``(x, z, phase)`` words.
+
+    ``failures`` lists, in input order, ``(op, deviation)`` for each word
+    whose deviation exceeds ``PERFECT_CORRELATION_TOL``, with ``op`` its
+    ``PauliOperator``.  ``sv`` must be real, finite and of one magnitude, as
+    every graph state is; otherwise ``AssertionError`` is raised.
+    """
+    import numpy as np
+
+    dim = sv.shape[0]
+    real = sv.real
+    if (
+        dim == 0
+        or sv.imag.any()
+        or not np.isfinite(real).all()
+        or not (np.abs(real) == abs(real[0])).all()
+    ):
+        raise AssertionError("statevector is not real with entries of one magnitude")
+    n = dim.bit_length() - 1
+    full = (1 << dim) - 1
+    coords = [_coordinate_bits(j, dim) for j in range(n)]
+    halves = [(c, full ^ c) for c in coords]
+    signs = int.from_bytes(np.packbits(real < 0, bitorder="little").tobytes(), "little")
+    shifted, base = signs, signs  # bit b: Q(b ^ x) and Q(b) ^ z . b of the previous word
+    steps = {}  # change in z -> its dim-bit parity set
+    prev_x = prev_z = 0
+    worst = 0.0
+    passing_dev = None
+    failures = []
+    for x, z, phase in words:
+        flip = x ^ prev_x
+        while flip:
+            low = flip & -flip
+            high, rest = halves[low.bit_length() - 1]
+            shifted = ((shifted & rest) << low) | ((shifted & high) >> low)
+            flip ^= low
+        dz = z ^ prev_z
+        if dz:
+            step = steps.get(dz)
+            if step is None:
+                step = 0
+                m = dz
+                while m:
+                    low = m & -m
+                    step ^= coords[low.bit_length() - 1]
+                    m ^= low
+                steps[dz] = step
+            base ^= step
+        prev_x, prev_z = x, z
+        k = (phase + (x & z).bit_count()) % 4
+        ones = (shifted ^ base).bit_count()
+        passes = (k == 0 and ones == 0) or (k == 2 and ones == dim)
+        if passes and passing_dev is not None:  # already counted in worst
+            if passing_dev > PERFECT_CORRELATION_TOL:
+                failures.append((PauliOperator(Bitvec(n, x), Bitvec(n, z), phase), passing_dev))
+            continue
+        op = PauliOperator(Bitvec(n, x), Bitvec(n, z), phase)
+        dev = abs(expectation(sv, op) - 1.0)
+        if passes:
+            passing_dev = dev
+        worst = max(worst, dev)
+        if dev > PERFECT_CORRELATION_TOL:
+            failures.append((op, dev))
+    return worst, failures
+
+
 def perfect_correlation_report(sv: np.ndarray, ops) -> tuple:
     """``(worst, failures)`` for the operators ``ops`` on the state ``sv``.
 
@@ -385,48 +483,11 @@ def perfect_correlation_report(sv: np.ndarray, ops) -> tuple:
     every graph state is; otherwise ``AssertionError`` is raised.  Each
     operator raises what ``expectation`` raises before it is decided.
     """
-    import numpy as np
-
     dim = sv.shape[0]
-    real = sv.real
-    if (
-        dim == 0
-        or sv.imag.any()
-        or not np.isfinite(real).all()
-        or not (np.abs(real) == abs(real[0])).all()
-    ):
-        raise AssertionError("statevector is not real with entries of one magnitude")
-    coords = [_coordinate_bits(j, dim) for j in range(dim.bit_length() - 1)]
-    signs = int.from_bytes(np.packbits(real < 0, bitorder="little").tobytes(), "little")
-    shifted, parity = signs, 0  # bit b: Q(b ^ x) and z . b of the previous operator
-    prev_x = prev_z = 0
-    worst = 0.0
-    passing_dev = None
-    failures = []
-    for op in ops:
-        _check_real_expectation(dim, op)
-        x, z = op.x.bits, op.z.bits
-        flip = x ^ prev_x
-        while flip:
-            low = flip & -flip
-            j = low.bit_length() - 1
-            shifted = ((shifted & ~coords[j]) << low) | ((shifted & coords[j]) >> low)
-            flip ^= low
-        flip = z ^ prev_z
-        while flip:
-            low = flip & -flip
-            parity ^= coords[low.bit_length() - 1]
-            flip ^= low
-        prev_x, prev_z = x, z
-        k = (op.phase + (x & z).bit_count()) % 4
-        ones = (shifted ^ signs ^ parity).bit_count()
-        if (k == 0 and ones == 0) or (k == 2 and ones == dim):
-            if passing_dev is None:
-                passing_dev = abs(expectation(sv, op) - 1.0)
-            dev = passing_dev
-        else:
-            dev = abs(expectation(sv, op) - 1.0)
-        worst = max(worst, dev)
-        if dev > PERFECT_CORRELATION_TOL:
-            failures.append((op, dev))
-    return worst, failures
+
+    def words():
+        for op in ops:
+            _check_real_expectation(dim, op)
+            yield op.x.bits, op.z.bits, op.phase
+
+    return _report_words(sv, words())

@@ -21,6 +21,7 @@ from .graphstate import (
     Graph,
     perfect_correlation_report,
     stabilizer_element,
+    stabilizer_walk,
     statevector,
 )
 from .pauli import format_pauli, sign_of
@@ -116,17 +117,17 @@ def is_critical(w: AvnWitness, g: Graph) -> bool:
     return True
 
 
-def _eor_certifying_subsets(ops: dict, d) -> set:
+def _eor_certifying_subsets(supports: dict, d) -> set:
     """All generator subsets certifying some element of reality under d.
 
-    ``ops`` maps each nonempty subset mask to its stabilizing operator.  A
-    subset certifies one when its operator acts on some qubit i but as the
-    identity on every particle mate of i.
+    ``supports`` maps each nonempty subset mask to the qubit mask its
+    stabilizing operator acts on (x | z).  A subset certifies one when its
+    operator acts on some qubit i but as the identity on every particle mate
+    of i.
     """
     pmasks = [d.pmask(i) for i in range(1, d.n + 1)]
     out = set()
-    for mask, op in ops.items():
-        support = op.x.bits | op.z.bits
+    for mask, support in supports.items():
         if any((support >> q) & 1 and not support & pm for q, pm in enumerate(pmasks)):
             out.add(mask)
     return out
@@ -181,12 +182,12 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
             raise ResourceLimitError("exhaustive pool limited to n <= 5")
     elif g.n > 8:
         raise ResourceLimitError("witness search limited to n <= 8")
-    ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << g.n)}
+    words = {x: (z, phase) for x, z, phase in stabilizer_walk(g) if x}
     if exhaustive:
-        pool = set(ops)
+        pool = set(words)
     else:
-        pool = _eor_certifying_subsets(ops, d)
-        pool |= {m for m in ops if m.bit_count() <= 3}
+        pool = _eor_certifying_subsets({x: x | z for x, (z, _) in words.items()}, d)
+        pool |= {m for m in words if m.bit_count() <= 3}
     pool = sorted(pool)
 
     sizes = range(2, max_size + 1)
@@ -199,10 +200,9 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
 
     n = g.n
     keys = []
-    for mask in pool:
-        op = ops[mask]
-        x, z = op.x.bits, op.z.bits
-        negative = 1 if sign_of(op) < 0 else 0
+    for x in pool:
+        z, phase = words[x]
+        negative = phase >> 1  # stabilizer phases are 0 or 2
         keys.append((x & ~z) | (x & z) << n | (z & ~x) << 2 * n | negative << 3 * n)
     target = 1 << 3 * n
 

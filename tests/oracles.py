@@ -500,7 +500,7 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     if exhaustive:
         pool = set(ops)
     else:
-        pool = _eor_certifying_subsets(ops, d)
+        pool = _eor_certifying_subsets({m: op.x.bits | op.z.bits for m, op in ops.items()}, d)
         pool |= {m for m in ops if m.bit_count() <= 3}
     pool = sorted(pool)
 

@@ -17,6 +17,7 @@ from avnproofs import (
     PauliOperator,
     cli,
     format_graph,
+    full_stabilizer,
     parse_graph,
     partitions,
     witness,
@@ -296,16 +297,44 @@ def test_verify_output_matches_the_float_loop(capsys):
         assert err == ""
 
 
-def test_verify_reports_an_injected_failure(capsys, monkeypatch):
+def walk_with_flipped_signs(monkeypatch, masks):
+    """Make ``verify`` walk the stabilizer with the sign of each subset in
+    ``masks`` flipped, and return the same operators in ascending subset order."""
+    walk = cli.stabilizer_walk
+
+    def flipped_walk(g):
+        for x, z, phase in walk(g):
+            yield x, z, (phase + 2) % 4 if x in masks else phase
+
+    monkeypatch.setattr(cli, "stabilizer_walk", flipped_walk)
     g = parse_graph(LC6)
-    ops = list(cli.full_stabilizer(g))
-    ops[13] = PauliOperator(ops[13].x, ops[13].z, ops[13].phase + 2)
-    monkeypatch.setattr(cli, "full_stabilizer", lambda graph: iter(ops))
+    return [
+        PauliOperator(op.x, op.z, op.phase + 2) if mask in masks else op
+        for mask, op in enumerate(full_stabilizer(g))
+    ]
+
+
+def test_verify_reports_an_injected_failure(capsys, monkeypatch):
+    ops = walk_with_flipped_signs(monkeypatch, {13})
     code, out, err = run(capsys, "verify", "--graph", LC6)
-    assert (out, code) == verify_output_by_expectation(g, ops)
+    assert (out, code) == verify_output_by_expectation(parse_graph(LC6), ops)
     assert err == ""
     assert code == 1
     assert out.splitlines()[0] == "FAIL -X1 Y3 Y4 Z5 deviates by 2.000e+00"
+
+
+def test_verify_prints_failures_in_ascending_subset_order(capsys, monkeypatch):
+    """The walk visits subset 3 before subset 2; the FAIL lines do not."""
+    walked = [x for x, _, _ in cli.stabilizer_walk(parse_graph(LC6))]
+    assert walked.index(3) < walked.index(2)
+    ops = walk_with_flipped_signs(monkeypatch, {2, 3})
+    code, out, err = run(capsys, "verify", "--graph", LC6)
+    assert (out, code) == verify_output_by_expectation(parse_graph(LC6), ops)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == [
+        "FAIL -Z1 X2 Z3 deviates by 2.000e+00",
+        "FAIL -Y1 Y2 Z3 deviates by 2.000e+00",
+    ]
 
 
 def test_verify_statevector_guard_exit_two(capsys):
@@ -317,17 +346,18 @@ def test_verify_statevector_guard_exit_two(capsys):
 def test_verify_prints_the_same_bytes_under_python_O():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "avnproofs", "verify", "--graph", LC6],
-            env=env,
-            capture_output=True,
-        )
-        for flags in ([], ["-O"])
-    ]
-    plain, optimized = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
-    assert plain == optimized
-    assert plain == (0, verify_output_by_expectation(parse_graph(LC6))[0].encode(), b"")
+    for g in [parse_graph(LC6), seeded_graph(12)]:
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "avnproofs", "verify", "--graph", format_graph(g)],
+                env=env,
+                capture_output=True,
+            )
+            for flags in ([], ["-O"])
+        ]
+        plain, optimized = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+        assert plain == optimized
+        assert plain == (0, verify_output_by_expectation(g)[0].encode(), b"")
 
 
 def test_internal_error_exit_three(capsys, monkeypatch):

@@ -18,12 +18,14 @@ from avnproofs import (
     complete_graph,
     expectation,
     full_stabilizer,
+    identity,
     path_graph,
     perfect_correlation_report,
     ring_graph,
     statevector,
 )
 from avnproofs import graphstate
+from avnproofs.graphstate import _report_words, stabilizer_walk
 from oracles import correlations_by_expectation, edge_sets, verify_by_expectation
 from strategies import connected_cases
 
@@ -43,12 +45,20 @@ def assert_same(report, oracle):
     ]
 
 
+def assert_both_reports_match_the_oracle(g):
+    """The operator report on the ascending stabilizer and the word report
+    on the Gray walk (what ``verify`` runs) both give the float loop's values."""
+    sv = statevector(g)
+    oracle = verify_by_expectation(g)
+    assert_same(perfect_correlation_report(sv, full_stabilizer(g)), oracle)
+    assert_same(_report_words(sv, stabilizer_walk(g)), oracle)
+
+
 def test_every_graph_up_to_four_vertices():
     graphs = 0
     for n in range(1, 5):
         for edges in edge_sets(n):
-            g = Graph.from_edges(n, edges)
-            assert_same(perfect_correlation_report(statevector(g), full_stabilizer(g)), verify_by_expectation(g))
+            assert_both_reports_match_the_oracle(Graph.from_edges(n, edges))
             graphs += 1
     assert graphs == 1 + 2 + 8 + 64  # "1:" and every disconnected graph included
 
@@ -56,8 +66,7 @@ def test_every_graph_up_to_four_vertices():
 @settings(max_examples=25, deadline=None)
 @given(connected_cases(12))
 def test_connected_graphs_up_to_twelve_vertices(case):
-    g, _ = case
-    assert_same(perfect_correlation_report(statevector(g), full_stabilizer(g)), verify_by_expectation(g))
+    assert_both_reports_match_the_oracle(case[0])
 
 
 def test_worst_is_the_identity_deviation_bit_for_bit():
@@ -96,6 +105,17 @@ def test_a_graph_state_needs_one_float_evaluation(float_evaluations):
                 [],
             )
             assert float_evaluations == [ops[-1]]
+
+
+def test_the_walk_needs_one_float_evaluation(float_evaluations):
+    for n in range(1, 11):
+        for g in [path_graph(n), complete_graph(n)]:
+            float_evaluations.clear()
+            assert _report_words(statevector(g), stabilizer_walk(g)) == (
+                verify_by_expectation(g)[0],
+                [],
+            )
+            assert float_evaluations == [identity(n)]
 
 
 def flipped(op):

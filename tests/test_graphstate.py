@@ -31,7 +31,9 @@ from avnproofs import (
     stabilizer_element,
     statevector,
 )
+from avnproofs.graphstate import stabilizer_walk
 from oracles import edge_sets, operator_matrix, stabilizer_by_products
+from strategies import connected_cases
 
 
 def test_generators_single_vertex():
@@ -137,6 +139,37 @@ def test_full_stabilizer_order_matches_subsets():
     g = ring_graph(5)
     for mask, op in enumerate(full_stabilizer(g)):
         assert op == stabilizer_by_products(g, mask)
+
+
+def words_by_subset(g):
+    return [(op.x.bits, op.z.bits, op.phase) for op in full_stabilizer(g)]
+
+
+def assert_walk_is_the_stabilizer(g):
+    walk = list(stabilizer_walk(g))
+    assert walk[0] == (0, 0, 0)
+    assert sorted(walk) == words_by_subset(g)
+    for (x0, _, _), (x1, _, _) in zip(walk, walk[1:]):
+        assert (x0 ^ x1).bit_count() == 1
+
+
+def test_walk_is_the_stabilizer_on_every_graph_up_to_four_vertices():
+    graphs = 0
+    for n in range(1, 5):
+        for edges in edge_sets(n):
+            assert_walk_is_the_stabilizer(Graph.from_edges(n, edges))
+            graphs += 1
+    assert graphs == 1 + 2 + 8 + 64  # "1:" and every disconnected graph included
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_cases(12))
+def test_walk_is_the_stabilizer_on_connected_graphs(case):
+    assert_walk_is_the_stabilizer(case[0])
+
+
+def test_walk_visits_subsets_in_gray_code_order():
+    assert [x for x, _, _ in stabilizer_walk(path_graph(3))] == [0, 1, 3, 2, 6, 7, 5, 4]
 
 
 def test_closed_form_matches_generator_products_exhaustively():
