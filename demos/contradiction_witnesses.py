@@ -16,6 +16,7 @@ from avnproofs import (
     underrepresented_qubits,
     verify_witness,
 )
+from avnproofs.pauli import qubits_of
 
 fc4 = complete_graph(4)
 singles = parse_distribution("1|2|3|4", 4)
@@ -39,7 +40,7 @@ w = find_witness(lc4, parse_distribution("1,4|2,3", 4), max_size=4)
 print("\nlinear cluster, {1,4} vs {2,3}:")
 for eq in format_witness(w, lc4):
     print(f"  {eq}")
-print(f"  subsets: {[s.indices_1based() for s in w.subsets]}")
+print(f"  subsets: {[qubits_of(s) for s in w.subsets]}")
 print(f"  critical: {is_critical(w, lc4)}")
 
 # no contradiction is possible with only two qubits

@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from .gf2 import Bitvec, Gf2System, gf2_solve, gf2_solve_explain, gf2_unit_solutions
+from .gf2 import gf2_solve, gf2_solve_explain, gf2_unit_solutions
 from .graphstate import (
     Graph,
     complete_graph,

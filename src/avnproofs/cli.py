@@ -40,7 +40,7 @@ from .graphstate import (
     stabilizer_walk,
     statevector,
 )
-from .pauli import format_pauli
+from .pauli import format_pauli, qubits_of
 from .partitions import all_avn_distributions, min_party_distributions
 from .reality import allows_specific_avn, format_distribution, parse_distribution
 from .reports import DistributionReport
@@ -155,7 +155,7 @@ def cmd_witness(args) -> int:
                 {
                     "graph": format_graph(g),
                     "distribution": format_distribution(dist),
-                    "subsets": [list(s.indices_1based()) for s in w.subsets],
+                    "subsets": [list(qubits_of(s)) for s in w.subsets],
                     "equations": format_witness(w, g),
                     "single_observable_qubits": list(underrepresented_qubits(w, g)),
                 },
@@ -174,7 +174,7 @@ def cmd_witness(args) -> int:
 def cmd_verify(args) -> int:
     g = parse_graph(args.graph)
     worst, failures = _report_words(statevector(g), stabilizer_walk(g))
-    for op, dev in sorted(failures, key=lambda f: f[0].x.bits):
+    for op, dev in sorted(failures, key=lambda f: f[0].x):
         print(f"FAIL {format_pauli(op)} deviates by {dev:.3e}")
     print(
         f"{1 << g.n} stabilizing operators checked, "

@@ -1,98 +1,12 @@
-"""Bit vectors and linear algebra over GF(2).
+"""Linear algebra over GF(2) on int masks.
 
-Vectors have an explicit length that is checked on every binary operation;
-the bits themselves are packed into a single int (the package is capped at
-word-sized problems, so this keeps the hot 2^n sweeps allocation-free).
-Parity systems are solved by Gaussian elimination with deterministic
+A vector is a plain int with bit ``i`` for position ``i``: a subset, a
+coefficient row or a solution.  Parity systems are lists of ``(coeffs,
+rhs)`` int pairs, solved by Gaussian elimination with deterministic
 pivoting, so equal inputs always produce equal solutions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from .errors import LengthMismatchError
-
-#: Hard cap on vector length (one machine word).
-MAX_BITS = 64
-
-
-@dataclass(frozen=True, order=True)
-class Bitvec:
-    """Fixed-length GF(2) vector, bit ``i`` stored at position ``i`` of ``bits``."""
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_BITS:
-            raise ValueError(f"Bitvec length must be in 0..{MAX_BITS}, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(
-                f"bits 0x{self.bits:x} do not fit in {self.n} positions"
-            )
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "Bitvec":
-        """Vector of length ``n`` with ones at the given 0-based positions."""
-        bits = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            bits |= 1 << i
-        return cls(n, bits)
-
-    def _check(self, other: "Bitvec") -> None:
-        if not isinstance(other, Bitvec):
-            raise TypeError(f"expected Bitvec, got {type(other).__name__}")
-        if other.n != self.n:
-            raise LengthMismatchError(f"length mismatch: {self.n} vs {other.n}")
-
-    def __xor__(self, other: "Bitvec") -> "Bitvec":
-        self._check(other)
-        return Bitvec(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "Bitvec") -> "Bitvec":
-        self._check(other)
-        return Bitvec(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "Bitvec") -> "Bitvec":
-        self._check(other)
-        return Bitvec(self.n, self.bits | other.bits)
-
-    def test(self, i: int) -> bool:
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} out of range for length {self.n}")
-        return bool((self.bits >> i) & 1)
-
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    def indices_1based(self) -> tuple:
-        """Set bits as 1-based labels (qubit/generator numbering at interfaces)."""
-        return tuple(i + 1 for i in range(self.n) if (self.bits >> i) & 1)
-
-    def __str__(self):
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
-
-
-@dataclass
-class Gf2System:
-    """A list of parity equations ``coeffs . x = rhs`` over GF(2)."""
-
-    num_vars: int
-    rows: list = field(default_factory=list)
-
-    def add_row(self, coeffs, rhs: int) -> None:
-        """Append one equation; ``coeffs`` is a Bitvec or a raw bit mask."""
-        if isinstance(coeffs, Bitvec):
-            if coeffs.n != self.num_vars:
-                raise LengthMismatchError(
-                    f"row length {coeffs.n} != num_vars {self.num_vars}"
-                )
-        else:
-            coeffs = Bitvec(self.num_vars, coeffs)
-        self.rows.append((coeffs, rhs & 1))
 
 
 def _eliminate(rows):
@@ -165,31 +79,36 @@ def gf2_unit_solutions(rows) -> list:
     return list(zip(solutions, conflicts))
 
 
-def gf2_solve_explain(system: Gf2System):
-    """Solve the system, reporting why it is infeasible when it is.
+def gf2_solve_explain(rows):
+    """Solve the parity equations ``coeffs . x = rhs`` given as a list of
+    ``(coeffs, rhs)`` int pairs, reporting why they are infeasible when
+    they are.
 
-    Returns ``(solution, None)`` for a consistent system and
-    ``(None, certificate)`` otherwise, where ``certificate`` is a tuple of
-    row indices whose GF(2) sum is the contradiction 0 = 1: the first row
-    (in input order) that reduces to 0 = 1 together with the earlier rows
-    that cancel it.  The solution is the unique reduced-echelon one with all
-    free variables set to zero.
+    Returns ``(solution, None)`` for a consistent system, with ``solution``
+    the int mask of the unique reduced-echelon solution with all free
+    variables set to zero, and ``(None, certificate)`` otherwise, where
+    ``certificate`` is a tuple of row indices whose GF(2) sum is the
+    contradiction 0 = 1: the first row (in input order) that reduces to
+    0 = 1 together with the earlier rows that cancel it.
     """
     rhs = 0
-    for k, (_, b) in enumerate(system.rows):
-        rhs |= b << k
-    columns, dependencies = _eliminate([coeffs.bits for coeffs, _ in system.rows])
+    for k, (coeffs, b) in enumerate(rows):
+        if coeffs < 0:
+            raise ValueError(f"row {k} has negative coefficient mask {coeffs}")
+        rhs |= (b & 1) << k
+    columns, dependencies = _eliminate([coeffs for coeffs, _ in rows])
     for dep in dependencies:
         if (dep & rhs).bit_count() & 1:
-            return None, tuple(k for k in range(len(system.rows)) if (dep >> k) & 1)
+            return None, tuple(k for k in range(len(rows)) if (dep >> k) & 1)
     x = 0
     for col, sol in columns.items():
         if (sol & rhs).bit_count() & 1:
             x |= 1 << col
-    return Bitvec(system.num_vars, x), None
+    return x, None
 
 
-def gf2_solve(system: Gf2System):
-    """Any solution of the system (free variables zero), or None if infeasible."""
-    solution, _ = gf2_solve_explain(system)
+def gf2_solve(rows):
+    """Any solution mask of the ``(coeffs, rhs)`` rows (free variables
+    zero), or None if infeasible."""
+    solution, _ = gf2_solve_explain(rows)
     return solution

@@ -40,8 +40,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .gf2 import Bitvec
-from .pauli import PauliOperator
+from .pauli import PauliOperator, qubits_of
 
 #: Largest supported qubit count (bit masks stay inside one machine word).
 MAX_QUBITS = 16
@@ -111,8 +110,7 @@ class Graph:
 
     def neighbors(self, i: int) -> tuple:
         """1-based neighbors of 1-based vertex i, ascending."""
-        m = self.nbr_mask(i)
-        return tuple(w + 1 for w in range(self.n) if (m >> w) & 1)
+        return qubits_of(self.nbr_mask(i))
 
     def degree(self, i: int) -> int:
         return self.nbr_mask(i).bit_count()
@@ -224,12 +222,7 @@ def format_graph(g: Graph) -> str:
 
 def generators(g: Graph) -> list:
     """The n stabilizer generators: X on vertex i, Z on each of its neighbors."""
-    out = []
-    for v in range(g.n):
-        out.append(
-            PauliOperator(Bitvec(g.n, 1 << v), Bitvec(g.n, g.adj[v]), 0)
-        )
-    return out
+    return [PauliOperator(1 << v, g.adj[v], n=g.n) for v in range(g.n)]
 
 
 def neighbour_parity(g: Graph, mask: int) -> int:
@@ -272,29 +265,26 @@ def cut_rank(g: Graph, mask: int) -> int:
     return len(pivots)
 
 
-def stabilizer_element(g: Graph, subset) -> PauliOperator:
+def stabilizer_element(g: Graph, subset: int) -> PauliOperator:
     """Product (with sign) of the selected generators, ascending index order.
 
-    ``subset`` is a Bitvec or raw mask with bit i-1 selecting generator i.
-    The generators commute, so the product has the closed form
+    Bit i-1 of the int mask ``subset`` selects generator i.  The generators
+    commute, so the product has the closed form
     ``(-1)**e(s) X^s Z^(Gamma s)``: e(s) counts the edges inside s and
     Gamma s is ``neighbour_parity``.  Each Y letter (X^1 Z^1 = -i Y) adds -1
     to the exponent of i, so the phase is ``2 e(s) - |s & Gamma s|`` mod 4,
     which is always 0 or 2.
     """
-    mask = subset.bits if isinstance(subset, Bitvec) else int(subset)
-    if mask < 0 or mask >> g.n:
-        raise ValueError(f"subset mask 0x{mask:x} out of range for n={g.n}")
-    z = neighbour_parity(g, mask)
+    if subset < 0 or subset >> g.n:
+        raise ValueError(f"subset mask 0x{subset:x} out of range for n={g.n}")
+    z = neighbour_parity(g, subset)
     inner = 0  # twice the edge count inside the subset
-    m = mask
+    m = subset
     while m:
         low = m & -m
-        inner += (g.adj[low.bit_length() - 1] & mask).bit_count()
+        inner += (g.adj[low.bit_length() - 1] & subset).bit_count()
         m ^= low
-    return PauliOperator(
-        Bitvec(g.n, mask), Bitvec(g.n, z), inner - (mask & z).bit_count()
-    )
+    return PauliOperator(subset, z, inner - (subset & z).bit_count(), n=g.n)
 
 
 def full_stabilizer(g: Graph):
@@ -384,10 +374,10 @@ def expectation(sv: np.ndarray, p: PauliOperator) -> float:
     # p = i**(phase + popcount(x & z)) * X^x Z^z as a whole tensor; the sum
     # below is imaginary exactly when that exponent is odd, so the product
     # is real for any Hermitian operator.
-    k = (p.phase + (p.x.bits & p.z.bits).bit_count()) % 4
+    k = (p.phase + (p.x & p.z).bit_count()) % 4
     idx = np.arange(dim, dtype=np.uint32)
-    par = _parity_table()[np.bitwise_and(idx, np.uint32(p.z.bits))]
-    terms = np.conj(sv[np.bitwise_xor(idx, np.uint32(p.x.bits))]) * sv
+    par = _parity_table()[np.bitwise_and(idx, np.uint32(p.z))]
+    terms = np.conj(sv[np.bitwise_xor(idx, np.uint32(p.x))]) * sv
     val = (1j ** k) * np.sum(np.where(par == 1, -terms, terms))
     return float(val.real)
 
@@ -458,9 +448,9 @@ def _report_words(sv: np.ndarray, words) -> tuple:
         passes = (k == 0 and ones == 0) or (k == 2 and ones == dim)
         if passes and passing_dev is not None:  # already counted in worst
             if passing_dev > PERFECT_CORRELATION_TOL:
-                failures.append((PauliOperator(Bitvec(n, x), Bitvec(n, z), phase), passing_dev))
+                failures.append((PauliOperator(x, z, phase, n=n), passing_dev))
             continue
-        op = PauliOperator(Bitvec(n, x), Bitvec(n, z), phase)
+        op = PauliOperator(x, z, phase, n=n)
         dev = abs(expectation(sv, op) - 1.0)
         if passes:
             passing_dev = dev
@@ -488,6 +478,6 @@ def perfect_correlation_report(sv: np.ndarray, ops) -> tuple:
     def words():
         for op in ops:
             _check_real_expectation(dim, op)
-            yield op.x.bits, op.z.bits, op.phase
+            yield op.x, op.z, op.phase
 
     return _report_words(sv, words())

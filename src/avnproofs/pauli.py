@@ -1,53 +1,58 @@
 """n-qubit Pauli operators in symplectic form with exact phase tracking.
 
 An operator is ``i**phase`` times a tensor product of per-qubit letters; the
-letter on qubit ``q`` is read off the (x, z) bit pair at position ``q - 1``:
-(0,0) identity, (1,0) X, (0,1) Z, (1,1) the Hermitian Y.  Writing each letter
-as ``i**(x*z) * X**x * Z**z`` makes products pure integer arithmetic, so signs
-of stabilizing operators are exact, never floating point.
+letter on qubit ``q`` is read off bit ``q - 1`` of the int masks ``x`` and
+``z``: (0,0) identity, (1,0) X, (0,1) Z, (1,1) the Hermitian Y.  Writing each
+letter as ``i**(x*z) * X**x * Z**z`` makes products pure integer arithmetic,
+so signs of stabilizing operators are exact, never floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import LengthMismatchError, NonHermitianSignError
-from .gf2 import Bitvec
 
 #: Letter of one qubit, indexed by ``x | z << 1``.
 _LETTERS = "IXZY"
 
 
+def qubits_of(mask: int) -> tuple:
+    """The 1-based qubits of a mask (bit q-1 for qubit q), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PauliOperator:
-    """``i**phase * P_1 otimes ... otimes P_n`` with the bits of qubit q at position q-1."""
+    """``i**phase * P_1 otimes ... otimes P_n`` with the bits of qubit q at
+    position q-1 of the masks ``x`` and ``z``; ``n`` is keyword-only."""
 
-    x: Bitvec
-    z: Bitvec
+    x: int
+    z: int
     phase: int = 0  # exponent of i, mod 4
+    n: int = field(kw_only=True)
 
     def __post_init__(self):
-        if self.x.n != self.z.n:
-            raise LengthMismatchError(
-                f"x length {self.x.n} != z length {self.z.n}"
-            )
+        for part in (self.x, self.z):
+            if part < 0 or part >> self.n:
+                raise ValueError(f"mask {part:#x} does not fit in {self.n} qubits")
         object.__setattr__(self, "phase", self.phase % 4)
-
-    @property
-    def n(self) -> int:
-        return self.x.n
 
     def letter(self, qubit: int) -> str:
         """Single-qubit letter at 1-based position: one of I, X, Y, Z."""
         if not 1 <= qubit <= self.n:
             raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
         q = qubit - 1
-        return _LETTERS[(self.x.bits >> q & 1) | (self.z.bits >> q & 1) << 1]
+        return _LETTERS[(self.x >> q & 1) | (self.z >> q & 1) << 1]
 
     def support(self) -> tuple:
         """1-based qubits where the operator is not the identity."""
-        both = self.x.bits | self.z.bits
-        return tuple(q + 1 for q in range(self.n) if (both >> q) & 1)
+        return qubits_of(self.x | self.z)
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return pauli_multiply(self, other)
@@ -57,7 +62,7 @@ class PauliOperator:
 
 
 def identity(n: int) -> PauliOperator:
-    return PauliOperator(Bitvec(n), Bitvec(n))
+    return PauliOperator(0, 0, n=n)
 
 
 def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
@@ -70,7 +75,7 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """
     if p.n != q.n:
         raise LengthMismatchError(f"qubit count mismatch: {p.n} vs {q.n}")
-    px, pz, qx, qz = p.x.bits, p.z.bits, q.x.bits, q.z.bits
+    px, pz, qx, qz = p.x, p.z, q.x, q.z
     x3 = px ^ qx
     z3 = pz ^ qz
     phase = (
@@ -81,7 +86,7 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
         + 2 * (pz & qx).bit_count()
         - (x3 & z3).bit_count()
     ) % 4
-    return PauliOperator(Bitvec(p.n, x3), Bitvec(p.n, z3), phase)
+    return PauliOperator(x3, z3, phase, n=p.n)
 
 
 def sign_of(p: PauliOperator) -> int:
@@ -96,7 +101,7 @@ def sign_of(p: PauliOperator) -> int:
 def format_pauli(p: PauliOperator) -> str:
     """Render like ``-X1 X2 X3 Z4`` (identity letters omitted, no leading +)."""
     sign = "-" if sign_of(p) < 0 else ""
-    x, z = p.x.bits, p.z.bits
+    x, z = p.x, p.z
     rest = x | z
     if not rest:
         return sign + "1"

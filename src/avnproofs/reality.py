@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from types import MappingProxyType
 
 from .errors import LengthMismatchError, ParseError, UnsupportedInputError
-from .gf2 import Bitvec, gf2_unit_solutions
+from .gf2 import gf2_unit_solutions
 from .graphstate import Graph, is_connected, neighbour_parity
 
 PAULI_LETTERS = ("X", "Y", "Z")
@@ -145,26 +144,27 @@ def _action_at(mask: int, gamma: int, i: int) -> ActionClass:
     return _ACTIONS[(mask >> (i - 1)) & 1, (gamma >> (i - 1)) & 1]
 
 
-def classify_action(subset, g: Graph, i: int) -> ActionClass:
+def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     """Class of the subset's stabilizing operator at 1-based qubit i.
 
-    The letter at i is X when i is selected and an even number of its
-    neighbors are, Y for an odd number, Z when i is unselected with an odd
-    neighbor count, and identity otherwise.
+    ``subset`` is an int mask with bit j-1 selecting generator j.  The
+    letter at i is X when i is selected and an even number of its neighbors
+    are, Y for an odd number, Z when i is unselected with an odd neighbor
+    count, and identity otherwise.
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    mask = subset.bits if isinstance(subset, Bitvec) else int(subset)
-    return _action_at(mask, neighbour_parity(g, mask), i)
+    return _action_at(subset, neighbour_parity(g, subset), i)
 
 
 @dataclass(frozen=True)
 class EoRWitness:
-    """Generator subset certifying that ``pauli`` on ``qubit`` is an element of reality."""
+    """Generator subset (an int mask, bit j-1 for generator j) certifying
+    that ``pauli`` on ``qubit`` is an element of reality."""
 
     qubit: int
     pauli: str
-    subset: Bitvec
+    subset: int
 
 
 def _eor_requirements(pauli: str):
@@ -196,9 +196,9 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
 @lru_cache(maxsize=1024)
 def _particle_lookup(g: Graph, qubits):
     """Element-of-reality certificates of one particle's qubits, from one
-    elimination: a read-only (qubit, letter) -> subset mask or None map.
-    The masks are unverified, and the map is shared by every caller, so it
-    is never mutated.
+    elimination: per member, in particle order, the subset masks (or None)
+    certifying X, Y and Z.  The masks are unverified, and the tuple is shared
+    by every caller.
 
     The rows are e_j (is j selected) and Gamma_j (parity of j's selected
     neighbours) for every member j.  For qubit i the letters need (e_i . s,
@@ -210,13 +210,10 @@ def _particle_lookup(g: Graph, qubits):
     for q in qubits:
         rows += (1 << (q - 1), g.adj[q - 1])
     units = gf2_unit_solutions(rows)
-    table = {}
-    for t, i in enumerate(qubits):
-        (sx, cx), (sz, cz) = units[2 * t], units[2 * t + 1]
-        table[i, "X"] = sx if not cx else None
-        table[i, "Y"] = sx ^ sz if cx == cz else None
-        table[i, "Z"] = sz if not cz else None
-    return MappingProxyType(table)
+    return tuple(
+        (sx if not cx else None, sx ^ sz if cx == cz else None, sz if not cz else None)
+        for (sx, cx), (sz, cz) in zip(units[::2], units[1::2])
+    )
 
 
 def _certificate(g: Graph, pmask: int, i: int, pauli: str, mask):
@@ -225,7 +222,7 @@ def _certificate(g: Graph, pmask: int, i: int, pauli: str, mask):
     if mask is None:
         return None
     _verify_witness_subset(g, pmask, i, pauli, mask)
-    return EoRWitness(i, pauli, Bitvec(g.n, mask))
+    return EoRWitness(i, pauli, mask)
 
 
 def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method: str = "solver"):
@@ -258,15 +255,15 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
                     ok = False
                     break
             if ok:
-                witness = EoRWitness(i, pauli, Bitvec(g.n, mask))
                 _verify_witness_subset(g, pmask, i, pauli, mask)
-                return witness
+                return EoRWitness(i, pauli, mask)
         return None
 
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
-    lookup = _particle_lookup(g, d.particles[d.particle_of(i)])
-    return _certificate(g, d.pmask(i), i, pauli, lookup[i, pauli])
+    particle = d.particles[d.particle_of(i)]
+    masks = _particle_lookup(g, particle)[particle.index(i)]
+    return _certificate(g, d.pmask(i), i, pauli, masks[PAULI_LETTERS.index(pauli)])
 
 
 @dataclass
@@ -307,9 +304,12 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
         table = {}
         for particle in d.particles:
             inside = sum(1 << (q - 1) for q in particle)
-            for (i, p), mask in _particle_lookup(g, particle).items():
-                row = table.setdefault(i, {})
-                row[p] = _certificate(g, inside & ~(1 << (i - 1)), i, p, mask)
+            for i, masks in zip(particle, _particle_lookup(g, particle)):
+                pmask = inside & ~(1 << (i - 1))
+                table[i] = {
+                    p: _certificate(g, pmask, i, p, mask)
+                    for p, mask in zip(PAULI_LETTERS, masks)
+                }
     else:
         table = {
             i: {p: is_element_of_reality(g, d, i, p, method=method) for p in PAULI_LETTERS}

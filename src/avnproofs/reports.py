@@ -8,11 +8,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Bitvec
 from .graphstate import Graph, format_graph, parse_graph, stabilizer_element
-from .pauli import format_pauli
+from .pauli import format_pauli, qubits_of
 from .reality import AvnDecision, Distribution, EoRWitness, format_distribution
 from .witness import AvnWitness, format_witness
+
+
+def _subset_mask(qubits, n: int) -> int:
+    """Mask of a record's 1-based subset; every entry must lie in 1..n."""
+    mask = 0
+    for q in qubits:
+        if not 1 <= q <= n:
+            raise ValueError(f"subset entry {q} out of range 1..{n}")
+        mask |= 1 << (q - 1)
+    return mask
 
 
 @dataclass
@@ -41,13 +50,13 @@ class DistributionReport:
         eor = {}
         for qubit, row in self.decision.eor.items():
             eor[str(qubit)] = {
-                letter: (list(w.subset.indices_1based()) if w is not None else None)
+                letter: (list(qubits_of(w.subset)) if w is not None else None)
                 for letter, w in row.items()
             }
         witness = None
         if self.witness is not None:
             witness = {
-                "subsets": [list(s.indices_1based()) for s in self.witness.subsets],
+                "subsets": [list(qubits_of(s)) for s in self.witness.subsets],
                 "equations": format_witness(self.witness, self.graph),
             }
         return {
@@ -69,7 +78,7 @@ class DistributionReport:
             qubit = int(qubit_str)
             eor[qubit] = {
                 letter: (
-                    EoRWitness(qubit, letter, Bitvec.from_indices(graph.n, [i - 1 for i in subset]))
+                    EoRWitness(qubit, letter, _subset_mask(subset, graph.n))
                     if subset is not None
                     else None
                 )
@@ -83,10 +92,7 @@ class DistributionReport:
         witness = None
         if data.get("witness") is not None:
             witness = AvnWitness(
-                tuple(
-                    Bitvec.from_indices(graph.n, [i - 1 for i in subset])
-                    for subset in data["witness"]["subsets"]
-                )
+                tuple(_subset_mask(subset, graph.n) for subset in data["witness"]["subsets"])
             )
         return cls(graph, dist, decision, witness)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LengthMismatchError, ResourceLimitError
-from .gf2 import Bitvec, Gf2System, gf2_solve_explain
+from .gf2 import gf2_solve_explain
 from .graphstate import (
     MAX_STATE_QUBITS,
     Graph,
@@ -31,7 +31,7 @@ from .pauli import format_pauli, sign_of
 class AvnWitness:
     """Generator subsets of the stabilizing operators forming one proof."""
 
-    subsets: tuple  # of Bitvec
+    subsets: tuple  # of int masks, bit j-1 for generator j
 
     def operators(self, g: Graph) -> list:
         return [stabilizer_element(g, s) for s in self.subsets]
@@ -63,19 +63,19 @@ def assignment_consistent(ops) -> AssignmentCheck:
     if not ops:
         return AssignmentCheck(consistent=True, model={})
     n = ops[0].n
-    system = Gf2System(3 * n)
+    rows = []
     for op in ops:
         if op.n != n:
             raise LengthMismatchError("operators act on different qubit counts")
         coeffs = 0
         for q in op.support():
             coeffs |= 1 << _observable_index(q, op.letter(q))
-        system.add_row(coeffs, 1 if sign_of(op) < 0 else 0)
-    solution, certificate = gf2_solve_explain(system)
+        rows.append((coeffs, 1 if sign_of(op) < 0 else 0))
+    solution, certificate = gf2_solve_explain(rows)
     if solution is None:
         return AssignmentCheck(consistent=False, certificate=certificate)
     model = {
-        (q, letter): -1 if solution.test(_observable_index(q, letter)) else 1
+        (q, letter): -1 if solution >> _observable_index(q, letter) & 1 else 1
         for q in range(1, n + 1)
         for letter in "XYZ"
     }
@@ -91,7 +91,7 @@ def verify_witness(w: AvnWitness, g: Graph) -> bool:
     par_x = par_y = par_z = 0
     sign = 1
     for op in ops:
-        x, z = op.x.bits, op.z.bits
+        x, z = op.x, op.z
         par_x ^= x & ~z
         par_y ^= x & z
         par_z ^= z & ~x
@@ -221,7 +221,7 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
             if suffix[0] <= prefix[-1]:
                 raise AssertionError("witness suffix does not lie above its prefix")
             combo = prefix + suffix
-            w = AvnWitness(tuple(Bitvec(n, pool[j]) for j in combo))
+            w = AvnWitness(tuple(pool[j] for j in combo))
             if not verify_witness(w, g):
                 raise AssertionError("parity-key match failed witness verification")
             return w

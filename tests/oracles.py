@@ -12,9 +12,7 @@ import numpy as np
 
 from avnproofs import (
     AvnWitness,
-    Bitvec,
     DistributionReport,
-    Gf2System,
     Graph,
     PauliOperator,
     ResourceLimitError,
@@ -73,7 +71,7 @@ def single_letter(n, qubit, letter):
     bit = 1 << (qubit - 1)
     x = bit if letter in ("X", "Y") else 0
     z = bit if letter in ("Y", "Z") else 0
-    return PauliOperator(Bitvec(n, x), Bitvec(n, z))
+    return PauliOperator(x, z, n=n)
 
 
 def format_pauli_by_letters(op):
@@ -116,14 +114,14 @@ def _row_reduce(mat, ncols):
     return pivots
 
 
-def canonical_solution(system):
-    """Solution of a ``Gf2System`` with every free variable zero, or None.
+def canonical_solution(rows, n):
+    """Solution mask of the ``(coeffs, rhs)`` rows over n variables with
+    every free variable zero, or None.
 
     In reduced form each pivot variable equals its row's right-hand side
     once the free variables are zero.
     """
-    n = system.num_vars
-    mat = [[(c.bits >> v) & 1 for v in range(n)] + [b] for c, b in system.rows]
+    mat = [[(c >> v) & 1 for v in range(n)] + [b] for c, b in rows]
     pivots = _row_reduce(mat, n)
     if any(row[n] for row in mat[len(pivots):]):
         return None
@@ -142,14 +140,12 @@ def eor_subset_by_system(g, d, i, pauli):
     needs (X: 1, 0; Y: 1, 1; Z: 0, 1).  Solved with ``canonical_solution``.
     """
     need_i, need_par = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[pauli]
-    system = Gf2System(g.n)
+    rows = []
     for j in d.particles[d.particle_of(i)]:
         if j != i:
-            system.add_row(1 << (j - 1), 0)
-            system.add_row(g.adj[j - 1], 0)
-    system.add_row(1 << (i - 1), need_i)
-    system.add_row(g.adj[i - 1], need_par)
-    return canonical_solution(system)
+            rows += [(1 << (j - 1), 0), (g.adj[j - 1], 0)]
+    rows += [(1 << (i - 1), need_i), (g.adj[i - 1], need_par)]
+    return canonical_solution(rows, g.n)
 
 
 def reduced_stabilizer(g, d, particle):
@@ -500,7 +496,7 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     if exhaustive:
         pool = set(ops)
     else:
-        pool = _eor_certifying_subsets({m: op.x.bits | op.z.bits for m, op in ops.items()}, d)
+        pool = _eor_certifying_subsets({m: op.x | op.z for m, op in ops.items()}, d)
         pool |= {m for m in ops if m.bit_count() <= 3}
     pool = sorted(pool)
 
@@ -513,7 +509,7 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     info = {}
     for mask in pool:
         op = ops[mask]
-        x, z = op.x.bits, op.z.bits
+        x, z = op.x, op.z
         info[mask] = (x & ~z, x & z, z & ~x, sign_of(op))
 
     for k in range(2, max_size + 1):
@@ -528,7 +524,7 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
                 sign *= s
             if px or py or pz or sign != -1:
                 continue
-            w = AvnWitness(tuple(Bitvec(g.n, m) for m in combo))
+            w = AvnWitness(combo)
             if verify_witness(w, g):
                 return w
     return None

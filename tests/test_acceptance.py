@@ -29,7 +29,6 @@ from avnproofs import (
     statevector,
     verify_witness,
 )
-from avnproofs.gf2 import Bitvec
 from avnproofs.reality import ActionClass
 from avnproofs.witness import AvnWitness
 from oracles import (
@@ -165,16 +164,12 @@ def test_criterion_5_solver_equals_brute_force_with_perfect_witnesses():
 
 def test_criterion_6_witness_suite():
     fc4 = complete_graph(4)
-    ghz4 = AvnWitness(
-        tuple(Bitvec.from_indices(4, s) for s in [(0,), (1,), (2,), (0, 1, 2)])
-    )
+    ghz4 = AvnWitness((0b0001, 0b0010, 0b0100, 0b0111))
     assert verify_witness(ghz4, fc4)
     assert is_critical(ghz4, fc4)
 
     lc4 = path_graph(4)
-    cluster4 = AvnWitness(
-        tuple(Bitvec.from_indices(4, s) for s in [(0, 1), (1,), (1, 2), (0, 1, 2)])
-    )
+    cluster4 = AvnWitness((0b0011, 0b0010, 0b0110, 0b0111))
     assert verify_witness(cluster4, lc4)
     assert is_critical(cluster4, lc4)
 

@@ -309,7 +309,7 @@ def walk_with_flipped_signs(monkeypatch, masks):
     monkeypatch.setattr(cli, "stabilizer_walk", flipped_walk)
     g = parse_graph(LC6)
     return [
-        PauliOperator(op.x, op.z, op.phase + 2) if mask in masks else op
+        PauliOperator(op.x, op.z, op.phase + 2, n=op.n) if mask in masks else op
         for mask, op in enumerate(full_stabilizer(g))
     ]
 

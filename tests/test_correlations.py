@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 import avnproofs
 from avnproofs import (
-    Bitvec,
     Graph,
     LengthMismatchError,
     NonHermitianSignError,
@@ -119,16 +118,16 @@ def test_the_walk_needs_one_float_evaluation(float_evaluations):
 
 
 def flipped(op):
-    return PauliOperator(op.x, op.z, op.phase + 2)
+    return PauliOperator(op.x, op.z, op.phase + 2, n=op.n)
 
 
 def z_on_qubit_one(n):
-    return PauliOperator(Bitvec(n, 0), Bitvec(n, 1))
+    return PauliOperator(0, 1, n=n)
 
 
 def x_times_z_on_qubit_one(n):
     """Phase 0 with |x & z| = 1: k is odd and the expectation imaginary."""
-    return PauliOperator(Bitvec(n, 1), Bitvec(n, 1))
+    return PauliOperator(1, 1, n=n)
 
 
 @pytest.mark.parametrize(
@@ -154,8 +153,8 @@ def test_failures_match_the_oracle(insert, float_evaluations):
 @pytest.mark.parametrize(
     "bad, error",
     [
-        (PauliOperator(Bitvec(6, 1), Bitvec(6, 2), 1), NonHermitianSignError),
-        (PauliOperator(Bitvec(5, 1), Bitvec(5, 2), 0), LengthMismatchError),
+        (PauliOperator(1, 2, 1, n=6), NonHermitianSignError),
+        (PauliOperator(1, 2, 0, n=5), LengthMismatchError),
     ],
     ids=["odd-phase", "wrong-length"],
 )

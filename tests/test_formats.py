@@ -88,3 +88,16 @@ def test_particle_columns(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "m  A         B       "
     assert lines[3:] == ["2  1,3       2,4     ", "2  1,4       2,3     "]
+
+
+@pytest.mark.parametrize("bad", [0, 5])
+def test_from_json_dict_rejects_subset_entries_outside_1_to_n(bad):
+    data = make_report(True).to_json_dict()
+    table = json.loads(json.dumps(data))
+    table["eor_table"]["1"]["X"] = [1, bad]
+    with pytest.raises(ValueError):
+        DistributionReport.from_json_dict(table)
+    witness = json.loads(json.dumps(data))
+    witness["witness"]["subsets"][0] = [bad]
+    with pytest.raises(ValueError):
+        DistributionReport.from_json_dict(witness)

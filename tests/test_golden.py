@@ -1,0 +1,31 @@
+"""Public output pinned byte for byte: every command in
+``tests/data/cli_golden.json`` must print the recorded stdout and exit with
+the recorded status, and the recorded report must survive a JSON round trip
+through ``DistributionReport`` unchanged."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from avnproofs.cli import main
+from avnproofs.reports import DistributionReport
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+COMMANDS = [entry for entry in GOLDEN if "argv" in entry]
+ROUND_TRIPS = [entry for entry in GOLDEN if "round_trip" in entry]
+
+
+@pytest.mark.parametrize("entry", COMMANDS, ids=lambda e: " ".join(e["argv"])[:60])
+def test_command_output_matches_golden(entry, capsys):
+    code = main(list(entry["argv"]))
+    assert (capsys.readouterr().out, code) == (entry["stdout"], entry["exit"])
+
+
+def test_report_round_trip_matches_golden():
+    assert ROUND_TRIPS
+    for entry in ROUND_TRIPS:
+        back = DistributionReport.from_json_dict(json.loads(entry["round_trip"]))
+        assert json.dumps(back.to_json_dict(), sort_keys=True) + "\n" == entry["stdout"]

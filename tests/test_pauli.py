@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avnproofs import (
-    Bitvec,
     LengthMismatchError,
     NonHermitianSignError,
     PauliOperator,
@@ -25,7 +24,7 @@ def all_paulis(n, phases=(0,)):
     for x in range(1 << n):
         for z in range(1 << n):
             for phase in phases:
-                yield PauliOperator(Bitvec(n, x), Bitvec(n, z), phase)
+                yield PauliOperator(x, z, phase, n=n)
 
 
 def test_product_matches_matrix_oracle_n1_all_phases():
@@ -58,7 +57,7 @@ def test_involution_for_sign_valid_operators():
     for n in (1, 2, 3):
         for p in all_paulis(n, phases=(0, 2)):
             sq = pauli_multiply(p, p)
-            assert sq.x.bits == 0 and sq.z.bits == 0
+            assert sq.x == 0 and sq.z == 0
             assert sign_of(sq) == 1
 
 
@@ -69,14 +68,14 @@ def test_x_times_x_is_identity():
 
 def test_fc4_generator_product_has_minus_sign():
     fc4 = complete_graph(4)
-    op = stabilizer_element(fc4, Bitvec.from_indices(4, [0, 1, 2]))
+    op = stabilizer_element(fc4, 0b0111)
     assert format_pauli(op) == "-X1 X2 X3 Z4"
     assert sign_of(op) == -1
 
 
 def test_lc4_pair_product_is_y1y2z3():
     lc4 = path_graph(4)
-    op = stabilizer_element(lc4, Bitvec.from_indices(4, [0, 1]))
+    op = stabilizer_element(lc4, 0b0011)
     assert format_pauli(op) == "Y1 Y2 Z3"
     assert sign_of(op) == 1
 
@@ -84,9 +83,9 @@ def test_lc4_pair_product_is_y1y2z3():
 def test_sign_of_identity_and_errors():
     assert sign_of(identity(2)) == 1
     with pytest.raises(NonHermitianSignError):
-        sign_of(PauliOperator(Bitvec(1, 1), Bitvec(1, 1), 1))
+        sign_of(PauliOperator(1, 1, 1, n=1))
     with pytest.raises(NonHermitianSignError):
-        sign_of(PauliOperator(Bitvec(1, 0), Bitvec(1, 0), 3))
+        sign_of(PauliOperator(0, 0, 3, n=1))
 
 
 def test_path5_all_subset_products_have_plain_signs():
@@ -99,8 +98,12 @@ def test_path5_all_subset_products_have_plain_signs():
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
         pauli_multiply(identity(2), identity(3))
-    with pytest.raises(LengthMismatchError):
-        PauliOperator(Bitvec(2, 0), Bitvec(3, 0))
+    for x, z in ((0b100, 0), (0, 0b100), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            PauliOperator(x, z, n=2)
+    PauliOperator(0b11, 0b11, n=2)  # both masks at the widest that fits
+    with pytest.raises(TypeError):
+        PauliOperator(0, 0, 0)
 
 
 def test_letters_and_support():
@@ -124,10 +127,16 @@ def sign_valid_paulis(draw):
     n = draw(st.integers(1, 16))
     x = draw(st.integers(0, (1 << n) - 1))
     z = draw(st.integers(0, (1 << n) - 1))
-    return PauliOperator(Bitvec(n, x), Bitvec(n, z), draw(st.sampled_from((0, 2))))
+    return PauliOperator(x, z, draw(st.sampled_from((0, 2))), n=n)
 
 
 @settings(max_examples=500, deadline=None)
 @given(sign_valid_paulis())
 def test_format_pauli_matches_letter_spelling_up_to_n16(op):
     assert format_pauli(op) == format_pauli_by_letters(op)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_valid_paulis())
+def test_rebuilt_from_its_fields_is_equal(op):
+    assert PauliOperator(op.x, op.z, op.phase, n=op.n) == op

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from avnproofs import reality
 from avnproofs import (
     ActionClass,
-    Bitvec,
     Distribution,
     Graph,
     LengthMismatchError,
@@ -39,16 +38,16 @@ LC6 = path_graph(6)
 def test_classify_singleton_subset_is_x():
     for g in (LC4, complete_graph(4), ring_graph(5)):
         for i in range(1, g.n + 1):
-            assert classify_action(Bitvec(g.n, 1 << (i - 1)), g, i) is ActionClass.PREDICTS_X
+            assert classify_action(1 << (i - 1), g, i) is ActionClass.PREDICTS_X
 
 
 def test_classify_empty_subset_is_identity():
     for i in range(1, 5):
-        assert classify_action(Bitvec(4, 0), LC4, i) is ActionClass.IDENTITY
+        assert classify_action(0, LC4, i) is ActionClass.IDENTITY
 
 
 def test_classify_lc4_pair_qubit1_is_y():
-    assert classify_action(Bitvec.from_indices(4, [0, 1]), LC4, 1) is ActionClass.PREDICTS_Y
+    assert classify_action(0b0011, LC4, 1) is ActionClass.PREDICTS_Y
 
 
 @pytest.mark.parametrize("g", [LC4, complete_graph(4), ring_graph(5), path_graph(5)])
@@ -73,7 +72,7 @@ def test_class_sizes_are_a_quarter_each():
 def test_lc4_alice_bob_x1_witness_is_g1():
     d = parse_distribution("1,4|2,3", 4)
     w = is_element_of_reality(LC4, d, 1, "X")
-    assert w.subset == Bitvec.from_indices(4, [0])
+    assert w.subset == 0b0001
     assert str(stabilizer_element(LC4, w.subset)) == "X1 Z2"
 
 
@@ -281,8 +280,8 @@ def test_repeated_lookups_eliminate_once_and_verify_every_time(monkeypatch, fres
     assert found[:12] == found[12:]
     assert found[:12] == [tables[0].eor[i][p] for i in range(1, 5) for p in "XYZ"]
     with pytest.raises(TypeError):
-        reality._particle_lookup(LC4, (1, 2))[1, "X"] = 0
-    assert reality._particle_lookup(LC4, (1, 2))[1, "X"] == found[0].subset.bits
+        reality._particle_lookup(LC4, (1, 2))[0][0] = 0
+    assert reality._particle_lookup(LC4, (1, 2))[0][0] == found[0].subset
 
 
 def test_table_entries_equal_the_lookups():
@@ -364,7 +363,7 @@ sys.exit("wrong subset accepted")
 
 def _table_masks(decision):
     return {
-        i: {p: (w.subset.bits if w is not None else None) for p, w in row.items()}
+        i: {p: (w.subset if w is not None else None) for p, w in row.items()}
         for i, row in decision.eor.items()
     }
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from avnproofs import witness
 from avnproofs import (
     AvnWitness,
-    Bitvec,
     Distribution,
     Graph,
     ResourceLimitError,
@@ -35,12 +34,12 @@ FC4 = complete_graph(4)
 LC4 = path_graph(4)
 
 
-def witness_from(n, subsets):
-    return AvnWitness(tuple(Bitvec.from_indices(n, [i - 1 for i in s]) for s in subsets))
+def witness_from(subsets):
+    return AvnWitness(tuple(sum(1 << (i - 1) for i in s) for s in subsets))
 
 
-GHZ4_WITNESS = witness_from(4, [(1,), (2,), (3,), (1, 2, 3)])
-LC4_WITNESS = witness_from(4, [(1, 2), (2,), (2, 3), (1, 2, 3)])
+GHZ4_WITNESS = witness_from([(1,), (2,), (3,), (1, 2, 3)])
+LC4_WITNESS = witness_from([(1, 2), (2,), (2, 3), (1, 2, 3)])
 
 
 def test_ghz4_witness_verifies_and_is_critical():
@@ -128,7 +127,7 @@ def _has_even_negative_submultiset(chosen):
             px = py = pz = 0
             sign = 1
             for op in sub:
-                x, z = op.x.bits, op.z.bits
+                x, z = op.x, op.z
                 px ^= x & ~z
                 py ^= x & z
                 pz ^= z & ~x
