@@ -13,8 +13,8 @@ the particle's whole table; its rank is |A| + E(A), where E(A) is the
 cut-rank of A.  That table is eliminated once per (graph, particle) and
 cached read-only; ``allows_specific_avn`` (and so ``check``, the searches
 and ``--oracle``) and ``is_element_of_reality`` all read it, and every
-certificate is verified against the graph each time it is handed out.  A
-brute-force sweep over all 2^n subsets doubles as an oracle.
+certificate is verified against the graph once, when its particle's table
+is built.  A brute-force sweep over all 2^n subsets doubles as an oracle.
 
 The verdict itself is a rank test: a distribution allows a specific AVN
 proof iff every particle A has E(A) = |A| (``graphstate.cut_rank``).  The
@@ -196,9 +196,10 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
 @lru_cache(maxsize=1024)
 def _particle_lookup(g: Graph, qubits):
     """Element-of-reality certificates of one particle's qubits, from one
-    elimination: per member, in particle order, the subset masks (or None)
-    certifying X, Y and Z.  The masks are unverified, and the tuple is shared
-    by every caller.
+    elimination: per member, in particle order, an (X, Y, Z) tuple of
+    ``EoRWitness`` or None.  Every entry is verified against the graph here,
+    once, before the tuple is cached and shared by every caller; a wrong
+    entry raises, so no table holding it is ever cached.
 
     The rows are e_j (is j selected) and Gamma_j (parity of j's selected
     neighbours) for every member j.  For qubit i the letters need (e_i . s,
@@ -210,19 +211,18 @@ def _particle_lookup(g: Graph, qubits):
     for q in qubits:
         rows += (1 << (q - 1), g.adj[q - 1])
     units = gf2_unit_solutions(rows)
-    return tuple(
-        (sx if not cx else None, sx ^ sz if cx == cz else None, sz if not cz else None)
-        for (sx, cx), (sz, cz) in zip(units[::2], units[1::2])
-    )
-
-
-def _certificate(g: Graph, pmask: int, i: int, pauli: str, mask):
-    """The looked-up entry for ``pauli`` on qubit i, checked and wrapped as
-    an ``EoRWitness``, or None for an empty entry."""
-    if mask is None:
-        return None
-    _verify_witness_subset(g, pmask, i, pauli, mask)
-    return EoRWitness(i, pauli, mask)
+    inside = sum(1 << (q - 1) for q in qubits)
+    table = []
+    for i, (sx, cx), (sz, cz) in zip(qubits, units[::2], units[1::2]):
+        masks = (sx if not cx else None, sx ^ sz if cx == cz else None, sz if not cz else None)
+        row = []
+        for pauli, mask in zip(PAULI_LETTERS, masks):
+            if mask is not None:
+                _verify_witness_subset(g, inside & ~(1 << (i - 1)), i, pauli, mask)
+                mask = EoRWitness(i, pauli, mask)
+            row.append(mask)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method: str = "solver"):
@@ -230,7 +230,7 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     ``method="solver"`` reads it from the cached GF(2) table of i's particle
     (scales past exhaustive range; the subset is the solution with every
-    free variable zero) and verifies the entry it returns on every lookup;
+    free variable zero), whose entries were verified when it was built;
     ``method="brute"`` scans all 2^n subsets in ascending order and returns
     the lowest certificate.
     """
@@ -262,8 +262,7 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
     particle = d.particles[d.particle_of(i)]
-    masks = _particle_lookup(g, particle)[particle.index(i)]
-    return _certificate(g, d.pmask(i), i, pauli, masks[PAULI_LETTERS.index(pauli)])
+    return _particle_lookup(g, particle)[particle.index(i)][PAULI_LETTERS.index(pauli)]
 
 
 @dataclass
@@ -303,13 +302,8 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
     if method == "solver":
         table = {}
         for particle in d.particles:
-            inside = sum(1 << (q - 1) for q in particle)
-            for i, masks in zip(particle, _particle_lookup(g, particle)):
-                pmask = inside & ~(1 << (i - 1))
-                table[i] = {
-                    p: _certificate(g, pmask, i, p, mask)
-                    for p, mask in zip(PAULI_LETTERS, masks)
-                }
+            for i, row in zip(particle, _particle_lookup(g, particle)):
+                table[i] = dict(zip(PAULI_LETTERS, row))
     else:
         table = {
             i: {p: is_element_of_reality(g, d, i, p, method=method) for p in PAULI_LETTERS}

@@ -10,7 +10,14 @@ from dataclasses import dataclass
 
 from .graphstate import Graph, format_graph, parse_graph, stabilizer_element
 from .pauli import format_pauli, qubits_of
-from .reality import AvnDecision, Distribution, EoRWitness, format_distribution
+from .reality import (
+    PAULI_LETTERS,
+    AvnDecision,
+    Distribution,
+    EoRWitness,
+    _verify_witness_subset,
+    format_distribution,
+)
 from .witness import AvnWitness, format_witness
 
 
@@ -22,6 +29,20 @@ def _subset_mask(qubits, n: int) -> int:
             raise ValueError(f"subset entry {q} out of range 1..{n}")
         mask |= 1 << (q - 1)
     return mask
+
+
+def _record_certificate(graph: Graph, dist: Distribution, qubit: int, letter: str, subset):
+    """A record's certificate for ``letter`` on ``qubit`` (None stays None),
+    checked against the graph as the solver's own entries are; the record
+    comes from outside the program, so a wrong subset is a ValueError."""
+    if subset is None:
+        return None
+    mask = _subset_mask(subset, graph.n)
+    try:
+        _verify_witness_subset(graph, dist.pmask(qubit), qubit, letter, mask)
+    except AssertionError as exc:
+        raise ValueError(str(exc)) from None
+    return EoRWitness(qubit, letter, mask)
 
 
 @dataclass
@@ -73,17 +94,20 @@ class DistributionReport:
     def from_json_dict(cls, data: dict) -> "DistributionReport":
         graph = parse_graph(data["graph"])
         dist = Distribution(graph.n, tuple(tuple(p) for p in data["particles"]))
+        table = data["eor_table"]
+        if set(table) != {str(q) for q in range(1, graph.n + 1)}:
+            raise ValueError(f"eor_table keys must be the qubits 1..{graph.n}")
         eor = {}
-        for qubit_str, row in data["eor_table"].items():
-            qubit = int(qubit_str)
+        for qubit in range(1, graph.n + 1):
+            row = table[str(qubit)]
+            if set(row) != set(PAULI_LETTERS):
+                raise ValueError(f"eor_table row {qubit} must hold exactly X, Y and Z")
             eor[qubit] = {
-                letter: (
-                    EoRWitness(qubit, letter, _subset_mask(subset, graph.n))
-                    if subset is not None
-                    else None
-                )
-                for letter, subset in row.items()
+                letter: _record_certificate(graph, dist, qubit, letter, row[letter])
+                for letter in PAULI_LETTERS
             }
+        if data["verdict"] not in ("allows", "blocks"):
+            raise ValueError(f"verdict must be 'allows' or 'blocks', got {data['verdict']!r}")
         decision = AvnDecision(
             allows=data["verdict"] == "allows",
             eor=eor,

@@ -175,6 +175,8 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
     built.  A hit whose suffix does not lie above its prefix, or that
     ``verify_witness`` rejects, raises ``AssertionError``.
     """
+    if d.n != g.n:
+        raise LengthMismatchError(f"graph has {g.n} qubits, distribution {d.n}")
     if not 2 <= max_size <= 8:
         raise ValueError(f"max_size must be in 2..8, got {max_size}")
     if exhaustive:

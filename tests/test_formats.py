@@ -101,3 +101,35 @@ def test_from_json_dict_rejects_subset_entries_outside_1_to_n(bad):
     witness["witness"]["subsets"][0] = [bad]
     with pytest.raises(ValueError):
         DistributionReport.from_json_dict(witness)
+
+
+def _edited_record(edit):
+    data = json.loads(json.dumps(make_report(True).to_json_dict()))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["eor_table"].update({"9": d["eor_table"]["4"]}), "keys"),
+        (lambda d: d["eor_table"].pop("4"), "keys"),
+        (lambda d: d["eor_table"]["2"].update({"Q": None}), "row 2"),
+        (lambda d: d["eor_table"]["2"].pop("Z"), "row 2"),
+        (lambda d: d["eor_table"]["1"].update({"X": [3]}), "does not show X on qubit 1"),
+        (lambda d: d["eor_table"]["1"].update({"X": [1, 4]}), "acts on particle mate 4"),
+    ],
+    ids=["extra-qubit", "missing-qubit", "extra-letter", "missing-letter", "wrong-letter", "mate"],
+)
+def test_from_json_dict_rejects_tables_it_cannot_stand_behind(edit, message):
+    with pytest.raises(ValueError, match=message):
+        DistributionReport.from_json_dict(_edited_record(edit))
+
+
+def test_from_json_dict_rejects_an_unknown_verdict():
+    g, d = path_graph(4), parse_distribution("1,2|3,4", 4)
+    data = DistributionReport(g, d, allows_specific_avn(g, d)).to_json_dict()
+    assert data["verdict"] == "blocks"
+    data["verdict"] = "maybe"
+    with pytest.raises(ValueError, match="'allows' or 'blocks'"):
+        DistributionReport.from_json_dict(data)

@@ -237,14 +237,31 @@ def _count_verifications(monkeypatch):
     return calls
 
 
-def test_lookup_verifies_only_the_entry_it_returns(monkeypatch):
+def test_lookup_verifies_its_particle_once(monkeypatch, fresh_lookups):
+    """A cold lookup verifies every entry of the qubit's particle exactly
+    once; a second lookup reads the cached table and verifies nothing."""
     calls = _count_verifications(monkeypatch)
     d = parse_distribution("1,2|3,4", 4)
     assert is_element_of_reality(LC4, d, 1, "X") is not None
-    assert [args[2:4] for args in calls] == [(1, "X")]
+    entries = {
+        (i, p)
+        for i, row in zip((1, 2), reality._particle_lookup(LC4, (1, 2)))
+        for p, w in zip("XYZ", row)
+        if w is not None
+    }
+    assert len(calls) == len(entries)
+    assert {args[2:4] for args in calls} == entries
     calls.clear()
     assert is_element_of_reality(LC4, d, 1, "Z") is None
     assert calls == []
+
+
+def test_failed_verification_is_not_cached(monkeypatch, fresh_lookups):
+    monkeypatch.setattr(reality, "gf2_unit_solutions", lambda rows: [(0, 0)] * len(rows))
+    d = parse_distribution("1,2|3,4", 4)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="does not show X on qubit 1"):
+            is_element_of_reality(LC4, d, 1, "X")
 
 
 def _count_eliminations(monkeypatch):
@@ -259,29 +276,28 @@ def _count_eliminations(monkeypatch):
     return solves
 
 
-def test_repeated_lookups_eliminate_once_and_verify_every_time(monkeypatch, fresh_lookups):
+def test_repeated_lookups_eliminate_and_verify_once(monkeypatch, fresh_lookups):
     """Tables and lookups of the same particles share one elimination per
-    particle, and every entry they return is verified on every call."""
+    particle, and every entry is verified once, when its table is built."""
     solves = _count_eliminations(monkeypatch)
     calls = _count_verifications(monkeypatch)
     d = parse_distribution("1,2|3,4", 4)
     tables = [allows_specific_avn(LC4, d) for _ in range(2)]
     entries = sum(w is not None for row in tables[0].eor.values() for w in row.values())
     assert len(solves) == 2  # one elimination per particle
-    assert len(calls) == 2 * entries
+    assert len(calls) == entries
     assert tables[0].eor == tables[1].eor
     assert tables[0].eor[1] is not tables[1].eor[1]  # fresh rows on each call
-    calls.clear()
     found = [
         is_element_of_reality(LC4, d, i, p) for _ in range(2) for i in range(1, 5) for p in "XYZ"
     ]
     assert len(solves) == 2
-    assert len(calls) == 2 * entries
+    assert len(calls) == entries
     assert found[:12] == found[12:]
     assert found[:12] == [tables[0].eor[i][p] for i in range(1, 5) for p in "XYZ"]
     with pytest.raises(TypeError):
         reality._particle_lookup(LC4, (1, 2))[0][0] = 0
-    assert reality._particle_lookup(LC4, (1, 2))[0][0] == found[0].subset
+    assert reality._particle_lookup(LC4, (1, 2))[0][0] is found[0]
 
 
 def test_table_entries_equal_the_lookups():
@@ -311,7 +327,7 @@ def test_search_eliminates_once_per_reported_particle(monkeypatch, fresh_lookups
             assert len(solves) == len(particles)
 
 
-def test_table_verifies_every_entry(monkeypatch):
+def test_table_verifies_every_entry(monkeypatch, fresh_lookups):
     calls = _count_verifications(monkeypatch)
     d = parse_distribution("1,2|3,4", 4)
     decision = allows_specific_avn(LC4, d)

@@ -10,6 +10,7 @@ from avnproofs import (
     AvnWitness,
     Distribution,
     Graph,
+    LengthMismatchError,
     ResourceLimitError,
     assignment_consistent,
     classify_all,
@@ -185,6 +186,12 @@ def test_find_witness_none_for_two_qubits():
 def test_find_witness_exhaustive_guards():
     with pytest.raises(ResourceLimitError):
         find_witness(path_graph(6), parse_distribution("1,2|3,4|5,6", 6), exhaustive=True)
+
+
+@pytest.mark.parametrize("text,n", [("1,2|3,4|5,6", 6), ("1,2|3", 3)])
+def test_find_witness_rejects_a_distribution_of_another_size(text, n):
+    with pytest.raises(LengthMismatchError):
+        find_witness(path_graph(5), parse_distribution(text, n))
 
 
 def test_underrepresented_qubits_flags_fixed_observer():
