@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ResourceLimitError, UnsupportedInputError
+from .errors import ResourceLimitError, UnsupportedInputError, require_own_record
 from .graphstate import Graph, is_connected
 
 MAX_CENSUS_VERTICES = 8
@@ -467,7 +467,7 @@ def _children(n):
             yield _canonical(adj)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphClassRecord:
     """One equivalence class of the census."""
 
@@ -488,8 +488,16 @@ class GraphClassRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GraphClassRecord":
-        rep = Graph.from_edges(data["n"], [tuple(e) for e in data["representative"]])
-        return cls(data["class_id"], data["n"], rep, data["orbit_size"], data["aut_order"])
+        """The census record ``classify_all(n)[class_id - 1]`` itself; a
+        ValueError names every field where ``data`` differs from its
+        ``to_json_dict()``."""
+        records = classify_all(data["n"])
+        class_id = data["class_id"]
+        if not 1 <= class_id <= len(records):
+            raise ValueError(f"class_id {class_id} out of range 1..{len(records)}")
+        record = records[class_id - 1]
+        require_own_record(data, record.to_json_dict())
+        return record
 
 
 @lru_cache(maxsize=None)
@@ -518,7 +526,9 @@ def _classify_cached(n: int):
 
 
 def classify_all(n: int) -> list:
-    """All classes of connected n-vertex graph states, deterministic order."""
+    """All classes of connected n-vertex graph states, deterministic order.
+
+    The records are the census cache's own, frozen instances."""
     if not 2 <= n <= MAX_CENSUS_VERTICES:
         raise ValueError(f"census supports 2 <= n <= {MAX_CENSUS_VERTICES}, got {n}")
     return list(_classify_cached(n))

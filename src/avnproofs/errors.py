@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the check on loaded records, shared across the package."""
 
 
 class LengthMismatchError(ValueError):
@@ -34,3 +34,15 @@ class ParseError(ValueError):
         if self.position is None:
             return self.message
         return f"{self.message} (at position {self.position})"
+
+
+def require_own_record(data: dict, own: dict) -> None:
+    """Raise ValueError naming every top-level field where the loaded record
+    ``data`` differs from ``own``, the record the program writes for the same
+    inputs."""
+    fields = sorted(
+        k for k in data.keys() | own.keys()
+        if k not in data or k not in own or data[k] != own[k]
+    )
+    if fields:
+        raise ValueError(f"record differs from the program's own in: {', '.join(fields)}")

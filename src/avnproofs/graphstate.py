@@ -115,9 +115,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return self.nbr_mask(i).bit_count()
 
-    def num_edges(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def __str__(self):
         return format_graph(self)
 

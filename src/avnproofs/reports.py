@@ -1,24 +1,25 @@
 """Serializable verdict reports and their table rendering.
 
 The machine-readable form round-trips: parsing an emitted record yields an
-equal report.
+equal report.  A record is accepted only when it is exactly the record the
+program writes for the same graph, distribution and witness, so a loaded
+verdict is always one the program reached itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require_own_record
 from .graphstate import Graph, format_graph, parse_graph, stabilizer_element
 from .pauli import format_pauli, qubits_of
 from .reality import (
-    PAULI_LETTERS,
     AvnDecision,
     Distribution,
-    EoRWitness,
-    _verify_witness_subset,
+    allows_specific_avn,
     format_distribution,
 )
-from .witness import AvnWitness, format_witness
+from .witness import AvnWitness, format_witness, verify_witness
 
 
 def _subset_mask(qubits, n: int) -> int:
@@ -29,20 +30,6 @@ def _subset_mask(qubits, n: int) -> int:
             raise ValueError(f"subset entry {q} out of range 1..{n}")
         mask |= 1 << (q - 1)
     return mask
-
-
-def _record_certificate(graph: Graph, dist: Distribution, qubit: int, letter: str, subset):
-    """A record's certificate for ``letter`` on ``qubit`` (None stays None),
-    checked against the graph as the solver's own entries are; the record
-    comes from outside the program, so a wrong subset is a ValueError."""
-    if subset is None:
-        return None
-    mask = _subset_mask(subset, graph.n)
-    try:
-        _verify_witness_subset(graph, dist.pmask(qubit), qubit, letter, mask)
-    except AssertionError as exc:
-        raise ValueError(str(exc)) from None
-    return EoRWitness(qubit, letter, mask)
 
 
 @dataclass
@@ -92,33 +79,25 @@ class DistributionReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DistributionReport":
+        """The report of ``data``'s graph, distribution and witness.
+
+        The verdict and element-of-reality table are rebuilt with
+        ``allows_specific_avn`` and a witness must pass ``verify_witness``;
+        a ValueError names every field where ``data`` differs from the
+        rebuilt report's ``to_json_dict()``.
+        """
         graph = parse_graph(data["graph"])
         dist = Distribution(graph.n, tuple(tuple(p) for p in data["particles"]))
-        table = data["eor_table"]
-        if set(table) != {str(q) for q in range(1, graph.n + 1)}:
-            raise ValueError(f"eor_table keys must be the qubits 1..{graph.n}")
-        eor = {}
-        for qubit in range(1, graph.n + 1):
-            row = table[str(qubit)]
-            if set(row) != set(PAULI_LETTERS):
-                raise ValueError(f"eor_table row {qubit} must hold exactly X, Y and Z")
-            eor[qubit] = {
-                letter: _record_certificate(graph, dist, qubit, letter, row[letter])
-                for letter in PAULI_LETTERS
-            }
-        if data["verdict"] not in ("allows", "blocks"):
-            raise ValueError(f"verdict must be 'allows' or 'blocks', got {data['verdict']!r}")
-        decision = AvnDecision(
-            allows=data["verdict"] == "allows",
-            eor=eor,
-            shortcut=data.get("shortcut"),
-        )
         witness = None
         if data.get("witness") is not None:
             witness = AvnWitness(
                 tuple(_subset_mask(subset, graph.n) for subset in data["witness"]["subsets"])
             )
-        return cls(graph, dist, decision, witness)
+            if not verify_witness(witness, graph):
+                raise ValueError("witness subsets do not form a contradiction witness")
+        report = cls(graph, dist, allows_specific_avn(graph, dist), witness)
+        require_own_record(data, report.to_json_dict())
+        return report
 
     def render_table(self) -> str:
         lines = [

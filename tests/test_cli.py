@@ -75,6 +75,13 @@ def test_classes_table_and_json(capsys):
 
     for data in records:
         assert GraphClassRecord.from_json_dict(data).to_json_dict() == data
+    for edit, message in [
+        ({"orbit_size": 99}, "in: orbit_size$"),
+        ({"class_id": 0}, "class_id 0 out of range 1..4"),
+        ({"class_id": 5}, "class_id 5 out of range 1..4"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GraphClassRecord.from_json_dict(dict(records[0], **edit))
 
 
 def test_min_parties_lc4(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from avnproofs import (
     Graph,
+    GraphClassRecord,
     UnsupportedInputError,
     canonical_form,
     classify_all,
@@ -352,6 +355,18 @@ def test_classify_records_are_stable_and_consistent():
         orbit = lc_orbit(r.representative)
         assert len(orbit) == r.orbit_size
         assert min(cg.encoding for cg in orbit) == canonical_form(r.representative).encoding
+
+
+def test_class_records_are_frozen_and_load_as_the_cached_record():
+    record = classify_all(5)[0]
+    before = record.to_json_dict()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.orbit_size = 99
+    assert classify_all(5)[0].to_json_dict() == before
+    for n in range(2, 7):
+        for record in classify_all(n):
+            data = json.loads(json.dumps(record.to_json_dict()))
+            assert GraphClassRecord.from_json_dict(data) is record
 
 
 def test_canonical_form_invariant_under_relabelling_on_named_graphs():

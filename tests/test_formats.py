@@ -112,14 +112,41 @@ def _edited_record(edit):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda d: d["eor_table"].update({"9": d["eor_table"]["4"]}), "keys"),
-        (lambda d: d["eor_table"].pop("4"), "keys"),
-        (lambda d: d["eor_table"]["2"].update({"Q": None}), "row 2"),
-        (lambda d: d["eor_table"]["2"].pop("Z"), "row 2"),
-        (lambda d: d["eor_table"]["1"].update({"X": [3]}), "does not show X on qubit 1"),
-        (lambda d: d["eor_table"]["1"].update({"X": [1, 4]}), "acts on particle mate 4"),
+        (lambda d: d["eor_table"].update({"9": d["eor_table"]["4"]}), "in: eor_table$"),
+        (lambda d: d["eor_table"].pop("4"), "in: eor_table$"),
+        (lambda d: d["eor_table"]["2"].update({"Q": None}), "in: eor_table$"),
+        (lambda d: d["eor_table"]["2"].pop("Z"), "in: eor_table$"),
+        (lambda d: d["eor_table"]["1"].update({"X": [3]}), "in: eor_table$"),
+        (lambda d: d["eor_table"]["1"].update({"X": [1, 4]}), "in: eor_table$"),
+        (
+            lambda d: (d["eor_table"]["1"].update({"X": None}), d.update({"verdict": "blocks"})),
+            "in: eor_table, verdict$",
+        ),
+        (
+            lambda d: d.update({"shortcut": "qubit 1 is connected only to its own particle"}),
+            "in: shortcut$",
+        ),
+        (lambda d: d["witness"].update({"subsets": [[1], [2]]}), "witness subsets"),
+        (lambda d: d["witness"]["equations"].__setitem__(0, "X1 = 1"), "in: witness$"),
+        (lambda d: d.update({"m": 7}), "in: m$"),
+        (lambda d: d.update({"particles": [[4, 1], [2, 3]]}), "in: particles$"),
+        (lambda d: d.pop("shortcut"), "in: shortcut$"),
     ],
-    ids=["extra-qubit", "missing-qubit", "extra-letter", "missing-letter", "wrong-letter", "mate"],
+    ids=[
+        "extra-qubit",
+        "missing-qubit",
+        "extra-letter",
+        "missing-letter",
+        "wrong-letter",
+        "mate",
+        "dropped-certificate",
+        "invented-shortcut",
+        "not-a-witness",
+        "edited-equation",
+        "wrong-m",
+        "unsorted-particle",
+        "missing-field",
+    ],
 )
 def test_from_json_dict_rejects_tables_it_cannot_stand_behind(edit, message):
     with pytest.raises(ValueError, match=message):
@@ -131,5 +158,5 @@ def test_from_json_dict_rejects_an_unknown_verdict():
     data = DistributionReport(g, d, allows_specific_avn(g, d)).to_json_dict()
     assert data["verdict"] == "blocks"
     data["verdict"] = "maybe"
-    with pytest.raises(ValueError, match="'allows' or 'blocks'"):
+    with pytest.raises(ValueError, match="in: verdict$"):
         DistributionReport.from_json_dict(data)

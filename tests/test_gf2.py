@@ -83,6 +83,8 @@ def test_solution_is_deterministic():
 def test_negative_coefficient_mask_rejected():
     with pytest.raises(ValueError):
         gf2_solve([(0b1, 0), (-1, 1)])
+    with pytest.raises(ValueError, match="row 1"):
+        gf2_unit_solutions([0b1, -1])
 
 
 def test_solve_matches_independent_elimination():

@@ -18,3 +18,20 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    """Each private helper stays behind its own module: certificate checks
+    behind ``reality``, for instance, so a loader cannot grow its own copy.
+    The one exception is the CLI's statevector core, ``cli`` printing what
+    ``graphstate._report_words`` decides."""
+    allowed = {("cli", "graphstate", "_report_words")}
+    found = {
+        (path.stem, node.module, alias.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == allowed
