@@ -42,11 +42,13 @@ from .graphstate import (
     ring_graph,
     star_graph,
     stabilizer_element,
+    stabilizer_word,
     statevector,
 )
 from .pauli import (
     PauliOperator,
     format_pauli,
+    format_word,
     identity,
     pauli_multiply,
     sign_of,

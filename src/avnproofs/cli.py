@@ -18,6 +18,7 @@ either way.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import string
 import sys
@@ -35,9 +36,8 @@ from .graphstate import (
     _report_words,
     format_graph,
     parse_graph,
-    perfect_correlation_report,
-    stabilizer_element,
     stabilizer_walk,
+    stabilizer_word,
     statevector,
 )
 from .pauli import format_pauli, qubits_of
@@ -63,13 +63,13 @@ def _oracle_check(g, dist, decision):
                     f"solver and brute-force disagree on {letter}{qubit}"
                 )
     if g.n <= MAX_STATE_QUBITS:
-        ops = [
-            stabilizer_element(g, w.subset)
+        words = [
+            stabilizer_word(g, w.subset)
             for row in decision.eor.values()
             for w in row.values()
             if w is not None
         ]
-        _, failures = perfect_correlation_report(statevector(g), ops)
+        _, failures = _report_words(statevector(g), words)
         if failures:
             raise AssertionError("witness operator is not a perfect correlation")
 
@@ -258,18 +258,25 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     A command's parser is the one the full parser's ``add_parser`` makes for
     it: same prog, options and defaults, so its help and errors read the same.
     """
+    import shutil  # here, as in argparse, so importing this module loads no new module
+
+    # The width HelpFormatter would compute, probed once for the parser
+    # instead of once per formatter argparse makes (one per add_argument).
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"avnproofs {command}")
+        parser = argparse.ArgumentParser(prog=f"avnproofs {command}", formatter_class=formatter)
         _COMMANDS[command][1](parser)
         return parser
     parser = argparse.ArgumentParser(
         prog="avnproofs",
         description="Decide which qubit distributions of a graph state admit "
         "distribution-specific all-versus-nothing proofs.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add) in _COMMANDS.items():
-        add(sub.add_parser(name, help=help_text))
+        add(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 

@@ -11,6 +11,8 @@ exact paths load without it.
 ``(x, z, phase)`` integer words in Gray-code order: each step toggles one
 generator, so x changes in one bit, z by one XOR with that generator's
 neighbour mask, and the parity of the inner edge count by a popcount.
+``stabilizer_word`` gives the same word for one subset, and
+``stabilizer_element`` wraps it as a ``PauliOperator``.
 
 The statevector check decides each word exactly on the state's sign bits.
 Graph-state amplitudes are real and all of magnitude 1/sqrt(N), N = 2^n, so
@@ -262,26 +264,34 @@ def cut_rank(g: Graph, mask: int) -> int:
     return len(pivots)
 
 
-def stabilizer_element(g: Graph, subset: int) -> PauliOperator:
-    """Product (with sign) of the selected generators, ascending index order.
+def stabilizer_word(g: Graph, subset: int) -> tuple:
+    """``(x, z, phase)`` of the product (with sign) of the selected
+    generators, ascending index order.
 
     Bit i-1 of the int mask ``subset`` selects generator i.  The generators
     commute, so the product has the closed form
     ``(-1)**e(s) X^s Z^(Gamma s)``: e(s) counts the edges inside s and
     Gamma s is ``neighbour_parity``.  Each Y letter (X^1 Z^1 = -i Y) adds -1
     to the exponent of i, so the phase is ``2 e(s) - |s & Gamma s|`` mod 4,
-    which is always 0 or 2.
+    which is always 0 or 2.  One pass over s gives Gamma s and 2 e(s).
     """
     if subset < 0 or subset >> g.n:
         raise ValueError(f"subset mask 0x{subset:x} out of range for n={g.n}")
-    z = neighbour_parity(g, subset)
-    inner = 0  # twice the edge count inside the subset
+    adj = g.adj
+    z = inner = 0  # inner: twice the edge count inside the subset
     m = subset
     while m:
         low = m & -m
-        inner += (g.adj[low.bit_length() - 1] & subset).bit_count()
+        row = adj[low.bit_length() - 1]
+        z ^= row
+        inner += (row & subset).bit_count()
         m ^= low
-    return PauliOperator(subset, z, inner - (subset & z).bit_count(), n=g.n)
+    return subset, z, (inner - (subset & z).bit_count()) % 4
+
+
+def stabilizer_element(g: Graph, subset: int) -> PauliOperator:
+    """The ``PauliOperator`` of ``stabilizer_word(g, subset)``."""
+    return PauliOperator(*stabilizer_word(g, subset), n=g.n)
 
 
 def full_stabilizer(g: Graph):
@@ -297,8 +307,8 @@ def stabilizer_walk(g: Graph):
     Step t toggles generator v, the lowest set bit of t, so x (the subset
     mask) changes in bit v only and z (Gamma x) by ``adj[v]``.  The edge
     count inside the subset moves by |adj[v] & x| whether v joins or leaves,
-    so only its parity e is kept, and the phase of ``stabilizer_element(g,
-    x)`` is ``(2 e - |x & z|) mod 4``.
+    so only its parity e is kept, and the phase of ``stabilizer_word(g, x)``
+    is ``(2 e - |x & z|) mod 4``.
     """
     adj = g.adj
     x = z = odd = 0

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import LengthMismatchError, NonHermitianSignError
 
-#: Letter of one qubit, indexed by ``x | z << 1``.
-_LETTERS = "IXZY"
+#: Letter of one qubit, indexed by its bit pair ``x | z << 1``.
+LETTERS = "IXZY"
 
 
 def qubits_of(mask: int) -> tuple:
@@ -48,7 +48,7 @@ class PauliOperator:
         if not 1 <= qubit <= self.n:
             raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
         q = qubit - 1
-        return _LETTERS[(self.x >> q & 1) | (self.z >> q & 1) << 1]
+        return LETTERS[(self.x >> q & 1) | (self.z >> q & 1) << 1]
 
     def support(self) -> tuple:
         """1-based qubits where the operator is not the identity."""
@@ -98,16 +98,39 @@ def sign_of(p: PauliOperator) -> int:
     raise NonHermitianSignError(f"operator has phase exponent {p.phase}, not 0 or 2")
 
 
-def format_pauli(p: PauliOperator) -> str:
-    """Render like ``-X1 X2 X3 Z4`` (identity letters omitted, no leading +)."""
-    sign = "-" if sign_of(p) < 0 else ""
-    x, z = p.x, p.z
+#: ``_CELLS[k][q]`` is letter ``LETTERS[k]`` on qubit q + 1 as printed, e.g.
+#: ``"Y3"``.  A memo of constants: ``_cells`` only ever widens it, when an
+#: operator reaches past its end, so no caller can see another's use of it.
+_CELLS = ((),) * 4
+
+
+def _cells(width: int) -> tuple:
+    global _CELLS
+    if len(_CELLS[0]) < width:
+        _CELLS = tuple(tuple(f"{letter}{q + 1}" for q in range(width)) for letter in LETTERS)
+    return _CELLS
+
+
+def format_word(x: int, z: int, phase: int) -> str:
+    """Render the operator ``i**phase X^x Z^z`` (letters by bit pair, as in
+    ``PauliOperator``) like ``-X1 X2 X3 Z4``: identity letters omitted, no
+    leading +, ``1`` for the identity.  An odd phase has no +-1 sign and
+    raises ``NonHermitianSignError``."""
+    if phase & 1:
+        raise NonHermitianSignError(f"operator has phase exponent {phase % 4}, not 0 or 2")
+    sign = "-" if phase & 2 else ""
     rest = x | z
     if not rest:
         return sign + "1"
+    cells = _cells(rest.bit_length())
     parts = []
     while rest:
-        q = (rest & -rest).bit_length() - 1
-        parts.append(f"{_LETTERS[(x >> q & 1) | (z >> q & 1) << 1]}{q + 1}")
-        rest &= rest - 1
+        low = rest & -rest
+        parts.append(cells[(1 if x & low else 0) | (2 if z & low else 0)][low.bit_length() - 1])
+        rest ^= low
     return sign + " ".join(parts)
+
+
+def format_pauli(p: PauliOperator) -> str:
+    """``format_word`` of the operator's fields."""
+    return format_word(p.x, p.z, p.phase)

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import LengthMismatchError, ParseError, UnsupportedInputError
 from .gf2 import gf2_unit_solutions
 from .graphstate import Graph, is_connected, neighbour_parity
+from .pauli import LETTERS
 
 PAULI_LETTERS = ("X", "Y", "Z")
 
@@ -70,13 +71,23 @@ class Distribution:
                 return k
         raise ValueError(f"qubit {i} out of range 1..{self.n}")
 
+    @cached_property
+    def pmasks(self) -> tuple:
+        """``pmask(i)`` of every qubit, at index i-1, built in one pass."""
+        masks = [0] * self.n
+        for p in self.particles:
+            inside = 0
+            for q in p:
+                inside |= 1 << (q - 1)
+            for q in p:
+                masks[q - 1] = inside & ~(1 << (q - 1))
+        return tuple(masks)
+
     def pmask(self, i: int) -> int:
         """Mask (0-based bits) of P(i): qubit i's particle mates, i excluded."""
-        p = self.particles[self.particle_of(i)]
-        mask = 0
-        for q in p:
-            mask |= 1 << (q - 1)
-        return mask & ~(1 << (i - 1))
+        if not 1 <= i <= self.n:
+            raise ValueError(f"qubit {i} out of range 1..{self.n}")
+        return self.pmasks[i - 1]
 
     def shape(self) -> tuple:
         return tuple(sorted((len(p) for p in self.particles), reverse=True))
@@ -130,18 +141,11 @@ class ActionClass(Enum):
     IDENTITY = "I"
 
 
-_ACTIONS = {
-    (1, 0): ActionClass.PREDICTS_X,
-    (1, 1): ActionClass.PREDICTS_Y,
-    (0, 1): ActionClass.PREDICTS_Z,
-    (0, 0): ActionClass.IDENTITY,
-}
-
-
-def _action_at(mask: int, gamma: int, i: int) -> ActionClass:
-    """Class at 1-based qubit i of the operator with X part ``mask`` and Z
-    part ``gamma`` (the subset's ``neighbour_parity``)."""
-    return _ACTIONS[(mask >> (i - 1)) & 1, (gamma >> (i - 1)) & 1]
+def _letter_at(mask: int, gamma: int, i: int) -> str:
+    """Letter at 1-based qubit i of the operator with X part ``mask`` and Z
+    part ``gamma`` (the subset's ``neighbour_parity``), read off the bit pair."""
+    q = i - 1
+    return LETTERS[(mask >> q & 1) | (gamma >> q & 1) << 1]
 
 
 def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
@@ -154,7 +158,7 @@ def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    return _action_at(subset, neighbour_parity(g, subset), i)
+    return ActionClass(_letter_at(subset, neighbour_parity(g, subset), i))
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
     whose particle mates are ``pmask`` (explicit raises, so the check also
     runs under ``python -O``).  The operator is recomputed from the graph."""
     gamma = neighbour_parity(g, mask)
-    if _action_at(mask, gamma, i).value != pauli:
+    if _letter_at(mask, gamma, i) != pauli:
         raise AssertionError(f"subset 0x{mask:x} does not show {pauli} on qubit {i}")
     acting = (mask | gamma) & pmask
     if acting:
@@ -215,10 +219,11 @@ def _particle_lookup(g: Graph, qubits):
     table = []
     for i, (sx, cx), (sz, cz) in zip(qubits, units[::2], units[1::2]):
         masks = (sx if not cx else None, sx ^ sz if cx == cz else None, sz if not cz else None)
+        mates = inside & ~(1 << (i - 1))
         row = []
         for pauli, mask in zip(PAULI_LETTERS, masks):
             if mask is not None:
-                _verify_witness_subset(g, inside & ~(1 << (i - 1)), i, pauli, mask)
+                _verify_witness_subset(g, mates, i, pauli, mask)
                 mask = EoRWitness(i, pauli, mask)
             row.append(mask)
         table.append(tuple(row))
@@ -293,23 +298,21 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
     if 2 * big > g.n:
         shortcut = f"a particle holds {big} > n/2 qubits"
     else:
-        for i in range(1, g.n + 1):
-            nbrs = g.nbr_mask(i)
-            if nbrs and nbrs & ~d.pmask(i) == 0:
+        for i, (nbrs, pmask) in enumerate(zip(g.adj, d.pmasks), 1):
+            if nbrs and nbrs & ~pmask == 0:
                 shortcut = f"qubit {i} is connected only to its own particle"
                 break
 
     if method == "solver":
-        table = {}
+        rows = {}
         for particle in d.particles:
-            for i, row in zip(particle, _particle_lookup(g, particle)):
-                table[i] = dict(zip(PAULI_LETTERS, row))
+            rows.update(zip(particle, _particle_lookup(g, particle)))
+        eor = {i: dict(zip(PAULI_LETTERS, rows[i])) for i in range(1, g.n + 1)}
     else:
-        table = {
+        eor = {
             i: {p: is_element_of_reality(g, d, i, p, method=method) for p in PAULI_LETTERS}
             for i in range(1, g.n + 1)
         }
-    eor = {i: table[i] for i in range(1, g.n + 1)}
     allows = True
     for i, row in eor.items():
         if row["X"] is None or row["Y"] is None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import require_own_record
-from .graphstate import Graph, format_graph, parse_graph, stabilizer_element
-from .pauli import format_pauli, qubits_of
+from .graphstate import Graph, format_graph, parse_graph, stabilizer_word
+from .pauli import format_word, qubits_of
 from .reality import (
     AvnDecision,
     Distribution,
@@ -116,7 +116,7 @@ class DistributionReport:
                 if w is None:
                     cells.append("-")
                 else:
-                    cells.append(format_pauli(stabilizer_element(self.graph, w.subset)))
+                    cells.append(format_word(*stabilizer_word(self.graph, w.subset)))
             rows.append((qubit, cells))
         width = max(
             [len(c) for _, cells in rows for c in cells[:2]] + [1]

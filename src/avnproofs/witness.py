@@ -22,9 +22,10 @@ from .graphstate import (
     perfect_correlation_report,
     stabilizer_element,
     stabilizer_walk,
+    stabilizer_word,
     statevector,
 )
-from .pauli import format_pauli, sign_of
+from .pauli import format_word, sign_of
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,10 @@ def assignment_consistent(ops) -> AssignmentCheck:
 
 
 def verify_witness(w: AvnWitness, g: Graph) -> bool:
-    """Full check: parity and sign invariants, assignment infeasibility, and
-    (for states small enough to simulate) perfect correlation of every member."""
-    if not w.subsets:
+    """Full check: distinct non-identity members, parity and sign
+    invariants, assignment infeasibility, and (for states small enough to
+    simulate) perfect correlation of every member."""
+    if not w.subsets or 0 in w.subsets or len(set(w.subsets)) != len(w.subsets):
         return False
     ops = w.operators(g)
     par_x = par_y = par_z = 0
@@ -125,10 +127,9 @@ def _eor_certifying_subsets(supports: dict, d) -> set:
     operator acts on some qubit i but as the identity on every particle mate
     of i.
     """
-    pmasks = [d.pmask(i) for i in range(1, d.n + 1)]
     out = set()
     for mask, support in supports.items():
-        if any((support >> q) & 1 and not support & pm for q, pm in enumerate(pmasks)):
+        if any((support >> q) & 1 and not support & pm for q, pm in enumerate(d.pmasks)):
             out.add(mask)
     return out
 
@@ -232,13 +233,16 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
 
 def underrepresented_qubits(w: AvnWitness, g: Graph) -> tuple:
     """1-based qubits showing fewer than two distinct letters in the witness."""
-    seen = {q: set() for q in range(1, g.n + 1)}
-    for op in w.operators(g):
-        for q in op.support():
-            seen[q].add(op.letter(q))
-    return tuple(q for q in range(1, g.n + 1) if len(seen[q]) < 2)
+    seen_x = seen_y = seen_z = 0  # qubits showing X, Y and Z somewhere
+    for s in w.subsets:
+        x, z, _ = stabilizer_word(g, s)
+        seen_x |= x & ~z
+        seen_y |= x & z
+        seen_z |= z & ~x
+    twice = seen_x & seen_y | seen_x & seen_z | seen_y & seen_z
+    return tuple(q for q in range(1, g.n + 1) if not twice >> (q - 1) & 1)
 
 
 def format_witness(w: AvnWitness, g: Graph) -> list:
     """One ``<operator> = 1`` equation per member, e.g. ``-X1 X2 X3 Z4 = 1``."""
-    return [f"{format_pauli(op)} = 1" for op in w.operators(g)]
+    return [f"{format_word(*stabilizer_word(g, s))} = 1" for s in w.subsets]

@@ -452,11 +452,37 @@ def test_one_command_parser_reads_as_the_full_parser(capsys, command):
         assert exit_outcome(capsys, main, argv) == exit_outcome(capsys, full.parse_args, argv), argv
 
 
-FULL_PARSE = "import sys; from avnproofs.cli import build_parser; build_parser().parse_args(sys.argv[1:])"
+#: Parses each argv of the JSON list in sys.argv[2] with the full parser and
+#: prints a JSON list of [exit status, stdout, stderr].  With "argparse-width"
+#: in sys.argv[1], every parser drops its formatter_class, so argparse's own
+#: HelpFormatter probes the terminal width, as it does by default.
+FULL_PARSE = """
+import argparse, contextlib, io, json, sys
+from avnproofs.cli import build_parser
+if sys.argv[1] == "argparse-width":
+    init = argparse.ArgumentParser.__init__
+    def default_init(self, *args, formatter_class=None, **kwargs):
+        init(self, *args, **kwargs)
+    argparse.ArgumentParser.__init__ = default_init
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
 
 
 @pytest.mark.parametrize("columns", ["40", "200"])
 def test_command_line_text_matches_the_full_parser(columns):
+    """``python -m avnproofs`` prints what the full parser prints, and both
+    print what argparse prints with its default formatter: top-level help
+    and errors, and ``--help`` and one bad option of every subcommand."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, COLUMNS=columns)
 
@@ -464,14 +490,26 @@ def test_command_line_text_matches_the_full_parser(columns):
         proc = subprocess.run(command, env=env, capture_output=True, text=True)
         return proc.returncode, proc.stdout, proc.stderr
 
+    argvs = [(), ("--help",), ("unknown",)]
+    for command, valid in VALID.items():
+        argvs += [(command, "--help"), (command, *valid, "--bogus")]
+    parsed = {}
+    for width in ("cli", "argparse-width"):
+        code, out, err = outcome(sys.executable, "-c", FULL_PARSE, width, json.dumps(argvs))
+        assert code == 0, err
+        parsed[width] = [tuple(r) for r in json.loads(out)]
     got = {}
-    leftover = ("check", *VALID["check"], "--bogus")
-    for argv in [(), ("--help",), ("unknown",), ("check", "--help"), leftover]:
+    for argv, full, default in zip(argvs, parsed["cli"], parsed["argparse-width"]):
         got[argv] = outcome(sys.executable, "-m", "avnproofs", *argv)
-        assert got[argv] == outcome(sys.executable, "-c", FULL_PARSE, *argv), argv
+        assert got[argv] == full == default, argv
+        assert got[argv][0] in (0, 2), argv
     code, _, err = got[()]
     assert code == 2
     assert err.endswith("avnproofs: error: the following arguments are required: command\n")
+    for command, valid in VALID.items():
+        code, _, err = got[(command, *valid, "--bogus")]
+        assert (code, err.splitlines()[-1]) == (2, "avnproofs: error: unrecognized arguments: --bogus")
+        assert f"avnproofs {command} [-h]" in got[(command, "--help")][1]
 
 
 @pytest.fixture

@@ -3,9 +3,11 @@ import json
 import pytest
 
 from avnproofs import (
+    AvnWitness,
     ParseError,
     allows_specific_avn,
     find_witness,
+    format_witness,
     parse_distribution,
     path_graph,
 )
@@ -151,6 +153,20 @@ def _edited_record(edit):
 def test_from_json_dict_rejects_tables_it_cannot_stand_behind(edit, message):
     with pytest.raises(ValueError, match=message):
         DistributionReport.from_json_dict(_edited_record(edit))
+
+
+@pytest.mark.parametrize("extra", [[[]], [[1], [1]]], ids=["identity", "repeated"])
+def test_from_json_dict_rejects_a_padded_witness(extra):
+    """The program's own witness plus an identity member (equation ``1 = 1``)
+    or a repeated member, with the equations the padded witness prints."""
+    g = path_graph(4)
+    data = make_report(True).to_json_dict()
+    assert data["witness"]["subsets"] == [[2], [1, 2], [2, 3], [1, 2, 3]]
+    subsets = data["witness"]["subsets"] + extra
+    padded = AvnWitness(tuple(sum(1 << (q - 1) for q in s) for s in subsets))
+    data["witness"] = {"subsets": subsets, "equations": format_witness(padded, g)}
+    with pytest.raises(ValueError, match="witness subsets do not form"):
+        DistributionReport.from_json_dict(data)
 
 
 def test_from_json_dict_rejects_an_unknown_verdict():

@@ -17,6 +17,7 @@ from avnproofs import (
     expectation,
     format_graph,
     format_pauli,
+    format_word,
     full_stabilizer,
     generators,
     identity,
@@ -28,10 +29,11 @@ from avnproofs import (
     ring_graph,
     star_graph,
     stabilizer_element,
+    stabilizer_word,
     statevector,
 )
 from avnproofs.graphstate import stabilizer_walk
-from oracles import edge_sets, operator_matrix, stabilizer_by_products
+from oracles import edge_sets, format_pauli_by_letters, operator_matrix, stabilizer_by_products
 from strategies import connected_cases
 
 
@@ -178,8 +180,8 @@ def test_closed_form_matches_generator_products_exhaustively():
 
 
 @st.composite
-def graphs_and_subsets(draw):
-    n = draw(st.integers(1, 12))
+def graphs_and_subsets(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [p for p, k in zip(pairs, keep) if k]
@@ -193,6 +195,34 @@ def test_closed_form_matches_generator_products(case):
     op = stabilizer_element(g, mask)
     assert op.phase in (0, 2)
     assert op == stabilizer_by_products(g, mask)
+
+
+def test_printed_word_matches_printed_generator_products_exhaustively():
+    """Every subset of every graph on at most 5 vertices prints the same
+    text from its integer word as from the explicit generator product
+    spelled letter by letter."""
+    for n in range(1, 6):
+        for edges in edge_sets(n):
+            g = Graph.from_edges(n, edges)
+            for mask in range(1 << n):
+                expected = format_pauli_by_letters(stabilizer_by_products(g, mask))
+                assert format_word(*stabilizer_word(g, mask)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_subsets(max_n=16))
+def test_printed_word_matches_printed_generator_products(case):
+    g, mask = case
+    word = stabilizer_word(g, mask)
+    assert word[0] == mask and word[2] in (0, 2)
+    expected = format_pauli_by_letters(stabilizer_by_products(g, mask))
+    assert format_word(*word) == expected
+
+
+def test_stabilizer_word_range_checks_the_subset():
+    for bad in (-1, 1 << 4):
+        with pytest.raises(ValueError, match="out of range"):
+            stabilizer_word(path_graph(4), bad)
 
 
 def test_parse_and_format_round_trip():

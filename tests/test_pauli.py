@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avnproofs
 from avnproofs import (
     LengthMismatchError,
     NonHermitianSignError,
     PauliOperator,
     complete_graph,
     format_pauli,
+    format_word,
     identity,
     pauli_multiply,
     path_graph,
@@ -120,6 +126,38 @@ def test_format_pauli_matches_letter_spelling_exhaustive_n4():
     for n in range(5):
         for op in all_paulis(n, phases=(0, 2)):
             assert format_pauli(op) == format_pauli_by_letters(op)
+
+
+def test_format_word_past_the_widest_operator_so_far():
+    assert format_word(1 << 69 | 1, 1 << 69, 2) == "-X1 Y70"
+    assert format_word(1 << 69, 0, 0) == "X70"
+    assert format_word(0, 1 << 2, 0) == "Z3"
+
+
+@pytest.mark.parametrize("phase", [1, 3])
+def test_format_word_rejects_an_odd_phase(phase):
+    with pytest.raises(NonHermitianSignError, match=f"phase exponent {phase}"):
+        format_word(1, 0, phase)
+    with pytest.raises(NonHermitianSignError):
+        format_pauli(PauliOperator(1, 1, phase, n=1))
+
+
+def test_format_word_rejects_an_odd_phase_under_optimisation():
+    """The raise is explicit, so ``python -O`` keeps it."""
+    script = (
+        "from avnproofs import NonHermitianSignError, format_word\n"
+        "for phase in (1, 3):\n"
+        "    try:\n"
+        "        format_word(1, 0, phase)\n"
+        "    except NonHermitianSignError:\n"
+        "        print(phase)\n"
+    )
+    src = str(Path(avnproofs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n3\n"), proc.stderr
 
 
 @st.composite

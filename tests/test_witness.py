@@ -73,10 +73,26 @@ def test_witness_with_member_removed_fails_parity():
     assert not verify_witness(broken, FC4)
 
 
-def test_padded_witness_verifies_but_is_not_critical():
+def test_padded_witness_is_rejected_and_not_critical():
+    """A repeated member changes neither the parities nor the sign, so the
+    padded set is still contradictory, but it is not a witness the search
+    writes: ``verify_witness`` rejects it, and it is not critical."""
     padded = AvnWitness(GHZ4_WITNESS.subsets + GHZ4_WITNESS.subsets[:1] * 2)
-    assert verify_witness(padded, FC4)
+    assert not verify_witness(padded, FC4)
     assert not is_critical(padded, FC4)
+
+
+@pytest.mark.parametrize("extra", [(0,), (0b0001, 0b0001)], ids=["identity", "repeated"])
+def test_identity_or_repeated_member_is_rejected(extra):
+    """Neither an identity member nor a repeated one changes the parities,
+    the sign or the inconsistency, so only the member check rejects them.
+    The search itself is unchanged: it still finds the plain witness."""
+    w = find_witness(LC4, parse_distribution("1,4|2,3", 4))
+    assert w.subsets == (0b0010, 0b0011, 0b0110, 0b0111)
+    assert verify_witness(w, LC4)
+    padded = AvnWitness(w.subsets + extra)
+    assert all_sign_assignments_consistent(padded.operators(LC4)) is False
+    assert not verify_witness(padded, LC4)
 
 
 def test_fc3_four_correlations_are_contradictory():
@@ -206,7 +222,8 @@ def test_underrepresented_qubits_flags_fixed_observer():
 
 def _same_search(g, d, max_size, exhaustive=False):
     """The meet-in-the-middle search returns the sweep's witness (or None),
-    and that witness verifies and is critical."""
+    that witness verifies and is critical, and its underrepresented qubits
+    are the ones its operators spell with fewer than two letters."""
     found = find_witness(g, d, max_size=max_size, exhaustive=exhaustive)
     swept = witness_by_sweep(g, d, max_size=max_size, exhaustive=exhaustive)
     if swept is None:
@@ -215,6 +232,9 @@ def _same_search(g, d, max_size, exhaustive=False):
     assert found is not None and found.subsets == swept.subsets
     assert verify_witness(found, g)
     assert is_critical(found, g)
+    ops = found.operators(g)
+    letters = {q: {op.letter(q) for op in ops if q in op.support()} for q in range(1, g.n + 1)}
+    assert underrepresented_qubits(found, g) == tuple(q for q, seen in letters.items() if len(seen) < 2)
 
 
 def test_search_matches_sweep_on_every_small_class():
