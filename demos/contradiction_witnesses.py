@@ -13,6 +13,7 @@ from avnproofs import (
     is_critical,
     parse_distribution,
     path_graph,
+    stabilizer_word,
     underrepresented_qubits,
     verify_witness,
 )
@@ -27,9 +28,10 @@ for eq in format_witness(w, fc4):
 print(f"  verified: {verify_witness(w, fc4)}, critical: {is_critical(w, fc4)}")
 print(f"  qubits with fewer than two observables: {underrepresented_qubits(w, fc4)}")
 
-# dropping any one correlation restores a consistent assignment
-ops = w.operators(fc4)
-check = assignment_consistent(ops[:-1])
+# dropping any one correlation restores a consistent assignment; each
+# correlation is checked as its (x, z, phase) word
+words = [stabilizer_word(fc4, s) for s in w.subsets]
+check = assignment_consistent(words[:-1], fc4.n)
 print(f"\nwithout the last correlation, consistent: {check.consistent}")
 values = {k: v for k, v in check.model.items() if v == -1}
 print(f"one satisfying assignment sets these observables to -1: {sorted(values)}")

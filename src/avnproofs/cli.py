@@ -33,14 +33,14 @@ from .errors import (
 )
 from .graphstate import (
     MAX_STATE_QUBITS,
-    _report_words,
     format_graph,
     parse_graph,
+    perfect_correlation_report,
     stabilizer_walk,
     stabilizer_word,
     statevector,
 )
-from .pauli import format_pauli, qubits_of
+from .pauli import format_word, qubits_of
 from .partitions import all_avn_distributions, min_party_distributions
 from .reality import allows_specific_avn, format_distribution, parse_distribution
 from .reports import DistributionReport
@@ -69,7 +69,7 @@ def _oracle_check(g, dist, decision):
             for w in row.values()
             if w is not None
         ]
-        _, failures = _report_words(statevector(g), words)
+        _, failures = perfect_correlation_report(statevector(g), words)
         if failures:
             raise AssertionError("witness operator is not a perfect correlation")
 
@@ -173,9 +173,9 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse_graph(args.graph)
-    worst, failures = _report_words(statevector(g), stabilizer_walk(g))
-    for op, dev in sorted(failures, key=lambda f: f[0].x):
-        print(f"FAIL {format_pauli(op)} deviates by {dev:.3e}")
+    worst, failures = perfect_correlation_report(statevector(g), stabilizer_walk(g))
+    for word, dev in sorted(failures, key=lambda f: f[0][0]):
+        print(f"FAIL {format_word(*word)} deviates by {dev:.3e}")
     print(
         f"{1 << g.n} stabilizing operators checked, "
         f"max deviation from 1: {worst:.3e}"

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ResourceLimitError, UnsupportedInputError, require_own_record
+from .errors import ResourceLimitError, UnsupportedInputError, record_field, require_own_record
 from .graphstate import Graph, is_connected
 
 MAX_CENSUS_VERTICES = 8
@@ -490,9 +490,10 @@ class GraphClassRecord:
     def from_json_dict(cls, data: dict) -> "GraphClassRecord":
         """The census record ``classify_all(n)[class_id - 1]`` itself; a
         ValueError names every field where ``data`` differs from its
-        ``to_json_dict()``."""
-        records = classify_all(data["n"])
-        class_id = data["class_id"]
+        ``to_json_dict()``, and a missing or non-int ``n`` or ``class_id``
+        raises ValueError too."""
+        records = classify_all(record_field(data, "n", int))
+        class_id = record_field(data, "class_id", int)
         if not 1 <= class_id <= len(records):
             raise ValueError(f"class_id {class_id} out of range 1..{len(records)}")
         record = records[class_id - 1]

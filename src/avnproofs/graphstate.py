@@ -23,13 +23,12 @@ k = 0 and D is empty, or k = 2 and D is full.  D is one N-bit integer:
 Q(b ^ x) comes from the previous word's by a block swap per bit of x that
 changed, and the parity z . b by one XOR with the parity set of the change
 in z, memoized by that change.  On the walk there are at most n distinct
-changes, so each step costs one swap and one XOR.  One private core does
-this for ``verify`` (on the walk, with its FAIL lines printed in ascending
-subset order) and for ``perfect_correlation_report`` (on operators, in
-input order).  A ``PauliOperator`` is built only for the first passing word
-and for each word that does not pass, and takes the float path of
-``expectation``; every passing word has the float deviation of the first,
-which is computed once.
+changes, so each step costs one swap and one XOR.
+``perfect_correlation_report`` does this for ``verify`` (on the walk),
+``check --oracle`` and ``verify_witness``.  A ``PauliOperator`` is built
+only for the first passing word and for each word that does not pass, and
+takes the float path of ``expectation``; every passing word has the float
+deviation of the first, which is computed once.
 """
 
 from __future__ import annotations
@@ -359,25 +358,15 @@ def statevector(g: Graph) -> np.ndarray:
     return (signs / np.sqrt(dim)).astype(np.complex128)
 
 
-def _check_real_expectation(dim: int, p: PauliOperator) -> None:
-    """Raise unless ``p`` acts on a state of dimension ``dim`` with a real
-    expectation."""
-    if dim != (1 << p.n):
-        raise LengthMismatchError(
-            f"state dimension {dim} does not match {p.n}-qubit operator"
-        )
-    if p.phase % 2 == 1:
-        raise NonHermitianSignError(
-            "expectation of an operator with phase +-i is not real"
-        )
-
-
 def expectation(sv: np.ndarray, p: PauliOperator) -> float:
     """Exact ``<sv| p |sv>`` computed basis-state-wise."""
     import numpy as np
 
     dim = sv.shape[0]
-    _check_real_expectation(dim, p)
+    if dim != (1 << p.n):
+        raise LengthMismatchError(f"state dimension {dim} does not match {p.n}-qubit operator")
+    if p.phase % 2 == 1:
+        raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
     # p = i**(phase + popcount(x & z)) * X^x Z^z as a whole tensor; the sum
     # below is imaginary exactly when that exponent is odd, so the product
     # is real for any Hermitian operator.
@@ -400,13 +389,18 @@ def _coordinate_bits(j: int, dim: int) -> int:
     return bits
 
 
-def _report_words(sv: np.ndarray, words) -> tuple:
-    """``(worst, failures)`` for operators given as ``(x, z, phase)`` words.
+def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
+    """``(worst, failures)`` for the ``(x, z, phase)`` words on the state ``sv``.
 
-    ``failures`` lists, in input order, ``(op, deviation)`` for each word
-    whose deviation exceeds ``PERFECT_CORRELATION_TOL``, with ``op`` its
-    ``PauliOperator``.  ``sv`` must be real, finite and of one magnitude, as
-    every graph state is; otherwise ``AssertionError`` is raised.
+    ``worst`` is the largest ``abs(expectation(sv, op) - 1.0)`` over the
+    words' operators (0.0 for none) and ``failures`` lists, in input order,
+    the ``(word, deviation)`` pairs above ``PERFECT_CORRELATION_TOL``: the
+    same values, bit for bit, as a loop calling ``expectation`` on every
+    operator.  A word acting past the state's qubits raises
+    ``LengthMismatchError``.  An odd-phase word never passes the sign-bit
+    test, so ``expectation`` raises ``NonHermitianSignError`` on it.
+    ``sv`` must be real, finite and of one magnitude, as every graph state
+    is; otherwise ``AssertionError`` is raised.
     """
     import numpy as np
 
@@ -431,6 +425,10 @@ def _report_words(sv: np.ndarray, words) -> tuple:
     passing_dev = None
     failures = []
     for x, z, phase in words:
+        if (x | z) >> n:
+            raise LengthMismatchError(
+                f"state dimension {dim} does not match {(x | z).bit_length()}-qubit operator"
+            )
         flip = x ^ prev_x
         while flip:
             low = flip & -flip
@@ -455,36 +453,12 @@ def _report_words(sv: np.ndarray, words) -> tuple:
         passes = (k == 0 and ones == 0) or (k == 2 and ones == dim)
         if passes and passing_dev is not None:  # already counted in worst
             if passing_dev > PERFECT_CORRELATION_TOL:
-                failures.append((PauliOperator(x, z, phase, n=n), passing_dev))
+                failures.append(((x, z, phase), passing_dev))
             continue
-        op = PauliOperator(x, z, phase, n=n)
-        dev = abs(expectation(sv, op) - 1.0)
+        dev = abs(expectation(sv, PauliOperator(x, z, phase, n=n)) - 1.0)
         if passes:
             passing_dev = dev
         worst = max(worst, dev)
         if dev > PERFECT_CORRELATION_TOL:
-            failures.append((op, dev))
+            failures.append(((x, z, phase), dev))
     return worst, failures
-
-
-def perfect_correlation_report(sv: np.ndarray, ops) -> tuple:
-    """``(worst, failures)`` for the operators ``ops`` on the state ``sv``.
-
-    ``worst`` is the largest ``abs(expectation(sv, op) - 1.0)`` (0.0 for no
-    operators) and ``failures`` lists, in input order, the ``(op, deviation)``
-    pairs above ``PERFECT_CORRELATION_TOL``: the same values, bit for bit, as
-    a loop calling ``expectation`` on every operator.  Each operator is
-    decided on the sign bits of ``sv`` (see the module docstring), and only
-    the first passing one and the ones that do not pass are evaluated in
-    floating point.  ``sv`` must be real, finite and of one magnitude, as
-    every graph state is; otherwise ``AssertionError`` is raised.  Each
-    operator raises what ``expectation`` raises before it is decided.
-    """
-    dim = sv.shape[0]
-
-    def words():
-        for op in ops:
-            _check_real_expectation(dim, op)
-            yield op.x, op.z, op.phase
-
-    return _report_words(sv, words())

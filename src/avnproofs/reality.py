@@ -46,16 +46,18 @@ class Distribution:
     def __post_init__(self):
         clean = tuple(tuple(sorted(p)) for p in self.particles)
         object.__setattr__(self, "particles", clean)
-        seen = set()
+        seen = set()  # qubits of the particles before this one
         for p in clean:
             if not p:
                 raise ValueError("empty particle")
-            for q in p:
+            for before, q in zip((None,) + p, p):  # p is sorted: a repeat follows itself
                 if not 1 <= q <= self.n:
                     raise ValueError(f"qubit {q} out of range 1..{self.n}")
+                if q == before:
+                    raise ValueError(f"qubit {q} appears twice in one particle")
                 if q in seen:
                     raise ValueError(f"qubit {q} appears in two particles")
-                seen.add(q)
+            seen.update(p)
         if len(seen) != self.n:
             missing = sorted(set(range(1, self.n + 1)) - seen)
             raise ValueError(f"qubits {missing} not covered")
@@ -101,8 +103,11 @@ class Distribution:
 
 
 def parse_distribution(text: str, n: int) -> Distribution:
-    """Parse ``a,b|c,d`` (particles split by '|', qubits by ',')."""
+    """Parse ``a,b|c,d`` (particles split by '|', qubits by ',').
+
+    An out-of-range or repeated qubit is reported at its own token."""
     particles = []
+    earlier = set()  # qubits of the particles before this one
     offset = 0
     for chunk in text.split("|"):
         pos = offset
@@ -116,11 +121,19 @@ def parse_distribution(text: str, n: int) -> Distribution:
             if not token:
                 raise ParseError("empty qubit entry", text, at)
             try:
-                members.append(int(token))
+                q = int(token)
             except ValueError:
                 raise ParseError(f"qubit {token!r} is not an integer", text, at) from None
+            if not 1 <= q <= n:
+                raise ParseError(f"qubit {q} out of range 1..{n}", text, at)
+            if q in members:
+                raise ParseError(f"qubit {q} appears twice in one particle", text, at)
+            if q in earlier:
+                raise ParseError(f"qubit {q} appears in two particles", text, at)
+            members.append(q)
         if not members:
             raise ParseError("empty particle", text, pos)
+        earlier.update(members)
         particles.append(tuple(members))
     try:
         return Distribution(n, tuple(particles))

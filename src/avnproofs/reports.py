@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import require_own_record
+from .errors import record_field, require_own_record
 from .graphstate import Graph, format_graph, parse_graph, stabilizer_word
 from .pauli import format_word, qubits_of
 from .reality import (
@@ -22,14 +22,13 @@ from .reality import (
 from .witness import AvnWitness, format_witness, verify_witness
 
 
-def _subset_mask(qubits, n: int) -> int:
-    """Mask of a record's 1-based subset; every entry must lie in 1..n."""
-    mask = 0
-    for q in qubits:
-        if not 1 <= q <= n:
-            raise ValueError(f"subset entry {q} out of range 1..{n}")
-        mask |= 1 << (q - 1)
-    return mask
+def _qubit_lists(entries: list, n: int, what: str) -> list:
+    """``entries`` if each is a list of ints (bools excluded) in 1..n;
+    ValueError otherwise."""
+    for entry in entries:
+        if type(entry) is not list or any(type(q) is not int or not 1 <= q <= n for q in entry):
+            raise ValueError(f"{what} must be lists of integers in 1..{n}")
+    return entries
 
 
 @dataclass
@@ -84,15 +83,18 @@ class DistributionReport:
         The verdict and element-of-reality table are rebuilt with
         ``allows_specific_avn`` and a witness must pass ``verify_witness``;
         a ValueError names every field where ``data`` differs from the
-        rebuilt report's ``to_json_dict()``.
+        rebuilt report's ``to_json_dict()``.  A malformed record (a missing
+        field, a graph that is not a string, a qubit that is not an int)
+        raises ValueError too.
         """
-        graph = parse_graph(data["graph"])
-        dist = Distribution(graph.n, tuple(tuple(p) for p in data["particles"]))
+        graph = parse_graph(record_field(data, "graph", str))
+        n = graph.n
+        particles = _qubit_lists(record_field(data, "particles", list), n, "particles")
+        dist = Distribution(n, tuple(tuple(p) for p in particles))
         witness = None
         if data.get("witness") is not None:
-            witness = AvnWitness(
-                tuple(_subset_mask(subset, graph.n) for subset in data["witness"]["subsets"])
-            )
+            subsets = _qubit_lists(record_field(data["witness"], "subsets", list), n, "witness subsets")
+            witness = AvnWitness(tuple(sum({1 << (q - 1) for q in s}) for s in subsets))
             if not verify_witness(witness, graph):
                 raise ValueError("witness subsets do not form a contradiction witness")
         report = cls(graph, dist, allows_specific_avn(graph, dist), witness)

@@ -3,9 +3,10 @@
 A witness is a list of stabilizing operators (named by generator subsets)
 whose perfect correlations cannot all hold under any +-1 assignment to the
 single-qubit observables: every letter occurs an even number of times on
-every qubit, yet the product of the operator signs is -1.  Consistency of
-arbitrary operator sets is decided exactly over GF(2), with the inconsistent
-row combination reported as a certificate.
+every qubit, yet the product of the operator signs is -1.  Operators are
+``(x, z, phase)`` words throughout.  Consistency of arbitrary word sets is
+decided exactly over GF(2), with the inconsistent row combination reported
+as a certificate.
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LengthMismatchError, ResourceLimitError
+from .errors import LengthMismatchError, NonHermitianSignError, ResourceLimitError
 from .gf2 import gf2_solve_explain
 from .graphstate import (
     MAX_STATE_QUBITS,
     Graph,
     perfect_correlation_report,
-    stabilizer_element,
     stabilizer_walk,
     stabilizer_word,
     statevector,
 )
-from .pauli import format_word, sign_of
+from .pauli import format_word
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,6 @@ class AvnWitness:
     """Generator subsets of the stabilizing operators forming one proof."""
 
     subsets: tuple  # of int masks, bit j-1 for generator j
-
-    def operators(self, g: Graph) -> list:
-        return [stabilizer_element(g, s) for s in self.subsets]
 
     def __len__(self):
         return len(self.subsets)
@@ -50,35 +47,43 @@ class AssignmentCheck:
     certificate: tuple | None = None   # indices of operators whose combination is 0 = 1
 
 
-def _observable_index(qubit: int, letter: str) -> int:
-    return (qubit - 1) * 3 + "XYZ".index(letter)
+def _parity_key(word, n: int) -> int:
+    """The word's X part (qubits showing X) at bits 0..n-1, its Y part at
+    n..2n-1, its Z part at 2n..3n-1 and its sign bit (set for phase 2) at
+    bit 3n."""
+    x, z, phase = word
+    return (x & ~z) | (x & z) << n | (z & ~x) << 2 * n | (phase >> 1 & 1) << 3 * n
 
 
-def assignment_consistent(ops) -> AssignmentCheck:
-    """Can all operators' correlations hold under one +-1 assignment?
+def assignment_consistent(words, n: int) -> AssignmentCheck:
+    """Can the correlations of all ``(x, z, phase)`` words on n qubits hold
+    under one +-1 assignment?
 
-    Each (qubit, letter) pair is a +-1 variable; an operator with sign e
-    contributes the parity equation ``sum of its letters' bits = (e == -1)``.
+    Each (qubit, letter) pair is a +-1 variable, column ``3 (q - 1) +
+    "XYZ".index(letter)``; a word with sign e contributes the parity equation
+    ``sum of its letters' bits = (e == -1)``.  A word acting past n qubits
+    raises ``LengthMismatchError``, one with an odd phase
+    ``NonHermitianSignError``.
     """
-    ops = list(ops)
-    if not ops:
-        return AssignmentCheck(consistent=True, model={})
-    n = ops[0].n
     rows = []
-    for op in ops:
-        if op.n != n:
-            raise LengthMismatchError("operators act on different qubit counts")
+    for x, z, phase in words:
+        if (x | z) >> n:
+            raise LengthMismatchError(f"word 0x{x:x}, 0x{z:x} reaches past {n} qubits")
+        if phase & 1:
+            raise NonHermitianSignError(f"word has phase exponent {phase % 4}, not 0 or 2")
+        key = _parity_key((x, z, phase), n)
         coeffs = 0
-        for q in op.support():
-            coeffs |= 1 << _observable_index(q, op.letter(q))
-        rows.append((coeffs, 1 if sign_of(op) < 0 else 0))
+        for k in range(3):  # the X, Y and Z parts, in column order
+            for q in range(n):
+                coeffs |= (key >> k * n + q & 1) << 3 * q + k
+        rows.append((coeffs, key >> 3 * n))
     solution, certificate = gf2_solve_explain(rows)
     if solution is None:
         return AssignmentCheck(consistent=False, certificate=certificate)
     model = {
-        (q, letter): -1 if solution >> _observable_index(q, letter) & 1 else 1
+        (q, letter): -1 if solution >> 3 * (q - 1) + k & 1 else 1
         for q in range(1, n + 1)
-        for letter in "XYZ"
+        for k, letter in enumerate("XYZ")
     }
     return AssignmentCheck(consistent=True, model=model)
 
@@ -89,34 +94,24 @@ def verify_witness(w: AvnWitness, g: Graph) -> bool:
     simulate) perfect correlation of every member."""
     if not w.subsets or 0 in w.subsets or len(set(w.subsets)) != len(w.subsets):
         return False
-    ops = w.operators(g)
-    par_x = par_y = par_z = 0
-    sign = 1
-    for op in ops:
-        x, z = op.x, op.z
-        par_x ^= x & ~z
-        par_y ^= x & z
-        par_z ^= z & ~x
-        sign *= sign_of(op)
-    if par_x or par_y or par_z or sign != -1:
+    words = [stabilizer_word(g, s) for s in w.subsets]
+    key = 0
+    for word in words:
+        key ^= _parity_key(word, g.n)
+    if key != 1 << 3 * g.n:
         return False
-    if assignment_consistent(ops).consistent:
+    if assignment_consistent(words, g.n).consistent:
         return False
-    if g.n <= MAX_STATE_QUBITS:
-        _, failures = perfect_correlation_report(statevector(g), ops)
-        if failures:
-            return False
-    return True
+    return g.n > MAX_STATE_QUBITS or not perfect_correlation_report(statevector(g), words)[1]
 
 
 def is_critical(w: AvnWitness, g: Graph) -> bool:
     """True when removing any single operator restores consistency."""
-    ops = w.operators(g)
-    for k in range(len(ops)):
-        remainder = ops[:k] + ops[k + 1 :]
-        if not assignment_consistent(remainder).consistent:
-            return False
-    return True
+    words = [stabilizer_word(g, s) for s in w.subsets]
+    return all(
+        assignment_consistent(words[:k] + words[k + 1 :], g.n).consistent
+        for k in range(len(words))
+    )
 
 
 def _eor_certifying_subsets(supports: dict, d) -> set:
@@ -160,10 +155,10 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
     first set of sorted pool masks is returned, so the result is
     deterministic.
 
-    A set is a witness iff its parity keys (X part, Y part, Z part, sign
-    bit) XOR to (0, 0, 0, 1): every letter then occurs an even number of
-    times on every qubit, the assignment rows sum to 0 = 1, and stabilizer
-    elements are perfect correlations.  A size-k set is found by meeting in
+    A set is a witness iff its ``_parity_key`` values XOR to the sign bit
+    alone: every letter then occurs an even number of times on every qubit,
+    the assignment rows sum to 0 = 1, and stabilizer elements are perfect
+    correlations.  A size-k set is found by meeting in
     the middle: the lexicographically first floor(k/2)-subset of each key
     is indexed, and the ceil(k/2)-prefixes are walked in lexicographic order,
     each looking up the complementary key.  The first hit is the first
@@ -201,13 +196,8 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
             f"witness search space too large ({len(pool)} candidates, size {max_size})"
         )
 
-    n = g.n
-    keys = []
-    for x in pool:
-        z, phase = words[x]
-        negative = phase >> 1  # stabilizer phases are 0 or 2
-        keys.append((x & ~z) | (x & z) << n | (z & ~x) << 2 * n | negative << 3 * n)
-    target = 1 << 3 * n
+    keys = [_parity_key((x, *words[x]), g.n) for x in pool]
+    target = 1 << 3 * g.n
 
     index, indexed = {}, 0
     for k in sizes:
@@ -233,12 +223,11 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
 
 def underrepresented_qubits(w: AvnWitness, g: Graph) -> tuple:
     """1-based qubits showing fewer than two distinct letters in the witness."""
-    seen_x = seen_y = seen_z = 0  # qubits showing X, Y and Z somewhere
+    seen = 0  # the X, Y and Z parts of the qubits' letters somewhere
     for s in w.subsets:
-        x, z, _ = stabilizer_word(g, s)
-        seen_x |= x & ~z
-        seen_y |= x & z
-        seen_z |= z & ~x
+        seen |= _parity_key(stabilizer_word(g, s), g.n)
+    qubits = (1 << g.n) - 1
+    seen_x, seen_y, seen_z = seen & qubits, seen >> g.n & qubits, seen >> 2 * g.n & qubits
     twice = seen_x & seen_y | seen_x & seen_z | seen_y & seen_z
     return tuple(q for q in range(1, g.n + 1) if not twice >> (q - 1) & 1)
 

@@ -25,6 +25,7 @@ from avnproofs import (
     parse_distribution,
     path_graph,
     stabilizer_element,
+    stabilizer_word,
     star_graph,
     statevector,
     verify_witness,
@@ -186,9 +187,8 @@ def test_criterion_6_witness_suite():
         g = rng.choice(graphs)
         size = rng.randint(1, 5)
         masks = rng.sample(range(1, 1 << g.n), size)
-        ops = [stabilizer_element(g, m) for m in masks]
-        fast = assignment_consistent(ops).consistent
-        slow = all_sign_assignments_consistent(ops)
+        fast = assignment_consistent([stabilizer_word(g, m) for m in masks], g.n).consistent
+        slow = all_sign_assignments_consistent([stabilizer_element(g, m) for m in masks])
         assert fast == slow
         agreements += 1
     _pass(6, f"fixture witnesses critical; {agreements} random sets agree with exhaustive search")

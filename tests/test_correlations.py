@@ -1,4 +1,9 @@
-"""The sign-bit perfect-correlation report against the float expectation loop."""
+"""The sign-bit perfect-correlation report against the float expectation loop.
+
+The report takes ``(x, z, phase)`` words; its oracle,
+``correlations_by_expectation``, takes the same operators as
+``PauliOperator`` objects.
+"""
 
 import os
 import subprocess
@@ -21,43 +26,53 @@ from avnproofs import (
     path_graph,
     perfect_correlation_report,
     ring_graph,
+    stabilizer_word,
     statevector,
 )
 from avnproofs import graphstate
-from avnproofs.graphstate import _report_words, stabilizer_walk
+from avnproofs.graphstate import stabilizer_walk
 from oracles import correlations_by_expectation, edge_sets, verify_by_expectation
 from strategies import connected_cases
 
 LC6 = path_graph(6)
 
 
+def words_of(ops):
+    return [(op.x, op.z, op.phase) for op in ops]
+
+
+def ascending_words(g):
+    """The stabilizer's words in ascending subset order, as ``full_stabilizer``."""
+    return [stabilizer_word(g, mask) for mask in range(1 << g.n)]
+
+
 def report_and_oracle(sv, ops):
     ops = list(ops)
-    return perfect_correlation_report(sv, ops), correlations_by_expectation(sv, ops)
+    return perfect_correlation_report(sv, words_of(ops)), correlations_by_expectation(sv, ops)
 
 
 def assert_same(report, oracle):
     (worst, failures), (want_worst, want_failures) = report, oracle
     assert worst.hex() == want_worst.hex()
-    assert [(op, dev.hex()) for op, dev in failures] == [
-        (op, dev.hex()) for op, dev in want_failures
+    assert [(word, dev.hex()) for word, dev in failures] == [
+        ((op.x, op.z, op.phase), dev.hex()) for op, dev in want_failures
     ]
 
 
-def assert_both_reports_match_the_oracle(g):
-    """The operator report on the ascending stabilizer and the word report
-    on the Gray walk (what ``verify`` runs) both give the float loop's values."""
+def assert_both_orders_match_the_oracle(g):
+    """The report on the ascending stabilizer and on the Gray walk (what
+    ``verify`` runs) both give the float loop's values."""
     sv = statevector(g)
     oracle = verify_by_expectation(g)
-    assert_same(perfect_correlation_report(sv, full_stabilizer(g)), oracle)
-    assert_same(_report_words(sv, stabilizer_walk(g)), oracle)
+    assert_same(perfect_correlation_report(sv, ascending_words(g)), oracle)
+    assert_same(perfect_correlation_report(sv, stabilizer_walk(g)), oracle)
 
 
 def test_every_graph_up_to_four_vertices():
     graphs = 0
     for n in range(1, 5):
         for edges in edge_sets(n):
-            assert_both_reports_match_the_oracle(Graph.from_edges(n, edges))
+            assert_both_orders_match_the_oracle(Graph.from_edges(n, edges))
             graphs += 1
     assert graphs == 1 + 2 + 8 + 64  # "1:" and every disconnected graph included
 
@@ -65,7 +80,7 @@ def test_every_graph_up_to_four_vertices():
 @settings(max_examples=25, deadline=None)
 @given(connected_cases(12))
 def test_connected_graphs_up_to_twelve_vertices(case):
-    assert_both_reports_match_the_oracle(case[0])
+    assert_both_orders_match_the_oracle(case[0])
 
 
 def test_worst_is_the_identity_deviation_bit_for_bit():
@@ -74,7 +89,7 @@ def test_worst_is_the_identity_deviation_bit_for_bit():
     for n in range(1, 13):
         g = ring_graph(n) if n >= 3 else path_graph(n)
         sv = statevector(g)
-        worst, failures = perfect_correlation_report(sv, full_stabilizer(g))
+        worst, failures = perfect_correlation_report(sv, ascending_words(g))
         identity_dev = abs(expectation(sv, next(full_stabilizer(g))) - 1.0)
         assert failures == []
         assert worst.hex() == identity_dev.hex() == verify_by_expectation(g)[0].hex()
@@ -99,7 +114,7 @@ def test_a_graph_state_needs_one_float_evaluation(float_evaluations):
         for g in [path_graph(n), complete_graph(n)]:
             float_evaluations.clear()
             ops = list(full_stabilizer(g))
-            assert perfect_correlation_report(statevector(g), reversed(ops)) == (
+            assert perfect_correlation_report(statevector(g), reversed(words_of(ops))) == (
                 verify_by_expectation(g)[0],
                 [],
             )
@@ -110,7 +125,7 @@ def test_the_walk_needs_one_float_evaluation(float_evaluations):
     for n in range(1, 11):
         for g in [path_graph(n), complete_graph(n)]:
             float_evaluations.clear()
-            assert _report_words(statevector(g), stabilizer_walk(g)) == (
+            assert perfect_correlation_report(statevector(g), stabilizer_walk(g)) == (
                 verify_by_expectation(g)[0],
                 [],
             )
@@ -145,18 +160,19 @@ def test_failures_match_the_oracle(insert, float_evaluations):
     insert(ops)
     report, oracle = report_and_oracle(statevector(LC6), ops)
     assert_same(report, oracle)
-    failed = [op for op, _ in report[1]]
+    failed = [word for word, _ in report[1]]
     assert failed
-    assert float_evaluations == [ops[0], *failed]
+    assert words_of(float_evaluations) == words_of(ops[:1]) + failed
 
 
 @pytest.mark.parametrize(
     "bad, error",
     [
         (PauliOperator(1, 2, 1, n=6), NonHermitianSignError),
-        (PauliOperator(1, 2, 0, n=5), LengthMismatchError),
+        (PauliOperator(1 << 6, 0, n=7), LengthMismatchError),
+        (PauliOperator(1, 1 << 8, 2, n=9), LengthMismatchError),
     ],
-    ids=["odd-phase", "wrong-length"],
+    ids=["odd-phase", "wrong-length", "three-qubits-past"],
 )
 def test_errors_match_the_oracle(bad, error):
     ops = list(full_stabilizer(LC6))
@@ -164,7 +180,7 @@ def test_errors_match_the_oracle(bad, error):
     ops.insert(20, bad)
     sv = statevector(LC6)
     with pytest.raises(error) as got:
-        perfect_correlation_report(sv, ops)
+        perfect_correlation_report(sv, words_of(ops))
     with pytest.raises(error) as want:
         correlations_by_expectation(sv, ops)
     assert str(got.value) == str(want.value)
@@ -182,6 +198,18 @@ def test_empty_operator_list():
     assert perfect_correlation_report(statevector(LC6), []) == (0.0, [])
 
 
+def run_under_python_O(script):
+    """stdout of ``script`` run by ``python -O``, which strips assert statements."""
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit('not running under -O')\n" + script
+    src = str(Path(avnproofs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 NOT_A_GRAPH_STATE = {
     "non-uniform": "np.array([0.6, 0.8, 0.0, 0.0])",
     "complex": "np.array([0.5, 0.5 + 0.1j, 0.5, 0.5])",
@@ -192,21 +220,32 @@ NOT_A_GRAPH_STATE = {
 @pytest.mark.parametrize("vector", NOT_A_GRAPH_STATE.values(), ids=NOT_A_GRAPH_STATE.keys())
 def test_not_a_graph_state_raises_under_python_O(vector):
     script = f"""
-import sys
 import numpy as np
-from avnproofs import path_graph, full_stabilizer, perfect_correlation_report
+from avnproofs import path_graph, perfect_correlation_report
+from avnproofs.graphstate import stabilizer_walk
 
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
 try:
-    perfect_correlation_report({vector}, full_stabilizer(path_graph(2)))
+    perfect_correlation_report({vector}, stabilizer_walk(path_graph(2)))
 except AssertionError as exc:
     print(exc)
 """
-    src = str(Path(avnproofs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "statevector is not real with entries of one magnitude\n"
+    assert run_under_python_O(script) == "statevector is not real with entries of one magnitude\n"
+
+
+def test_bad_words_raise_under_python_O():
+    """A word acting past the n qubits, or with an odd phase, raises in both
+    word checks; the raises are explicit, so ``-O`` keeps them."""
+    script = """
+from avnproofs import assignment_consistent, path_graph, perfect_correlation_report, statevector
+
+sv = statevector(path_graph(3))
+for bad in [(0b1000, 0, 0), (0, 0b1000, 2), (1, 2, 1), (0, 1, 3)]:
+    words = [(1, 2, 0), bad]
+    for check in (lambda: perfect_correlation_report(sv, words), lambda: assignment_consistent(words, 3)):
+        try:
+            check()
+        except ValueError as exc:
+            print(type(exc).__name__)
+"""
+    lines = run_under_python_O(script).split()
+    assert lines == ["LengthMismatchError"] * 4 + ["NonHermitianSignError"] * 4

@@ -4,14 +4,17 @@ import pytest
 
 from avnproofs import (
     AvnWitness,
+    GraphClassRecord,
     ParseError,
     allows_specific_avn,
+    classify_all,
     find_witness,
     format_witness,
     parse_distribution,
     path_graph,
 )
 from avnproofs.cli import main
+from avnproofs.reality import Distribution
 from avnproofs.reports import DistributionReport
 
 
@@ -175,4 +178,86 @@ def test_from_json_dict_rejects_an_unknown_verdict():
     assert data["verdict"] == "blocks"
     data["verdict"] = "maybe"
     with pytest.raises(ValueError, match="in: verdict$"):
+        DistributionReport.from_json_dict(data)
+
+
+def test_repeated_or_out_of_range_qubit_is_reported_at_its_token():
+    cases = {
+        "1,1|2,3": ("qubit 1 appears twice in one particle", 2),
+        "1,4|4,2": ("qubit 4 appears in two particles", 4),
+        "1,4|2, 7,3": ("qubit 7 out of range 1..4", 7),
+    }
+    for text, (message, position) in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_distribution(text, 4)
+        assert (err.value.message, err.value.position) == (message, position)
+
+
+def test_check_reports_a_repeat_inside_one_particle(capsys):
+    assert main(["check", "--graph", "4: 1-2,2-3,3-4", "--dist", "1,1|2,3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: qubit 1 appears twice in one particle (at position 2)\n"
+
+
+def _set_particle(entries):
+    return lambda d: d["particles"].__setitem__(0, entries)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update({"m": 2.0}),
+        lambda d: d["eor_table"]["1"].update({"X": [1.0]}),
+        _set_particle([True, 4]),
+        _set_particle([1.0, 4]),
+        _set_particle(["1", 4]),
+        lambda d: d.update({"graph": 5}),
+        lambda d: d.pop("particles"),
+        lambda d: d["witness"]["subsets"].__setitem__(0, [2.0]),
+        lambda d: d.update({"witness": 5}),
+    ],
+    ids=[
+        "float-m",
+        "float-certificate-entry",
+        "bool-particle-entry",
+        "float-particle-entry",
+        "string-particle-entry",
+        "int-graph",
+        "missing-particles",
+        "float-witness-entry",
+        "int-witness",
+    ],
+)
+def test_from_json_dict_raises_value_error_on_values_the_program_never_writes(edit):
+    data = make_report(True).to_json_dict()
+    assert data["eor_table"]["1"]["X"] == [1] and data["particles"][0] == [1, 4]
+    with pytest.raises(ValueError):
+        DistributionReport.from_json_dict(_edited_record(edit))
+
+
+@pytest.mark.parametrize(
+    "edit", [{"class_id": True}, {"orbit_size": 2.0}, {"n": "5"}, {"n": 5.0}], ids=repr
+)
+def test_class_record_raises_value_error_on_values_the_program_never_writes(edit):
+    data = classify_all(5)[0].to_json_dict()
+    assert data["class_id"] == 1 and data["orbit_size"] == 2
+    with pytest.raises(ValueError):
+        GraphClassRecord.from_json_dict(dict(data, **edit))
+
+
+@pytest.mark.parametrize(
+    "particles, message",
+    [
+        (((1, 1), (2, 3, 4)), "qubit 1 appears twice in one particle"),
+        (((1, 2), (3, 3, 4)), "qubit 3 appears twice in one particle"),
+        (((1, 4), (4, 2, 3)), "qubit 4 appears in two particles"),
+    ],
+    ids=["first-particle", "second-particle", "two-particles"],
+)
+def test_distribution_and_loader_name_a_repeat_as_the_parser_does(particles, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Distribution(4, particles)
+    data = _edited_record(lambda d: d.update({"particles": [list(p) for p in particles]}))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         DistributionReport.from_json_dict(data)

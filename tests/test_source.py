@@ -22,10 +22,7 @@ def test_package_has_no_assert_statements():
 
 def test_no_module_imports_another_modules_private_names():
     """Each private helper stays behind its own module: certificate checks
-    behind ``reality``, for instance, so a loader cannot grow its own copy.
-    The one exception is the CLI's statevector core, ``cli`` printing what
-    ``graphstate._report_words`` decides."""
-    allowed = {("cli", "graphstate", "_report_words")}
+    behind ``reality``, for instance, so a loader cannot grow its own copy."""
     found = {
         (path.stem, node.module, alias.name)
         for path in SOURCES
@@ -34,4 +31,13 @@ def test_no_module_imports_another_modules_private_names():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert found == allowed
+    assert found == set()
+
+
+def test_operators_are_built_only_by_pauli_and_graphstate():
+    """Commands decide stabilizing operators as ``(x, z, phase)`` words; a
+    ``PauliOperator`` is built only where it is defined and multiplied
+    (``pauli``) and for the generators, ``stabilizer_element`` and the float
+    ``expectation`` (``graphstate``)."""
+    building = sorted(path.name for path in SOURCES if "PauliOperator(" in path.read_text(encoding="utf-8"))
+    assert building == ["graphstate.py", "pauli.py"]

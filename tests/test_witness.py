@@ -23,11 +23,17 @@ from avnproofs import (
     ring_graph,
     sign_of,
     stabilizer_element,
+    stabilizer_word,
     star_graph,
     underrepresented_qubits,
     verify_witness,
 )
-from oracles import all_sign_assignments_consistent, set_partitions, witness_by_sweep
+from oracles import (
+    all_sign_assignments_consistent,
+    canonical_solution,
+    set_partitions,
+    witness_by_sweep,
+)
 from strategies import connected_cases
 
 FC3 = complete_graph(3)
@@ -37,6 +43,16 @@ LC4 = path_graph(4)
 
 def witness_from(subsets):
     return AvnWitness(tuple(sum(1 << (i - 1) for i in s) for s in subsets))
+
+
+def words(g, masks):
+    """The ``(x, z, phase)`` words the package checks."""
+    return [stabilizer_word(g, m) for m in masks]
+
+
+def ops(g, masks):
+    """The same operators as ``PauliOperator`` objects, for the oracles."""
+    return [stabilizer_element(g, m) for m in masks]
 
 
 GHZ4_WITNESS = witness_from([(1,), (2,), (3,), (1, 2, 3)])
@@ -91,51 +107,73 @@ def test_identity_or_repeated_member_is_rejected(extra):
     assert w.subsets == (0b0010, 0b0011, 0b0110, 0b0111)
     assert verify_witness(w, LC4)
     padded = AvnWitness(w.subsets + extra)
-    assert all_sign_assignments_consistent(padded.operators(LC4)) is False
+    assert all_sign_assignments_consistent(ops(LC4, padded.subsets)) is False
     assert not verify_witness(padded, LC4)
 
 
 def test_fc3_four_correlations_are_contradictory():
-    ops = [stabilizer_element(FC3, m) for m in (0b001, 0b010, 0b100, 0b111)]
-    check = assignment_consistent(ops)
+    check = assignment_consistent(words(FC3, (0b001, 0b010, 0b100, 0b111)), 3)
     assert not check.consistent
     assert check.certificate == (0, 1, 2, 3)
 
 
 def test_fc4_and_lc4_correlation_quadruples_are_contradictory():
-    fc4_ops = [stabilizer_element(FC4, m) for m in (0b0001, 0b0010, 0b0100, 0b0111)]
-    assert not assignment_consistent(fc4_ops).consistent
-    lc4_ops = [stabilizer_element(LC4, m) for m in (0b0011, 0b0010, 0b0110, 0b0111)]
-    assert not assignment_consistent(lc4_ops).consistent
+    assert not assignment_consistent(words(FC4, (0b0001, 0b0010, 0b0100, 0b0111)), 4).consistent
+    assert not assignment_consistent(words(LC4, (0b0011, 0b0010, 0b0110, 0b0111)), 4).consistent
 
 
 def test_single_operator_always_consistent():
     for mask in range(1, 16):
-        check = assignment_consistent([stabilizer_element(FC4, mask)])
+        check = assignment_consistent(words(FC4, [mask]), 4)
         assert check.consistent
         assert check.model is not None
 
 
-def test_assignment_model_satisfies_all_operators():
-    ops = [stabilizer_element(LC4, m) for m in (0b0011, 0b0010, 0b0110)]
-    check = assignment_consistent(ops)
+def test_no_words_get_the_all_plus_one_model():
+    check = assignment_consistent([], 2)
     assert check.consistent
-    for op in ops:
+    assert check.model == {(q, letter): 1 for q in (1, 2) for letter in "XYZ"}
+
+
+def test_assignment_model_satisfies_all_operators():
+    masks = (0b0011, 0b0010, 0b0110)
+    check = assignment_consistent(words(LC4, masks), 4)
+    assert check.consistent
+    for op in ops(LC4, masks):
         prod = 1
         for q in op.support():
             prod *= check.model[(q, op.letter(q))]
         assert prod == sign_of(op)
 
 
+def model_by_letters(operators, n):
+    """The model of the rows laid out by ``op.letter`` in columns
+    ``3 (q - 1) + "XYZ".index(letter)``, free variables +1, or None."""
+    rows = [
+        (sum(1 << 3 * (q - 1) + "XYZ".index(op.letter(q)) for q in op.support()), op.phase >> 1)
+        for op in operators
+    ]
+    solution = canonical_solution(rows, 3 * n)
+    if solution is None:
+        return None
+    return {
+        (q, letter): -1 if solution >> 3 * (q - 1) + k & 1 else 1
+        for q in range(1, n + 1)
+        for k, letter in enumerate("XYZ")
+    }
+
+
 def test_assignment_consistency_matches_exhaustive_search():
+    """Consistency by exhaustive search, and the model of the letter layout."""
     rng = random.Random(42)
-    graphs = [FC3, path_graph(3), ring_graph(3)]
-    for _ in range(60):
+    graphs = [FC3, path_graph(3), ring_graph(3), LC4]
+    for _ in range(80):
         g = rng.choice(graphs)
         size = rng.randint(1, 5)
         masks = rng.sample(range(1, 1 << g.n), min(size, (1 << g.n) - 1))
-        ops = [stabilizer_element(g, m) for m in masks]
-        assert assignment_consistent(ops).consistent == all_sign_assignments_consistent(ops)
+        check = assignment_consistent(words(g, masks), g.n)
+        assert check.consistent == all_sign_assignments_consistent(ops(g, masks))
+        assert check.model == model_by_letters(ops(g, masks), g.n)
 
 
 def _has_even_negative_submultiset(chosen):
@@ -157,20 +195,18 @@ def _has_even_negative_submultiset(chosen):
 def test_parity_sign_duality_exhaustive():
     """Inconsistent iff some subset has all-even letter counts and sign -1."""
     g3 = path_graph(3)
-    elems3 = [stabilizer_element(g3, m) for m in range(1, 8)]
-    sets = [c for size in (2, 3, 4) for c in combinations(elems3, size)]
-    elems4 = [stabilizer_element(LC4, m) for m in range(1, 16)]
-    sets += [c for size in (2, 3, 4, 5) for c in combinations(elems4, size)]
-    for chosen in sets:
-        inconsistent = not assignment_consistent(list(chosen)).consistent
-        assert inconsistent == _has_even_negative_submultiset(chosen)
+    sets = [(g3, c) for size in (2, 3, 4) for c in combinations(range(1, 8), size)]
+    sets += [(LC4, c) for size in (2, 3, 4, 5) for c in combinations(range(1, 16), size)]
+    for g, chosen in sets:
+        inconsistent = not assignment_consistent(words(g, chosen), g.n).consistent
+        assert inconsistent == _has_even_negative_submultiset(ops(g, chosen))
 
 
 def test_verified_witness_defeats_exhaustive_assignment_search_n5():
     g = ring_graph(5)
     w = find_witness(g, parse_distribution("1|2|3|4|5", 5), max_size=4)
     assert w is not None and verify_witness(w, g)
-    assert not all_sign_assignments_consistent(w.operators(g))
+    assert not all_sign_assignments_consistent(ops(g, w.subsets))
 
 
 def test_find_witness_fc3_matches_canonical_structure():
@@ -232,8 +268,8 @@ def _same_search(g, d, max_size, exhaustive=False):
     assert found is not None and found.subsets == swept.subsets
     assert verify_witness(found, g)
     assert is_critical(found, g)
-    ops = found.operators(g)
-    letters = {q: {op.letter(q) for op in ops if q in op.support()} for q in range(1, g.n + 1)}
+    members = ops(g, found.subsets)
+    letters = {q: {op.letter(q) for op in members if q in op.support()} for q in range(1, g.n + 1)}
     assert underrepresented_qubits(found, g) == tuple(q for q, seen in letters.items() if len(seen) < 2)
 
 
