@@ -29,8 +29,8 @@ decision = allows_specific_avn(graph, dist)
 sv = statevector(graph)
 worst = 0.0
 for row in decision.eor.values():
-    for witness in row.values():
-        op = stabilizer_element(graph, witness.subset)
+    for subset in row.values():  # each certificate is a generator-subset mask
+        op = stabilizer_element(graph, subset)
         worst = max(worst, abs(expectation(sv, op) - 1.0))
 print()
 print(f"largest deviation of any certifying correlation from 1: {worst:.2e}")

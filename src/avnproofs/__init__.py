@@ -51,7 +51,6 @@ from .pauli import (
     format_word,
     identity,
     pauli_multiply,
-    sign_of,
 )
 from .partitions import (
     all_avn_distributions,
@@ -68,7 +67,6 @@ from .reality import (
     ActionClass,
     AvnDecision,
     Distribution,
-    EoRWitness,
     allows_specific_avn,
     classify_action,
     format_distribution,

@@ -57,17 +57,17 @@ def _oracle_check(g, dist, decision):
     if brute.allows != decision.allows:
         raise AssertionError("solver and brute-force verdicts disagree")
     for qubit, row in decision.eor.items():
-        for letter, w in row.items():
-            if (w is None) != (brute.eor[qubit][letter] is None):
+        for letter, mask in row.items():
+            if (mask is None) != (brute.eor[qubit][letter] is None):
                 raise AssertionError(
                     f"solver and brute-force disagree on {letter}{qubit}"
                 )
     if g.n <= MAX_STATE_QUBITS:
         words = [
-            stabilizer_word(g, w.subset)
+            stabilizer_word(g, mask)
             for row in decision.eor.values()
-            for w in row.values()
-            if w is not None
+            for mask in row.values()
+            if mask is not None
         ]
         _, failures = perfect_correlation_report(statevector(g), words)
         if failures:

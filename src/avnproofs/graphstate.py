@@ -78,6 +78,14 @@ class Graph:
                     raise ValueError(f"asymmetric edge {v + 1}-{w + 1}")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple) -> "Graph":
+        """The graph of ``adj``, already symmetric, loop-free and in range
+        with n in 1..MAX_QUBITS, built without ``__post_init__``'s walk."""
+        g = object.__new__(cls)
+        vars(g).update(n=n, adj=adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from 1-based vertex pairs."""
         adj = [0] * n
@@ -172,7 +180,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the ``n: i-j, i-j, ...`` format (1-based, whitespace-insensitive)."""
+    """Parse the ``n: i-j, i-j, ...`` format (1-based, whitespace-insensitive),
+    checking each token once; the graph is built without ``Graph``'s walk."""
     colon = text.find(":")
     if colon < 0:
         raise ParseError("expected 'n: edges' with a colon", text, 0)
@@ -206,7 +215,7 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"duplicate edge {i}-{j}", text, pos)
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def format_graph(g: Graph) -> str:

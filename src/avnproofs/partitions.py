@@ -88,13 +88,11 @@ def minimal_shapes(n: int) -> list:
     """
     if not 2 <= n <= 16:
         raise ValueError(f"n must be in 2..16, got {n}")
-    out = []
-    for m in range(2, n + 1):
-        shapes = [s for s in integer_partitions(n, parts=m) if _schedule_keeps(s)]
-        if shapes:
-            shapes.sort(reverse=True)
-            out.append((m, tuple(shapes)))
-    return out
+    levels = {}
+    for shape in integer_partitions(n):  # lexicographically descending
+        if _schedule_keeps(shape):
+            levels.setdefault(len(shape), []).append(shape)
+    return [(m, tuple(levels[m])) for m in sorted(levels)]
 
 
 def partitions_with_shape(n: int, shape):
@@ -207,7 +205,8 @@ def enumerate_distributions(
     encoding, found by closing its first member under the canonical search's
     generators, which are computed only when the first distribution is about
     to be yielded, and not at all for the all-singletons shape, whose one
-    partition every automorphism fixes.
+    partition every automorphism fixes.  The blocks are built sorted,
+    disjoint and covering, so they are yielded without a second check.
 
     With ``full_rank_only`` the stream keeps only the distributions whose
     particles all have full cut-rank, E(A) = |A|, which are exactly those
@@ -223,7 +222,7 @@ def enumerate_distributions(
     stream = _set_partitions(g.n, shape, g if full_rank_only else None)
     if not dedupe or shape[0] == 1:
         for blocks in stream:
-            yield Distribution(g.n, blocks)
+            yield Distribution._trusted(g.n, blocks)
         return
     gens = None
     seen = set()
@@ -234,7 +233,7 @@ def enumerate_distributions(
             gens = automorphism_group(g)[0]
         orbit = _closure(blocks, gens, _permuted_blocks)
         seen |= orbit
-        yield Distribution(g.n, min(orbit))
+        yield Distribution._trusted(g.n, min(orbit))
 
 
 def _report_sort_key(report: DistributionReport):

@@ -89,15 +89,6 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(x3, z3, phase, n=p.n)
 
 
-def sign_of(p: PauliOperator) -> int:
-    """+1 or -1 for a Hermitian-signed operator; phase +-i is an upstream bug."""
-    if p.phase == 0:
-        return 1
-    if p.phase == 2:
-        return -1
-    raise NonHermitianSignError(f"operator has phase exponent {p.phase}, not 0 or 2")
-
-
 #: ``_CELLS[k][q]`` is letter ``LETTERS[k]`` on qubit q + 1 as printed, e.g.
 #: ``"Y3"``.  A memo of constants: ``_cells`` only ever widens it, when an
 #: operator reaches past its end, so no caller can see another's use of it.

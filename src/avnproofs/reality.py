@@ -12,9 +12,10 @@ the right-hand side differs, so one GF(2) elimination per particle decides
 the particle's whole table; its rank is |A| + E(A), where E(A) is the
 cut-rank of A.  That table is eliminated once per (graph, particle) and
 cached read-only; ``allows_specific_avn`` (and so ``check``, the searches
-and ``--oracle``) and ``is_element_of_reality`` all read it, and every
-certificate is verified against the graph once, when its particle's table
-is built.  A brute-force sweep over all 2^n subsets doubles as an oracle.
+and ``--oracle``) and ``is_element_of_reality`` all read it.  A certificate
+is the int mask of its generator subset (bit j-1 for generator j), verified
+against the graph once, when its particle's table is built.  A brute-force
+sweep over all 2^n subsets doubles as an oracle.
 
 The verdict itself is a rank test: a distribution allows a specific AVN
 proof iff every particle A has E(A) = |A| (``graphstate.cut_rank``).  The
@@ -62,6 +63,14 @@ class Distribution:
             missing = sorted(set(range(1, self.n + 1)) - seen)
             raise ValueError(f"qubits {missing} not covered")
 
+    @classmethod
+    def _trusted(cls, n: int, particles: tuple) -> "Distribution":
+        """The distribution of ``particles``, already sorted, nonempty,
+        disjoint and covering 1..n, built without ``__post_init__``'s walk."""
+        d = object.__new__(cls)
+        vars(d).update(n=n, particles=particles)
+        return d
+
     @property
     def m(self) -> int:
         return len(self.particles)
@@ -105,11 +114,13 @@ class Distribution:
 def parse_distribution(text: str, n: int) -> Distribution:
     """Parse ``a,b|c,d`` (particles split by '|', qubits by ',').
 
-    An out-of-range or repeated qubit is reported at its own token."""
+    A bad qubit entry is reported at its own token, and uncovered qubits at
+    position 0.  Each check is made once, here: the particles are built
+    without ``Distribution``'s second walk."""
     particles = []
     earlier = set()  # qubits of the particles before this one
     offset = 0
-    for chunk in text.split("|"):
+    for chunk in text.split("|"):  # a chunk has at least one entry, even ""
         pos = offset
         offset += len(chunk) + 1
         members = []
@@ -131,14 +142,12 @@ def parse_distribution(text: str, n: int) -> Distribution:
             if q in earlier:
                 raise ParseError(f"qubit {q} appears in two particles", text, at)
             members.append(q)
-        if not members:
-            raise ParseError("empty particle", text, pos)
         earlier.update(members)
-        particles.append(tuple(members))
-    try:
-        return Distribution(n, tuple(particles))
-    except ValueError as exc:
-        raise ParseError(str(exc), text, 0) from None
+        particles.append(tuple(sorted(members)))
+    if len(earlier) != n:
+        missing = sorted(set(range(1, n + 1)) - earlier)
+        raise ParseError(f"qubits {missing} not covered", text, 0)
+    return Distribution._trusted(n, tuple(particles))
 
 
 def format_distribution(d: Distribution) -> str:
@@ -174,16 +183,6 @@ def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     return ActionClass(_letter_at(subset, neighbour_parity(g, subset), i))
 
 
-@dataclass(frozen=True)
-class EoRWitness:
-    """Generator subset (an int mask, bit j-1 for generator j) certifying
-    that ``pauli`` on ``qubit`` is an element of reality."""
-
-    qubit: int
-    pauli: str
-    subset: int
-
-
 def _eor_requirements(pauli: str):
     """(selected, neighbor parity) required at the target qubit, per letter."""
     if pauli == "X":
@@ -214,9 +213,9 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
 def _particle_lookup(g: Graph, qubits):
     """Element-of-reality certificates of one particle's qubits, from one
     elimination: per member, in particle order, an (X, Y, Z) tuple of
-    ``EoRWitness`` or None.  Every entry is verified against the graph here,
-    once, before the tuple is cached and shared by every caller; a wrong
-    entry raises, so no table holding it is ever cached.
+    generator-subset masks or None.  Every mask is verified against the
+    graph here, once, before the tuple is cached and shared by every
+    caller; a wrong mask raises, so no table holding it is ever cached.
 
     The rows are e_j (is j selected) and Gamma_j (parity of j's selected
     neighbours) for every member j.  For qubit i the letters need (e_i . s,
@@ -233,18 +232,15 @@ def _particle_lookup(g: Graph, qubits):
     for i, (sx, cx), (sz, cz) in zip(qubits, units[::2], units[1::2]):
         masks = (sx if not cx else None, sx ^ sz if cx == cz else None, sz if not cz else None)
         mates = inside & ~(1 << (i - 1))
-        row = []
         for pauli, mask in zip(PAULI_LETTERS, masks):
             if mask is not None:
                 _verify_witness_subset(g, mates, i, pauli, mask)
-                mask = EoRWitness(i, pauli, mask)
-            row.append(mask)
-        table.append(tuple(row))
+        table.append(masks)
     return tuple(table)
 
 
 def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method: str = "solver"):
-    """Witness subset if ``pauli`` on qubit i is an element of reality, else None.
+    """Certifying subset mask if ``pauli`` on qubit i is an element of reality, else None.
 
     ``method="solver"`` reads it from the cached GF(2) table of i's particle
     (scales past exhaustive range; the subset is the solution with every
@@ -274,7 +270,7 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
                     break
             if ok:
                 _verify_witness_subset(g, pmask, i, pauli, mask)
-                return EoRWitness(i, pauli, mask)
+                return mask
         return None
 
     if method != "solver":
@@ -288,7 +284,7 @@ class AvnDecision:
     """Verdict plus the per-qubit element-of-reality table behind it."""
 
     allows: bool
-    eor: dict  # qubit -> {"X"/"Y"/"Z" -> EoRWitness or None}
+    eor: dict  # qubit -> {"X"/"Y"/"Z" -> certifying subset mask or None}
     shortcut: str | None = None
 
 

@@ -57,8 +57,8 @@ class DistributionReport:
         eor = {}
         for qubit, row in self.decision.eor.items():
             eor[str(qubit)] = {
-                letter: (list(qubits_of(w.subset)) if w is not None else None)
-                for letter, w in row.items()
+                letter: (list(qubits_of(mask)) if mask is not None else None)
+                for letter, mask in row.items()
             }
         witness = None
         if self.witness is not None:
@@ -114,11 +114,11 @@ class DistributionReport:
             row = self.decision.eor[qubit]
             cells = []
             for letter in ("X", "Y", "Z"):
-                w = row[letter]
-                if w is None:
+                mask = row[letter]
+                if mask is None:
                     cells.append("-")
                 else:
-                    cells.append(format_word(*stabilizer_word(self.graph, w.subset)))
+                    cells.append(format_word(*stabilizer_word(self.graph, mask)))
             rows.append((qubit, cells))
         width = max(
             [len(c) for _, cells in rows for c in cells[:2]] + [1]

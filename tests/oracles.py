@@ -14,6 +14,7 @@ from avnproofs import (
     AvnWitness,
     DistributionReport,
     Graph,
+    NonHermitianSignError,
     PauliOperator,
     ResourceLimitError,
     UnsupportedInputError,
@@ -32,7 +33,6 @@ from avnproofs import (
     minimal_shapes,
     pauli_multiply,
     shape_feasible,
-    sign_of,
     stabilizer_element,
     statevector,
     verify_witness,
@@ -72,6 +72,15 @@ def single_letter(n, qubit, letter):
     x = bit if letter in ("X", "Y") else 0
     z = bit if letter in ("Y", "Z") else 0
     return PauliOperator(x, z, n=n)
+
+
+def sign_of(p):
+    """+1 or -1 for a Hermitian-signed operator; phase +-i raises."""
+    if p.phase == 0:
+        return 1
+    if p.phase == 2:
+        return -1
+    raise NonHermitianSignError(f"operator has phase exponent {p.phase}, not 0 or 2")
 
 
 def format_pauli_by_letters(op):

@@ -154,7 +154,7 @@ def test_criterion_5_solver_equals_brute_force_with_perfect_witnesses():
                                 for w in (ws, wb):
                                     if w is None:
                                         continue
-                                    op = stabilizer_element(g, w.subset)
+                                    op = stabilizer_element(g, w)
                                     assert op.letter(i) == pauli
                                     assert abs(expectation(sv, op) - 1.0) <= 1e-10
                                 checks += 1

@@ -1,16 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnproofs import (
     AvnWitness,
+    Graph,
     GraphClassRecord,
     ParseError,
     allows_specific_avn,
     classify_all,
+    enumerate_distributions,
     find_witness,
+    format_distribution,
+    format_graph,
     format_witness,
+    minimal_shapes,
     parse_distribution,
+    parse_graph,
     path_graph,
 )
 from avnproofs.cli import main
@@ -261,3 +269,85 @@ def test_distribution_and_loader_name_a_repeat_as_the_parser_does(particles, mes
     data = _edited_record(lambda d: d.update({"particles": [list(p) for p in particles]}))
     with pytest.raises(ValueError, match=f"^{message}$"):
         DistributionReport.from_json_dict(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parsers_build_what_the_checked_constructors_build(data):
+    """A parsed graph or distribution equals the one the checked
+    constructor builds from the same edges or particles, members given in
+    any order."""
+    n = data.draw(st.integers(1, 16))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.from_edges(n, edges)
+    parsed = parse_graph(format_graph(g))
+    assert type(parsed) is Graph and parsed == g and hash(parsed) == hash(g)
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for q in data.draw(st.permutations(range(1, n + 1))):
+        blocks.setdefault(labels[q - 1], []).append(q)
+    d = Distribution(n, tuple(map(tuple, blocks.values())))
+    for text in (format_distribution(d), "|".join(",".join(map(str, b)) for b in blocks.values())):
+        parsed = parse_distribution(text, n)
+        assert type(parsed) is Distribution and parsed == d and hash(parsed) == hash(d)
+        assert parsed.pmasks == d.pmasks
+
+
+def test_enumerated_distributions_are_what_the_checked_constructor_builds():
+    for record in classify_all(6):
+        g = record.representative
+        for _m, shapes in minimal_shapes(g.n):
+            for shape in shapes:
+                for dedupe in (True, False):
+                    for d in enumerate_distributions(g, shape, dedupe=dedupe):
+                        assert d == Distribution(g.n, d.particles)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("1,4|2,x", "qubit 'x' is not an integer", 6),
+        ("1,,2|3,4", "empty qubit entry", 2),
+        ("1,2||3,4", "empty qubit entry", 4),
+        ("1,4|2", "qubits [3] not covered", 0),
+        ("4|1", "qubits [2, 3] not covered", 0),
+    ],
+)
+def test_distribution_parse_errors(text, message, position):
+    """With ``test_repeated_or_out_of_range_qubit_is_reported_at_its_token``,
+    every message the distribution parser gives, at its position."""
+    with pytest.raises(ParseError) as err:
+        parse_distribution(text, 4)
+    assert (err.value.message, err.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(17, (0,) * 17), "vertex count must be in 1..16, got 17"),
+        (lambda: Graph(4, (0, 0, 0)), "adjacency list length differs from vertex count"),
+        (lambda: Graph.from_edges(4, [(1, 2), (1, 9)]), "edge 1-9 out of range 1..4"),
+        (lambda: Graph.from_edges(4, [(1, 2), (2, 2)]), "self-loop 2-2"),
+        (lambda: Distribution(4, ((1, 4), (2, 9, 3))), "qubit 9 out of range 1..4"),
+        (lambda: Distribution(4, ((1, 2, 3, 4), ())), "empty particle"),
+        (lambda: Distribution(4, ((1, 4), (2,))), "qubits [3] not covered"),
+    ],
+    ids=[
+        "vertex-count",
+        "adjacency-length",
+        "edge-range",
+        "edge-self-loop",
+        "qubit-range",
+        "empty-particle",
+        "uncovered",
+    ],
+)
+def test_checked_constructor_errors(build, message):
+    """The constructors that take input from outside the parsers keep their
+    own checks.  The adjacency-mask and repeat messages are pinned by
+    ``test_graphstate::test_graph_validation_messages_match_full_scan`` and
+    ``test_distribution_and_loader_name_a_repeat_as_the_parser_does``."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

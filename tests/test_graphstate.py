@@ -234,20 +234,22 @@ def test_parse_and_format_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text, message, position",
     [
-        ("4: 1-1", "self-loop"),
-        ("4: 1-2, 1-2", "duplicate"),
-        ("4: 1-5", "out of range"),
-        ("4: 1+2", "not of the form"),
-        ("x: 1-2", "not an integer"),
-        ("4 1-2", "colon"),
+        ("4: 1-1", "self-loop 1-1", 3),
+        ("4: 1-2, 1-2", "duplicate edge 1-2", 8),
+        ("4: 1-5", "edge 1-5 out of range 1..4", 3),
+        ("4: 1+2", "edge '1+2' is not of the form i-j", 3),
+        ("4: 1-2, 3-x", "edge '3-x' has non-integer endpoints", 8),
+        ("x: 1-2", "vertex count 'x' is not an integer", 0),
+        ("17: 1-2", "vertex count must be in 1..16", 0),
+        ("4 1-2", "expected 'n: edges' with a colon", 0),
     ],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, message, position):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
-    assert fragment in str(err.value)
+    assert (err.value.message, err.value.position) == (message, position)
 
 
 def test_parse_error_position_points_at_bad_edge():

@@ -20,10 +20,9 @@ from avnproofs import (
     identity,
     pauli_multiply,
     path_graph,
-    sign_of,
     stabilizer_element,
 )
-from oracles import format_pauli_by_letters, operator_matrix, single_letter
+from oracles import format_pauli_by_letters, operator_matrix, sign_of, single_letter
 
 
 def all_paulis(n, phases=(0,)):

@@ -72,14 +72,14 @@ def test_class_sizes_are_a_quarter_each():
 def test_lc4_alice_bob_x1_witness_is_g1():
     d = parse_distribution("1,4|2,3", 4)
     w = is_element_of_reality(LC4, d, 1, "X")
-    assert w.subset == 0b0001
-    assert str(stabilizer_element(LC4, w.subset)) == "X1 Z2"
+    assert w == 0b0001
+    assert str(stabilizer_element(LC4, w)) == "X1 Z2"
 
 
 def test_lc4_alice_bob_x2_witness_is_z1x2x4():
     d = parse_distribution("1,4|2,3", 4)
     w = is_element_of_reality(LC4, d, 2, "X")
-    assert str(stabilizer_element(LC4, w.subset)) == "Z1 X2 X4"
+    assert str(stabilizer_element(LC4, w)) == "Z1 X2 X4"
 
 
 def test_neighborhood_inside_particle_kills_y_and_z():
@@ -89,7 +89,7 @@ def test_neighborhood_inside_particle_kills_y_and_z():
     # X can survive: X1 X3 Z4 predicts X1 from the other particle alone
     wx = is_element_of_reality(LC4, d, 1, "X")
     assert wx is not None
-    assert str(stabilizer_element(LC4, wx.subset)) == "X1 X3 Z4"
+    assert str(stabilizer_element(LC4, wx)) == "X1 X3 Z4"
 
 
 def test_solver_and_brute_agree_with_same_witness_soundness():
@@ -118,7 +118,7 @@ def test_x_and_y_imply_z_via_subset_xor():
                 assert wx is not None and wy is not None
                 wz = is_element_of_reality(g, d, i, "Z")
                 assert wz is not None
-                candidate = wx.subset ^ wy.subset
+                candidate = wx ^ wy
                 assert classify_action(candidate, g, i) is ActionClass.PREDICTS_Z
 
 
@@ -377,13 +377,6 @@ sys.exit("wrong subset accepted")
     assert "does not show X on qubit 1" in proc.stdout
 
 
-def _table_masks(decision):
-    return {
-        i: {p: (w.subset if w is not None else None) for p, w in row.items()}
-        for i, row in decision.eor.items()
-    }
-
-
 def _oracle_masks(g, d):
     return {
         i: {p: eor_subset_by_system(g, d, i, p) for p in "XYZ"}
@@ -400,14 +393,14 @@ def test_table_matches_per_qubit_systems_exhaustively():
             g = record.representative
             for particles in set_partitions(range(1, n + 1)):
                 d = Distribution(n, particles)
-                assert _table_masks(allows_specific_avn(g, d)) == _oracle_masks(g, d)
+                assert allows_specific_avn(g, d).eor == _oracle_masks(g, d)
 
 
 @settings(max_examples=150, deadline=None)
 @given(connected_cases(12))
 def test_table_matches_per_qubit_systems(case):
     g, d = case
-    assert _table_masks(allows_specific_avn(g, d)) == _oracle_masks(g, d)
+    assert allows_specific_avn(g, d).eor == _oracle_masks(g, d)
 
 
 def test_particle_rank_is_size_plus_cut_rank():
@@ -459,4 +452,4 @@ def test_z_certificate_is_xor_of_x_and_y(case):
     for row in allows_specific_avn(g, d).eor.values():
         if row["X"] is not None and row["Y"] is not None:
             assert row["Z"] is not None
-            assert row["Z"].subset == row["X"].subset ^ row["Y"].subset
+            assert row["Z"] == row["X"] ^ row["Y"]

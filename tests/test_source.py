@@ -41,3 +41,21 @@ def test_operators_are_built_only_by_pauli_and_graphstate():
     ``expectation`` (``graphstate``)."""
     building = sorted(path.name for path in SOURCES if "PauliOperator(" in path.read_text(encoding="utf-8"))
     assert building == ["graphstate.py", "pauli.py"]
+
+
+def test_trusted_constructors_are_called_only_by_the_parsers_and_the_enumeration():
+    """``Graph._trusted`` and ``Distribution._trusted`` skip the constructors'
+    checks, so only code whose objects are valid by construction may call
+    them; the JSON loaders and library callers stay on the checked path."""
+    found = {
+        (path.stem, top.name)
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+    }
+    assert found == {
+        ("graphstate", "parse_graph"),
+        ("reality", "parse_distribution"),
+        ("partitions", "enumerate_distributions"),
+    }

@@ -21,7 +21,6 @@ from avnproofs import (
     parse_distribution,
     path_graph,
     ring_graph,
-    sign_of,
     stabilizer_element,
     stabilizer_word,
     star_graph,
@@ -32,6 +31,7 @@ from oracles import (
     all_sign_assignments_consistent,
     canonical_solution,
     set_partitions,
+    sign_of,
     witness_by_sweep,
 )
 from strategies import connected_cases
