@@ -7,21 +7,19 @@ failed cross-check, or a length or sign mismatch between internal objects,
 which parsed input cannot cause), so that a failure never reads as a
 verdict.
 
-When the first argument names a subcommand, ``main`` parses the rest with
-that subcommand's parser alone.  If that leaves arguments over, the full
-parser parses the whole line again and reports them as unrecognized.  With
-no arguments, a top-level ``-h``, an unknown command or an option first, the
-full parser runs directly.  Usage lines, help and error text are the same
-either way.
+Each subcommand's options are declared once, in ``_COMMANDS``.  ``main``
+first reads the line with ``_scan``, which takes only a subcommand followed
+by its own options written out in full.  Every other line, and so every
+request for help and every error, goes to the full argparse parser built
+from the same table, so usage lines, help and error text are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import string
 import sys
+from types import SimpleNamespace
 
 from .equivalence import classify_all
 from .errors import (
@@ -183,111 +181,111 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _add_format(p) -> None:
-    p.add_argument(
-        "--format",
-        choices=("table", "json-lines"),
-        default="table",
-        help="output format (default: table)",
-    )
+_FORMAT = ("--format", ("table", "json-lines"), "table", "output format (default: table)")
+_GRAPH = ("--graph", str, None, None)
+_DIST = ("--dist", str, None, None)
+_NO_DEDUPE = ("--no-dedupe", bool, False, None)
 
-
-# Each adder reads its cmd_* function when it runs, so a command patched on
-# this module after import is the one that runs.
-
-
-def _add_classes(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_classes)
-
-
-def _add_check(p) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check with brute force and statevector")
-    _add_format(p)
-    p.set_defaults(func=cmd_check)
-
-
-def _add_min_parties(p) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--no-dedupe", action="store_true")
-    p.add_argument("--oracle", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=cmd_min_parties)
-
-
-def _add_enumerate(p) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--no-dedupe", action="store_true")
-    p.add_argument("--oracle", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=cmd_enumerate)
-
-
-def _add_witness(p) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--exhaustive", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=cmd_witness)
-
-
-def _add_verify(p) -> None:
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_verify)
-
-
-#: Subcommand name -> (help, the function filling its parser), in help order.
+#: Subcommand name -> (help, options), in help order.  An option is
+#: (option string, kind, default, help), where kind is str, int, a tuple of
+#: choices, or bool for a store-true flag; a valued option whose default is
+#: None is required.  Both ``build_parser`` and ``_scan`` read this table.
 _COMMANDS = {
-    "classes": ("census of graph-state classes", _add_classes),
-    "check": ("verdict for one graph and distribution", _add_check),
-    "min-parties": ("smallest admitting party count", _add_min_parties),
-    "enumerate": ("all admitting m-party distributions", _add_enumerate),
-    "witness": ("search for a contradiction witness", _add_witness),
-    "verify": ("statevector check of all perfect correlations", _add_verify),
+    "classes": ("census of graph-state classes", (("--n", int, None, None), _FORMAT)),
+    "check": (
+        "verdict for one graph and distribution",
+        (_GRAPH, _DIST, ("--oracle", bool, False, "cross-check with brute force and statevector"), _FORMAT),
+    ),
+    "min-parties": (
+        "smallest admitting party count",
+        (_GRAPH, _NO_DEDUPE, ("--oracle", bool, False, None), _FORMAT),
+    ),
+    "enumerate": (
+        "all admitting m-party distributions",
+        (_GRAPH, ("--m", int, None, None), _NO_DEDUPE, ("--oracle", bool, False, None), _FORMAT),
+    ),
+    "witness": (
+        "search for a contradiction witness",
+        (_GRAPH, _DIST, ("--max-size", int, 4, None), ("--exhaustive", bool, False, None), _FORMAT),
+    ),
+    "verify": ("statevector check of all perfect correlations", (_GRAPH,)),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or with no command the full parser.
+def _command_function(name):
+    """Read when a line is parsed, so a ``cmd_*`` patched after import runs."""
+    return globals()["cmd_" + name.replace("-", "_")]
 
-    A command's parser is the one the full parser's ``add_parser`` makes for
-    it: same prog, options and defaults, so its help and errors read the same.
-    """
-    import shutil  # here, as in argparse, so importing this module loads no new module
 
-    # The width HelpFormatter would compute, probed once for the parser
-    # instead of once per formatter argparse makes (one per add_argument).
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"avnproofs {command}", formatter_class=formatter)
-        _COMMANDS[command][1](parser)
-        return parser
+def build_parser():
+    """The full parser, built from ``_COMMANDS``.  ``main`` builds it only
+    for a line ``_scan`` does not read, so help, usage and error text are
+    argparse's own."""
+    import argparse  # here, so that a well-formed command line loads neither argparse nor gettext
+
     parser = argparse.ArgumentParser(
         prog="avnproofs",
         description="Decide which qubit distributions of a graph state admit "
         "distribution-specific all-versus-nothing proofs.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add) in _COMMANDS.items():
-        add(sub.add_parser(name, help=help_text, formatter_class=formatter))
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt, kind, default, text in options:
+            if kind is bool:
+                p.add_argument(opt, action="store_true", help=text)
+            else:
+                p.add_argument(
+                    opt,
+                    type=int if kind is int else None,
+                    choices=kind if isinstance(kind, tuple) else None,
+                    required=default is None,
+                    default=default,
+                    help=text,
+                )
+        p.set_defaults(func=_command_function(name))
     return parser
+
+
+def _scan(argv):
+    """What ``build_parser().parse_args(argv)`` returns, for a line that is a
+    subcommand followed only by its own option strings, each at most once,
+    with each valued option followed by a value that does not start with
+    "-" and passes its int() or choices, and every required option given.
+    None for any other line."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {opt: (kind, default) for opt, kind, default, _ in _COMMANDS[argv[0]][1]}
+    given = {}
+    tokens = iter(argv[1:])
+    for opt in tokens:
+        if opt not in options or opt in given:
+            return None
+        kind = options[opt][0]
+        if kind is bool:
+            given[opt] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        given[opt] = value
+    values = {opt[2:].replace("-", "_"): given.get(opt, default) for opt, (_, default) in options.items()}
+    if None in values.values():  # a required option is missing
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=_command_function(argv[0]))
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is not None:
-        args, extra = build_parser(command).parse_known_args(argv[1:])
-    if command is None or extra:
-        args = build_parser().parse_args(argv)
+    args = _scan(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AssertionError, LengthMismatchError, NonHermitianSignError) as exc:
