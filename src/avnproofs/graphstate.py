@@ -15,20 +15,11 @@ neighbour mask, and the parity of the inner edge count by a popcount.
 ``stabilizer_element`` wraps it as a ``PauliOperator``.
 
 The statevector check decides each word exactly on the state's sign bits.
-Graph-state amplitudes are real and all of magnitude 1/sqrt(N), N = 2^n, so
-with Q the N-bit set of negative amplitudes the operator ``i**k X^x Z^z``
-(k = phase + |x & z| mod 4) has expectation ``i**k (N - 2 |D|) / N`` with
-D(b) = Q(b ^ x) ^ Q(b) ^ (z . b).  It is a perfect correlation exactly when
-k = 0 and D is empty, or k = 2 and D is full.  D is one N-bit integer:
-Q(b ^ x) comes from the previous word's by a block swap per bit of x that
-changed, and the parity z . b by one XOR with the parity set of the change
-in z, memoized by that change.  On the walk there are at most n distinct
-changes, so each step costs one swap and one XOR.
-``perfect_correlation_report`` does this for ``verify`` (on the walk),
-``check --oracle`` and ``verify_witness``.  A ``PauliOperator`` is built
-only for the first passing word and for each word that does not pass, and
-takes the float path of ``expectation``; every passing word has the float
-deviation of the first, which is computed once.
+Graph-state amplitudes are real and all of magnitude 1/sqrt(N), N = 2^n, and
+their signs are a quadratic form over GF(2), so n comparisons of the sign
+pattern with its unit shifts give, for every word, one linear mask and one
+sign bit to test (see ``perfect_correlation_report``).  That report serves
+``verify`` (on the walk), ``check --oracle`` and ``verify_witness``.
 """
 
 from __future__ import annotations
@@ -371,6 +362,8 @@ def expectation(sv: np.ndarray, p: PauliOperator) -> float:
     """Exact ``<sv| p |sv>`` computed basis-state-wise."""
     import numpy as np
 
+    if sv.ndim != 1:
+        raise LengthMismatchError(f"state of shape {sv.shape} is not a vector")
     dim = sv.shape[0]
     if dim != (1 << p.n):
         raise LengthMismatchError(f"state dimension {dim} does not match {p.n}-qubit operator")
@@ -408,28 +401,59 @@ def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
     operator.  A word acting past the state's qubits raises
     ``LengthMismatchError``.  An odd-phase word never passes the sign-bit
     test, so ``expectation`` raises ``NonHermitianSignError`` on it.
-    ``sv`` must be real, finite and of one magnitude, as every graph state
-    is; otherwise ``AssertionError`` is raised.
+    ``sv`` must be a vector of length 2^n, real, finite and of one
+    magnitude, as every graph state is; otherwise ``AssertionError`` is
+    raised before any word is read.
+
+    With Q(b) = 1 where amplitude b < 0 and D_x(b) = Q(b ^ x) ^ Q(b), every
+    Q has D_{x ^ e_v}(b) = D_x(b ^ e_v) ^ D_{e_v}(b).  So if each unit
+    difference is affine, D_{e_v}(b) = L_v . b ^ D_{e_v}(0), as for every
+    stabilizer state (Dehaene & De Moor, PRA 68, 042318, 2003), every D_x
+    is affine with linear part L_x, the XOR of L_v over the bits of x, and
+    constant Q(x) ^ Q(0).  ``i**k X^x Z^z`` (k = phase + |x & z| mod 4) has
+    expectation ``i**k (N - 2 c) / N``, c the count of b with
+    D_x(b) ^ z . b = 1: 0 or N when z = L_x, N/2 otherwise.  So a word
+    passes exactly when ``z == L_x and k == 2 (Q(x) ^ Q(0))``.  If some unit
+    difference is not affine, the state is no stabilizer state and every
+    word takes the float path of ``expectation``.  Otherwise a
+    ``PauliOperator`` is built only for the first passing word and for each
+    word that does not pass; every passing word has the float deviation of
+    the first, computed once.
     """
     import numpy as np
 
+    if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):
+        raise AssertionError(f"statevector of shape {sv.shape} is not a vector of length 2^n")
     dim = sv.shape[0]
     real = sv.real
     if (
-        dim == 0
-        or sv.imag.any()
+        sv.imag.any()
         or not np.isfinite(real).all()
         or not (np.abs(real) == abs(real[0])).all()
     ):
         raise AssertionError("statevector is not real with entries of one magnitude")
     n = dim.bit_length() - 1
     full = (1 << dim) - 1
-    coords = [_coordinate_bits(j, dim) for j in range(n)]
-    halves = [(c, full ^ c) for c in coords]
-    signs = int.from_bytes(np.packbits(real < 0, bitorder="little").tobytes(), "little")
-    shifted, base = signs, signs  # bit b: Q(b ^ x) and Q(b) ^ z . b of the previous word
-    steps = {}  # change in z -> its dim-bit parity set
-    prev_x = prev_z = 0
+    negative = real < 0
+    signs = int.from_bytes(np.packbits(negative, bitorder="little").tobytes(), "little")
+    neg = negative.tobytes()  # byte b: Q(b)
+    q0 = neg[0]
+    units = [(1 << u, neg[1 << u], _coordinate_bits(u, dim)) for u in range(n)]
+    lins = []  # L_v per qubit; None when some unit difference is not affine
+    for low, q_low, high in units:
+        diff = signs ^ ((signs & (full ^ high)) << low) ^ ((signs & high) >> low)
+        const = q_low ^ q0
+        lin = 0
+        affine = full if const else 0
+        for unit, q_unit, coord in units:
+            if neg[low ^ unit] ^ q_unit != const:  # bit 2^u of diff: D_{e_v}(e_u)
+                lin |= unit
+                affine ^= coord
+        if diff != affine:
+            lins = None
+            break
+        lins.append(lin)
+    lin = prev_x = 0
     worst = 0.0
     passing_dev = None
     failures = []
@@ -438,28 +462,15 @@ def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
             raise LengthMismatchError(
                 f"state dimension {dim} does not match {(x | z).bit_length()}-qubit operator"
             )
-        flip = x ^ prev_x
-        while flip:
-            low = flip & -flip
-            high, rest = halves[low.bit_length() - 1]
-            shifted = ((shifted & rest) << low) | ((shifted & high) >> low)
-            flip ^= low
-        dz = z ^ prev_z
-        if dz:
-            step = steps.get(dz)
-            if step is None:
-                step = 0
-                m = dz
-                while m:
-                    low = m & -m
-                    step ^= coords[low.bit_length() - 1]
-                    m ^= low
-                steps[dz] = step
-            base ^= step
-        prev_x, prev_z = x, z
-        k = (phase + (x & z).bit_count()) % 4
-        ones = (shifted ^ base).bit_count()
-        passes = (k == 0 and ones == 0) or (k == 2 and ones == dim)
+        passes = False
+        if lins is not None:
+            flip = x ^ prev_x
+            prev_x = x
+            while flip:
+                low = flip & -flip
+                lin ^= lins[low.bit_length() - 1]
+                flip ^= low
+            passes = z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (neg[x] ^ q0)
         if passes and passing_dev is not None:  # already counted in worst
             if passing_dev > PERFECT_CORRELATION_TOL:
                 failures.append(((x, z, phase), passing_dev))

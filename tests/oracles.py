@@ -558,12 +558,15 @@ def verify_by_expectation(g):
     return correlations_by_expectation(statevector(g), full_stabilizer(g))
 
 
-def verify_output_by_expectation(g, ops=None):
+def verify_output_by_expectation(g, ops=None, sv=None):
     """(stdout, exit status) of ``avnproofs verify`` on g, checking ``ops``
-    (the whole stabilizer by default) with the float loop."""
+    (the whole stabilizer by default) with the float loop on the state
+    ``sv`` (g's graph state by default)."""
     if ops is None:
         ops = full_stabilizer(g)
-    worst, failures = correlations_by_expectation(statevector(g), ops)
+    if sv is None:
+        sv = statevector(g)
+    worst, failures = correlations_by_expectation(sv, ops)
     lines = [f"FAIL {format_pauli_by_letters(op)} deviates by {dev:.3e}" for op, dev in failures]
     lines.append(f"{1 << g.n} stabilizing operators checked, max deviation from 1: {worst:.3e}")
     return "".join(line + "\n" for line in lines), 1 if failures else 0

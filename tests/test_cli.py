@@ -23,6 +23,7 @@ from avnproofs import (
     full_stabilizer,
     parse_graph,
     partitions,
+    statevector,
     witness,
 )
 from avnproofs.cli import main
@@ -362,6 +363,18 @@ def test_verify_prints_failures_in_ascending_subset_order(capsys, monkeypatch):
         "FAIL -Z1 X2 Z3 deviates by 2.000e+00",
         "FAIL -Y1 Y2 Z3 deviates by 2.000e+00",
     ]
+
+
+def test_verify_reports_a_tampered_state(capsys, monkeypatch):
+    """With one amplitude negated the sign pattern is no stabilizer state's,
+    and ``verify`` prints what the float loop finds on that same state."""
+    g = parse_graph(LC6)
+    sv = statevector(g)
+    sv[37] *= -1
+    monkeypatch.setattr(cli, "statevector", lambda graph: sv)
+    code, out, err = run(capsys, "verify", "--graph", LC6)
+    assert (out, code) == verify_output_by_expectation(g, sv=sv)
+    assert (code, err) == (1, "")
 
 
 def test_verify_statevector_guard_exit_two(capsys):

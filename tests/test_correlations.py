@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import avnproofs
 from avnproofs import (
@@ -198,6 +200,61 @@ def test_empty_operator_list():
     assert perfect_correlation_report(statevector(LC6), []) == (0.0, [])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_sign_pattern_matches_the_oracle(n, float_evaluations):
+    """Every +-1 sign pattern on n qubits, at norm 1 and 2, against every
+    word with phase 0 or 2.  A pattern has degree 3, and so is no stabilizer
+    state's, exactly when n = 3 and an odd number of its signs are negative;
+    each word of such a pattern takes the float path once.  On the others,
+    the float path takes the first word that passes at norm 1 and every word
+    that does not."""
+    dim = 1 << n
+    words = [(x, z, phase) for x in range(dim) for z in range(dim) for phase in (0, 2)]
+    ops = [PauliOperator(*word, n=n) for word in words]
+    not_quadratic = 0
+    for pattern in range(1 << dim):
+        signs = np.array([-1.0 if (pattern >> b) & 1 else 1.0 for b in range(dim)])
+        cubic = n == 3 and pattern.bit_count() % 2 == 1
+        not_quadratic += cubic
+        for scale in (1.0, 2.0):
+            sv = signs * (scale / np.sqrt(dim))
+            float_evaluations.clear()
+            report = perfect_correlation_report(sv, words)
+            assert_same(report, correlations_by_expectation(sv, ops))
+            if scale == 1.0:
+                failed = {word for word, _ in report[1]}
+                passing = [word for word in words if word not in failed]
+                skipped = set(passing[1:])
+            expected = words if cubic else [word for word in words if word not in skipped]
+            assert words_of(float_evaluations) == expected
+    assert not_quadratic == (128 if n == 3 else 0)
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    case=connected_cases(10, min_n=1), mask=st.integers(0, (1 << 10) - 1), negate=st.booleans()
+)
+def test_quadratic_patterns_beyond_graph_states(case, mask, negate, float_evaluations):
+    """A graph state times (-1)^(l . b), and times -1, is another stabilizer
+    state: its unit differences have constant l_v, which no graph state has,
+    and Q(0) = 1 under the global sign.  Conjugating by Z^l flips the sign
+    of generator v for each v in l, so exactly the words with odd |l & x|
+    fail, and each is evaluated by float after the first word."""
+    g = case[0]
+    mask &= (1 << g.n) - 1
+    flips = np.array([(-1.0) ** (mask & b).bit_count() for b in range(1 << g.n)])
+    sv = statevector(g) * flips * (-1.0 if negate else 1.0)
+    ops = list(full_stabilizer(g))
+    float_evaluations.clear()
+    report = perfect_correlation_report(sv, words_of(ops))
+    assert_same(report, correlations_by_expectation(sv, ops))
+    failed = [word for word, _ in report[1]]
+    assert failed == [word for word in words_of(ops) if (word[0] & mask).bit_count() % 2]
+    assert words_of(float_evaluations) == words_of(ops[:1]) + failed
+
+
 def run_under_python_O(script):
     """stdout of ``script`` run by ``python -O``, which strips assert statements."""
     script = "import sys\nif not sys.flags.optimize:\n    sys.exit('not running under -O')\n" + script
@@ -210,26 +267,48 @@ def run_under_python_O(script):
     return proc.stdout
 
 
+NOT_ONE_MAGNITUDE = "statevector is not real with entries of one magnitude"
 NOT_A_GRAPH_STATE = {
-    "non-uniform": "np.array([0.6, 0.8, 0.0, 0.0])",
-    "complex": "np.array([0.5, 0.5 + 0.1j, 0.5, 0.5])",
-    "non-finite": "np.array([0.5, 0.5, 0.5, np.nan])",
+    "non-uniform": ("np.array([0.6, 0.8, 0.0, 0.0])", NOT_ONE_MAGNITUDE),
+    "complex": ("np.array([0.5, 0.5 + 0.1j, 0.5, 0.5])", NOT_ONE_MAGNITUDE),
+    "non-finite": ("np.array([0.5, 0.5, 0.5, np.nan])", NOT_ONE_MAGNITUDE),
+    "matrix": (
+        "np.full((2, 2), 0.5)",
+        "statevector of shape (2, 2) is not a vector of length 2^n",
+    ),
+    "length-three": (
+        "np.full(3, 3 ** -0.5)",
+        "statevector of shape (3,) is not a vector of length 2^n",
+    ),
 }
 
 
-@pytest.mark.parametrize("vector", NOT_A_GRAPH_STATE.values(), ids=NOT_A_GRAPH_STATE.keys())
-def test_not_a_graph_state_raises_under_python_O(vector):
+@pytest.mark.parametrize(
+    "vector, message", NOT_A_GRAPH_STATE.values(), ids=NOT_A_GRAPH_STATE.keys()
+)
+def test_not_a_graph_state_raises_under_python_O(vector, message):
+    """The report raises before it reads a word, for any word list."""
     script = f"""
 import numpy as np
 from avnproofs import path_graph, perfect_correlation_report
 from avnproofs.graphstate import stabilizer_walk
 
-try:
-    perfect_correlation_report({vector}, stabilizer_walk(path_graph(2)))
-except AssertionError as exc:
-    print(exc)
+def words():
+    print("a word was read")
+    yield from stabilizer_walk(path_graph(2))
+
+for listed in (words(), []):
+    try:
+        perfect_correlation_report({vector}, listed)
+    except AssertionError as exc:
+        print(exc)
 """
-    assert run_under_python_O(script) == "statevector is not real with entries of one magnitude\n"
+    assert run_under_python_O(script) == f"{message}\n{message}\n"
+
+
+def test_expectation_rejects_a_matrix():
+    with pytest.raises(LengthMismatchError, match=r"state of shape \(2, 2\) is not a vector"):
+        expectation(np.full((2, 2), 0.5), identity(1))
 
 
 def test_bad_words_raise_under_python_O():
