@@ -18,10 +18,8 @@ graph = parse_graph("6: 1-2, 2-3, 3-4, 4-5, 5-6")
 print(f"graph: {graph}")
 
 for text in ("1,4,5|2,3,6", "1,2|3|4|5,6"):
-    dist = parse_distribution(text, graph.n)
-    decision = allows_specific_avn(graph, dist)
     print()
-    print(DistributionReport(graph, dist, decision).render_table())
+    print(DistributionReport(graph, parse_distribution(text, graph.n)).render_table())
 
 # every certifying operator really is a perfect correlation of the state
 dist = parse_distribution("1,4,5|2,3,6", graph.n)

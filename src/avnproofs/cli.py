@@ -49,9 +49,10 @@ from .witness import (
 )
 
 
-def _oracle_check(g, dist, decision):
-    """Cross-check a solver verdict with brute force and the statevector."""
-    brute = allows_specific_avn(g, dist, method="brute")
+def _oracle_check(report):
+    """Cross-check a report's verdict with brute force and the statevector."""
+    g, decision = report.graph, report.decision
+    brute = allows_specific_avn(g, report.distribution, method="brute")
     if brute.allows != decision.allows:
         raise AssertionError("solver and brute-force verdicts disagree")
     for qubit, row in decision.eor.items():
@@ -87,25 +88,30 @@ def cmd_classes(args) -> int:
 
 def cmd_check(args) -> int:
     g = parse_graph(args.graph)
-    dist = parse_distribution(args.dist, g.n)
-    decision = allows_specific_avn(g, dist)
+    report = DistributionReport(g, parse_distribution(args.dist, g.n))
     if args.oracle:
-        _oracle_check(g, dist, decision)
-    report = DistributionReport(g, dist, decision)
+        _oracle_check(report)
     if args.format == "json-lines":
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
         print(report.render_table())
-    return 0 if decision.allows else 1
+    return 0 if report.decision.allows else 1
 
 
 def _print_search(args, g, heading: str, reports) -> None:
-    """Output of ``min-parties`` and ``enumerate``: the optional oracle
-    check, then one JSON record per report, or a table with one column per
-    particle (A, B, C, ...), each as wide as its longest cell and at least 8."""
-    if args.oracle:
+    """Output of ``min-parties`` and ``enumerate``: one JSON record per
+    report, or a table with one column per particle (A, B, C, ...), each as
+    wide as its longest cell and at least 8.  Only json-lines and ``--oracle``
+    build the hits' tables, before any output; a hit whose table blocks is an
+    internal error (an explicit raise, so it also runs under ``python -O``)."""
+    if args.oracle or args.format == "json-lines":
         for r in reports:
-            _oracle_check(g, r.distribution, r.decision)
+            if not r.decision.allows:
+                raise AssertionError(
+                    f"distribution {r.distribution} has full cut-rank particles but is blocked"
+                )
+            if args.oracle:
+                _oracle_check(r)
     if args.format == "json-lines":
         for r in reports:
             print(json.dumps(r.to_json_dict(), sort_keys=True))

@@ -295,7 +295,9 @@ def _decode(n, encoding):
 
 
 def graph_from_encoding(n: int, encoding: int) -> Graph:
-    """Rebuild the graph whose canonical-order bitstring is ``encoding``."""
+    """The graph whose canonical-order bitstring is ``encoding``, 0 <= encoding < 2^C(n, 2)."""
+    if not 0 <= encoding < 1 << n * (n - 1) // 2:
+        raise ValueError(f"encoding {encoding} out of range for n={n}")
     return Graph(n, tuple(_decode(n, encoding)))
 
 

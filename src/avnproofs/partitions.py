@@ -13,8 +13,9 @@ so every particle's reduced state is maximally mixed.  The searches
 enumerate only such distributions: the set-partition recursion drops a
 block that fails the rank test before recursing, so a failing block never
 grows into distributions, and the automorphism generators are computed only
-once a shape has a hit.  The element-of-reality table is built only for the
-distributions the searches report.
+once a shape has a hit.  The searches build no element-of-reality table: a
+hit's report builds its own when printed as json-lines, checked with
+``--oracle``, or read as ``report.decision``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 from .equivalence import automorphism_group
 from .errors import ResourceLimitError, UnsupportedInputError
 from .graphstate import Graph, cut_rank, is_connected
-from .reality import Distribution, allows_specific_avn
+from .reality import Distribution
 from .reports import DistributionReport
 
 
@@ -248,21 +249,11 @@ def _require_connected(g: Graph) -> None:
 
 def _admitting_reports(g: Graph, shapes, dedupe: bool) -> list:
     """Reports for the distributions of these shapes whose particles all have
-    full cut-rank, canonically sorted.
-
-    Each hit's element-of-reality table is built and must allow; a hit it
-    blocks is an internal error (an explicit raise, so the check also runs
-    under ``python -O``).
-    """
+    full cut-rank, canonically sorted.  No table is built here."""
     hits = []
     for shape in shapes:
         for dist in enumerate_distributions(g, shape, dedupe=dedupe, full_rank_only=True):
-            decision = allows_specific_avn(g, dist)
-            if not decision.allows:
-                raise AssertionError(
-                    f"distribution {dist} has full cut-rank particles but is blocked"
-                )
-            hits.append(DistributionReport(g, dist, decision))
+            hits.append(DistributionReport(g, dist))
     hits.sort(key=_report_sort_key)
     return hits
 

@@ -11,16 +11,16 @@ Gamma_j : j in A} (selection and neighbour parity of each member), and only
 the right-hand side differs, so one GF(2) elimination per particle decides
 the particle's whole table; its rank is |A| + E(A), where E(A) is the
 cut-rank of A.  That table is eliminated once per (graph, particle) and
-cached read-only; ``allows_specific_avn`` (and so ``check``, the searches
-and ``--oracle``) and ``is_element_of_reality`` all read it.  A certificate
+cached read-only; ``allows_specific_avn`` (and so ``check``, printed search
+hits and ``--oracle``) and ``is_element_of_reality`` all read it.  A certificate
 is the int mask of its generator subset (bit j-1 for generator j), verified
 against the graph once, when its particle's table is built.  A brute-force
 sweep over all 2^n subsets doubles as an oracle.
 
 The verdict itself is a rank test: a distribution allows a specific AVN
 proof iff every particle A has E(A) = |A| (``graphstate.cut_rank``).  The
-searches in ``partitions`` admit distributions by that test and build the
-table here only for the distributions they report.
+searches in ``partitions`` admit by that test; a report builds the table
+only when printed, checked with ``--oracle``, or read as ``report.decision``.
 """
 
 from __future__ import annotations
@@ -176,10 +176,12 @@ def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     ``subset`` is an int mask with bit j-1 selecting generator j.  The
     letter at i is X when i is selected and an even number of its neighbors
     are, Y for an odd number, Z when i is unselected with an odd neighbor
-    count, and identity otherwise.
+    count, and identity otherwise.  A subset outside 0..2^n - 1 raises ValueError.
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
+    if subset < 0 or subset >> g.n:
+        raise ValueError(f"subset mask 0x{subset:x} out of range for n={g.n}")
     return ActionClass(_letter_at(subset, neighbour_parity(g, subset), i))
 
 

@@ -1,5 +1,10 @@
 """Serializable verdict reports and their table rendering.
 
+A report holds a graph, a distribution and an optional witness.  Its
+``decision``, the verdict and element-of-reality table, is built by
+``allows_specific_avn`` the first time it is read: when the report is
+printed, checked with ``--oracle``, or read by a caller.
+
 The machine-readable form round-trips: parsing an emitted record yields an
 equal report.  A record is accepted only when it is exactly the record the
 program writes for the same graph, distribution and witness, so a loaded
@@ -8,7 +13,8 @@ verdict is always one the program reached itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import record_field, require_own_record
 from .graphstate import Graph, format_graph, parse_graph, stabilizer_word
@@ -31,23 +37,19 @@ def _qubit_lists(entries: list, n: int, what: str) -> list:
     return entries
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributionReport:
-    """One distribution's verdict, its element-of-reality table, and an
-    optional contradiction witness."""
+    """One distribution of a graph's qubits and an optional contradiction
+    witness; the verdict and element-of-reality table are ``decision``."""
 
     graph: Graph
     distribution: Distribution
-    decision: AvnDecision
-    witness: AvnWitness | None = None
+    witness: AvnWitness | None = field(default=None, kw_only=True)
 
-    def __post_init__(self):
-        table_ok = all(
-            row["X"] is not None and row["Y"] is not None
-            for row in self.decision.eor.values()
-        )
-        if table_ok != self.decision.allows:
-            raise ValueError("verdict does not match the element-of-reality table")
+    @cached_property
+    def decision(self) -> AvnDecision:
+        """The verdict and its table, built on first read."""
+        return allows_specific_avn(self.graph, self.distribution)
 
     @property
     def verdict(self) -> str:
@@ -97,7 +99,7 @@ class DistributionReport:
             witness = AvnWitness(tuple(sum({1 << (q - 1) for q in s}) for s in subsets))
             if not verify_witness(witness, graph):
                 raise ValueError("witness subsets do not form a contradiction witness")
-        report = cls(graph, dist, allows_specific_avn(graph, dist), witness)
+        report = cls(graph, dist, witness=witness)
         require_own_record(data, report.to_json_dict())
         return report
 

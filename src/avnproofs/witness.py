@@ -106,27 +106,12 @@ def verify_witness(w: AvnWitness, g: Graph) -> bool:
 
 
 def is_critical(w: AvnWitness, g: Graph) -> bool:
-    """True when removing any single operator restores consistency."""
+    """True when the set is inconsistent and removing any one operator makes it consistent."""
     words = [stabilizer_word(g, s) for s in w.subsets]
-    return all(
+    return not assignment_consistent(words, g.n).consistent and all(
         assignment_consistent(words[:k] + words[k + 1 :], g.n).consistent
         for k in range(len(words))
     )
-
-
-def _eor_certifying_subsets(supports: dict, d) -> set:
-    """All generator subsets certifying some element of reality under d.
-
-    ``supports`` maps each nonempty subset mask to the qubit mask its
-    stabilizing operator acts on (x | z).  A subset certifies one when its
-    operator acts on some qubit i but as the identity on every particle mate
-    of i.
-    """
-    out = set()
-    for mask, support in supports.items():
-        if any((support >> q) & 1 and not support & pm for q, pm in enumerate(d.pmasks)):
-            out.add(mask)
-    return out
 
 
 #: Largest number of prefixes walked plus index entries built in one search.
@@ -149,7 +134,8 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
     """Smallest witness over the candidate pool, or None within the bound.
 
     The default pool is every operator certifying an element of reality
-    under the distribution plus all products of at most three generators;
+    under the distribution (acting on some qubit i but not on i's particle
+    mates) plus all products of at most three generators;
     ``exhaustive`` widens it to the whole stabilizer (n <= 5 only).  Sizes
     are tried in increasing order and, within a size, the lexicographically
     first set of sorted pool masks is returned, so the result is
@@ -180,13 +166,13 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
             raise ResourceLimitError("exhaustive pool limited to n <= 5")
     elif g.n > 8:
         raise ResourceLimitError("witness search limited to n <= 8")
-    words = {x: (z, phase) for x, z, phase in stabilizer_walk(g) if x}
-    if exhaustive:
-        pool = set(words)
-    else:
-        pool = _eor_certifying_subsets({x: x | z for x, (z, _) in words.items()}, d)
-        pool |= {m for m in words if m.bit_count() <= 3}
-    pool = sorted(pool)
+    pool = []  # (subset mask, parity key); every single generator joins, so never empty
+    for x, z, phase in stabilizer_walk(g):
+        s = x | z  # the qubits the operator acts on
+        eor = any(s >> q & 1 and not s & pm for q, pm in enumerate(d.pmasks))
+        if x and (exhaustive or x.bit_count() <= 3 or eor):
+            pool.append((x, _parity_key((x, z, phase), g.n)))
+    pool, keys = zip(*sorted(pool))
 
     sizes = range(2, max_size + 1)
     work = sum(math.comb(len(pool), k - k // 2) for k in sizes)
@@ -196,7 +182,6 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
             f"witness search space too large ({len(pool)} candidates, size {max_size})"
         )
 
-    keys = [_parity_key((x, *words[x]), g.n) for x in pool]
     target = 1 << 3 * g.n
 
     index, indexed = {}, 0

@@ -38,7 +38,6 @@ from avnproofs import (
     verify_witness,
 )
 from avnproofs.graphstate import PERFECT_CORRELATION_TOL
-from avnproofs.witness import _eor_certifying_subsets
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -187,7 +186,7 @@ def min_party_by_verdicts(g, dedupe=True):
             for dist in enumerate_distributions(g, shape, dedupe=dedupe):
                 decision = allows_specific_avn(g, dist)
                 if decision.allows:
-                    hits.append(DistributionReport(g, dist, decision))
+                    hits.append(DistributionReport(g, dist))
         if hits:
             hits.sort(key=_report_sort_key)
             return m, hits
@@ -204,7 +203,7 @@ def all_avn_by_verdicts(g, m, dedupe=True):
         dists.extend(enumerate_distributions(g, shape, dedupe=dedupe))
     decisions = [allows_specific_avn(g, d) for d in dists]
     hits = [
-        DistributionReport(g, d, dec) for d, dec in zip(dists, decisions) if dec.allows
+        DistributionReport(g, d) for d, dec in zip(dists, decisions) if dec.allows
     ]
     hits.sort(key=_report_sort_key)
     return hits
@@ -487,6 +486,22 @@ def all_sign_assignments_consistent(ops):
     return False
 
 
+def certifies_some_element(op, d):
+    """Does the operator certify an element of reality under d?  It does
+    when some particle has exactly one qubit where its letter is not I: it
+    shows a letter there and the identity on that qubit's particle mates."""
+    return any(sum(op.letter(q) != "I" for q in p) == 1 for p in d.particles)
+
+
+def sweep_pool(ops, d, exhaustive=False):
+    """Sorted candidate masks of ``ops`` (mask -> PauliOperator, identity
+    excluded): all of them, or those of at most three generators plus those
+    that ``certifies_some_element`` under d."""
+    if exhaustive:
+        return sorted(ops)
+    return sorted(m for m, op in ops.items() if m.bit_count() <= 3 or certifies_some_element(op, d))
+
+
 def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     """First witness by trying every k-subset of the candidate pool, k = 2 up.
 
@@ -502,12 +517,7 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     elif g.n > 8:
         raise ResourceLimitError("witness search limited to n <= 8")
     ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << g.n)}
-    if exhaustive:
-        pool = set(ops)
-    else:
-        pool = _eor_certifying_subsets({m: op.x | op.z for m, op in ops.items()}, d)
-        pool |= {m for m in ops if m.bit_count() <= 3}
-    pool = sorted(pool)
+    pool = sweep_pool(ops, d, exhaustive)
 
     total = sum(math.comb(len(pool), k) for k in range(2, max_size + 1))
     if total > 2_000_000:

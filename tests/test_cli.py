@@ -22,7 +22,8 @@ from avnproofs import (
     format_graph,
     full_stabilizer,
     parse_graph,
-    partitions,
+    reality,
+    reports,
     statevector,
     witness,
 )
@@ -249,14 +250,53 @@ sys.exit(main(["witness", "--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3"]))
     assert proc.stderr == "internal error: parity-key match failed witness verification\n"
 
 
+def count_verdicts(monkeypatch) -> list:
+    """Count ``allows_specific_avn`` calls at every binding in the package;
+    the list collects each call's distribution."""
+    original = reality.allows_specific_avn
+    calls = []
+
+    def counted(g, d, *args, **kwargs):
+        calls.append(d)
+        return original(g, d, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "avnproofs" and getattr(module, "allows_specific_avn", None) is original:
+            monkeypatch.setattr(module, "allows_specific_avn", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("min-parties", "--graph", LC6),
+        ("min-parties", "--graph", "8: 1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-1", "--no-dedupe"),
+        ("enumerate", "--graph", LC6, "--m", "4"),
+        ("enumerate", "--graph", "6: 1-2,1-3,1-4,1-5,1-6", "--m", "2"),
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_search_tables_are_built_only_for_printed_records(capsys, monkeypatch, argv):
+    """Table format builds no element-of-reality table; json-lines builds one
+    per printed record, for that record's distribution."""
+    calls = count_verdicts(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert calls == []
+    json_code, out, _ = run(capsys, *argv, "--format", "json-lines")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert json_code == code
+    assert [[list(p) for p in d.particles] for d in calls] == [r["particles"] for r in records]
+
+
 BLOCKED_HIT = "internal error: distribution 1,3|2,4 has full cut-rank particles but is blocked\n"
 
 
-def test_rank_hit_blocked_by_table_exit_three(capsys, monkeypatch):
+@pytest.mark.parametrize("extra", [("--format", "json-lines"), ("--oracle",)])
+def test_rank_hit_blocked_by_table_exit_three(capsys, monkeypatch, extra):
     monkeypatch.setattr(
-        partitions, "allows_specific_avn", lambda g, d: AvnDecision(False, {})
+        reports, "allows_specific_avn", lambda g, d: AvnDecision(False, {})
     )
-    code, out, err = run(capsys, "min-parties", "--graph", "4: 1-2,2-3,3-4")
+    code, out, err = run(capsys, "min-parties", "--graph", "4: 1-2,2-3,3-4", *extra)
     assert code == 3
     assert out == ""
     assert err == BLOCKED_HIT
@@ -265,14 +305,14 @@ def test_rank_hit_blocked_by_table_exit_three(capsys, monkeypatch):
 def test_rank_hit_blocked_by_table_exit_three_under_python_O():
     script = """
 import sys
-import avnproofs.partitions as partitions
+import avnproofs.reports as reports
 from avnproofs import AvnDecision
 from avnproofs.cli import main
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-partitions.allows_specific_avn = lambda g, d: AvnDecision(False, {})
-sys.exit(main(["min-parties", "--graph", "4: 1-2,2-3,3-4"]))
+reports.allows_specific_avn = lambda g, d: AvnDecision(False, {})
+sys.exit(main(["min-parties", "--graph", "4: 1-2,2-3,3-4", "--format", "json-lines"]))
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -307,6 +307,17 @@ def test_encoding_round_trip():
             assert canonical_form(g).encoding == enc
 
 
+@pytest.mark.parametrize("n,enc", [(3, -1), (3, 1 << 3), (3, 1 << 10), (4, 1 << 6), (2, 2)])
+def test_encoding_out_of_range_is_rejected(n, enc):
+    with pytest.raises(ValueError, match=f"encoding {enc} out of range for n={n}"):
+        graph_from_encoding(n, enc)
+
+
+def test_encoding_range_ends_decode():
+    assert graph_from_encoding(3, 0) == Graph.from_edges(3, [])
+    assert graph_from_encoding(3, (1 << 3) - 1) == complete_graph(3)
+
+
 def test_fc3_orbit_is_path_and_triangle():
     orbit = {cg.encoding for cg in lc_orbit(complete_graph(3))}
     assert orbit == {

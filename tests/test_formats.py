@@ -1,10 +1,12 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avnproofs import (
+    AvnDecision,
     AvnWitness,
     Graph,
     GraphClassRecord,
@@ -29,9 +31,8 @@ from avnproofs.reports import DistributionReport
 def make_report(with_witness=False):
     g = path_graph(4)
     d = parse_distribution("1,4|2,3", 4)
-    decision = allows_specific_avn(g, d)
     witness = find_witness(g, d, max_size=4) if with_witness else None
-    return DistributionReport(g, d, decision, witness)
+    return DistributionReport(g, d, witness=witness)
 
 
 def test_distribution_parse_errors_carry_positions():
@@ -76,17 +77,14 @@ def test_report_schema_fields():
     assert data["witness"]["equations"]
 
 
-def test_report_rejects_inconsistent_verdict():
+def test_report_decision_is_built_from_its_graph_and_distribution():
     report = make_report()
-    bad = dict(report.decision.eor)
-    from avnproofs import AvnDecision
-
-    with pytest.raises(ValueError):
-        DistributionReport(
-            report.graph,
-            report.distribution,
-            AvnDecision(allows=False, eor=bad),
-        )
+    assert report.decision == allows_specific_avn(report.graph, report.distribution)
+    assert report.decision is report.decision  # built once
+    with pytest.raises(TypeError):  # a decision cannot be handed in, not even as the witness
+        DistributionReport(report.graph, report.distribution, report.decision)
+    with pytest.raises(FrozenInstanceError):
+        report.decision = AvnDecision(allows=False, eor=dict(report.decision.eor))
 
 
 def test_render_table_mentions_verdict_and_equations():
@@ -182,7 +180,7 @@ def test_from_json_dict_rejects_a_padded_witness(extra):
 
 def test_from_json_dict_rejects_an_unknown_verdict():
     g, d = path_graph(4), parse_distribution("1,2|3,4", 4)
-    data = DistributionReport(g, d, allows_specific_avn(g, d)).to_json_dict()
+    data = DistributionReport(g, d).to_json_dict()
     assert data["verdict"] == "blocks"
     data["verdict"] = "maybe"
     with pytest.raises(ValueError, match="in: verdict$"):

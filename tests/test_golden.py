@@ -39,6 +39,16 @@ def test_command_output_matches_golden(entry, capsys):
     assert (capsys.readouterr().out, code) == (entry["stdout"], entry["exit"])
 
 
+SEARCHES = [entry for entry in COMMANDS if entry["argv"][0] in ("min-parties", "enumerate")]
+
+
+@pytest.mark.parametrize("entry", SEARCHES, ids=lambda e: " ".join(e["argv"])[:60])
+def test_oracle_leaves_search_output_unchanged(entry, capsys):
+    assert len(SEARCHES) == 4
+    code = main([*entry["argv"], "--oracle"])
+    assert (capsys.readouterr().out, code) == (entry["stdout"], entry["exit"])
+
+
 def test_report_round_trip_matches_golden():
     assert ROUND_TRIPS
     for entry in ROUND_TRIPS:

@@ -313,6 +313,20 @@ def test_rank_solver_and_brute_verdicts_agree(case):
         assert rank == cut_rank(g, ((1 << g.n) - 1) & ~mask)
 
 
+@settings(max_examples=120, deadline=None)
+@given(connected_cases(16))
+def test_rank_test_equals_solver_table_up_to_sixteen(case):
+    """The searches admit by the rank test and build no table; per particle,
+    full cut-rank holds exactly when the solver's table has X and Y for
+    every member, so the verdicts agree (no brute force, n <= 16)."""
+    g, d = case
+    decision = allows_specific_avn(g, d)
+    for p in d.particles:
+        full = cut_rank(g, _mask(p)) == len(p)
+        assert full == all(decision.eor[q][s] is not None for q in p for s in "XY"), p
+    assert rank_allows(g, d) == decision.allows
+
+
 def test_searches_equal_the_verdict_loop():
     """Same reports in the same order as a full verdict on every enumerated
     distribution, on every class representative with n <= 7, for every m,

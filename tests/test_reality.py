@@ -27,6 +27,7 @@ from avnproofs import (
     relabel,
     ring_graph,
     stabilizer_element,
+    stabilizer_word,
 )
 from oracles import eor_subset_by_system, gf2_rank, reduced_stabilizer, set_partitions
 from strategies import connected_cases
@@ -48,6 +49,16 @@ def test_classify_empty_subset_is_identity():
 
 def test_classify_lc4_pair_qubit1_is_y():
     assert classify_action(0b0011, LC4, 1) is ActionClass.PREDICTS_Y
+
+
+@pytest.mark.parametrize("subset", [-1, 1 << 4, 1 << 5])
+def test_classify_rejects_a_subset_out_of_range(subset):
+    message = f"subset mask 0x{subset:x} out of range for n=4"
+    with pytest.raises(ValueError, match=message):
+        stabilizer_word(LC4, subset)
+    for i in range(1, 5):
+        with pytest.raises(ValueError, match=message):
+            classify_action(subset, LC4, i)
 
 
 @pytest.mark.parametrize("g", [LC4, complete_graph(4), ring_graph(5), path_graph(5)])
@@ -314,7 +325,9 @@ def test_table_entries_equal_the_lookups():
                         assert eor[i][p] == is_element_of_reality(g, d, i, p)
 
 
-def test_search_eliminates_once_per_reported_particle(monkeypatch, fresh_lookups):
+def test_reported_tables_eliminate_once_per_particle(monkeypatch, fresh_lookups):
+    """The search eliminates nothing; reading its reports' tables eliminates
+    once per distinct reported particle."""
     solves = _count_eliminations(monkeypatch)
     graphs = [path_graph(8), ring_graph(8), complete_graph(6)]
     graphs += [record.representative for record in classify_all(6)]
@@ -323,6 +336,8 @@ def test_search_eliminates_once_per_reported_particle(monkeypatch, fresh_lookups
             reality._particle_lookup.cache_clear()
             solves.clear()
             _, reports = min_party_distributions(g, dedupe=dedupe)
+            assert solves == []
+            assert all(r.decision.allows for r in reports)
             particles = {p for r in reports for p in r.distribution.particles}
             assert len(solves) == len(particles)
 

@@ -32,6 +32,7 @@ from oracles import (
     canonical_solution,
     set_partitions,
     sign_of,
+    sweep_pool,
     witness_by_sweep,
 )
 from strategies import connected_cases
@@ -96,6 +97,15 @@ def test_padded_witness_is_rejected_and_not_critical():
     padded = AvnWitness(GHZ4_WITNESS.subsets + GHZ4_WITNESS.subsets[:1] * 2)
     assert not verify_witness(padded, FC4)
     assert not is_critical(padded, FC4)
+
+
+def test_consistent_set_is_not_critical():
+    """Removing a member from a consistent set leaves it consistent, but the
+    set was never a contradiction, so it is not critical."""
+    for g, subsets in ((LC4, [(1, 2)]), (LC4, [(1,), (2,)]), (FC4, [(1,), (2,), (3,)])):
+        w = witness_from(subsets)
+        assert assignment_consistent(words(g, w.subsets), g.n).consistent
+        assert not is_critical(w, g)
 
 
 @pytest.mark.parametrize("extra", [(0,), (0b0001, 0b0001)], ids=["identity", "repeated"])
@@ -307,6 +317,21 @@ def test_ring8_size_four_past_the_old_cap():
     assert is_critical(w, RING8)
     assert find_witness(RING8, RING8_DIST, max_size=3) is None
     assert witness_by_sweep(RING8, RING8_DIST, max_size=3) is None
+
+
+def test_pool_size_matches_the_sweep_pool(monkeypatch):
+    """With no work allowed, the search reports its pool size before
+    searching: the sweep's pool size on every distribution of every class
+    representative with n <= 6."""
+    monkeypatch.setattr(witness, "MAX_SEARCH_WORK", -1)
+    for n in range(3, 7):
+        for record in classify_all(n):
+            g = record.representative
+            ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << n)}
+            for particles in set_partitions(range(1, n + 1)):
+                size = len(sweep_pool(ops, Distribution(n, particles)))
+                with pytest.raises(ResourceLimitError, match=rf"\({size} candidates, size 2\)"):
+                    find_witness(g, Distribution(n, particles), max_size=2)
 
 
 def test_work_bound_raises_before_any_index(monkeypatch):
