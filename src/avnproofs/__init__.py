@@ -47,9 +47,7 @@ from .graphstate import (
 )
 from .pauli import (
     PauliOperator,
-    format_pauli,
     format_word,
-    identity,
     pauli_multiply,
 )
 from .partitions import (
@@ -60,7 +58,6 @@ from .partitions import (
     integer_partitions,
     min_party_distributions,
     minimal_shapes,
-    partitions_with_shape,
     shape_feasible,
 )
 from .reality import (

@@ -388,7 +388,9 @@ def _components_without(adj, u):
 def connected_graph_reps(n: int):
     """Canonical encodings of all connected graphs on n vertices, one per
     isomorphism class, sorted ascending."""
-    if not 1 <= n <= MAX_CENSUS_VERTICES:
+    if n < 1:
+        raise ValueError(f"census needs n >= 1, got {n}")
+    if n > MAX_CENSUS_VERTICES:
         raise ResourceLimitError(f"census limited to n <= {MAX_CENSUS_VERTICES}")
     if n == 1:
         return (0,)

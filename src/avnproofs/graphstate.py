@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .pauli import PauliOperator, qubits_of
+from .pauli import PauliOperator
 
 #: Largest supported qubit count (bit masks stay inside one machine word).
 MAX_QUBITS = 16
@@ -107,13 +107,6 @@ class Graph:
         if not 1 <= i <= self.n:
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
         return self.adj[i - 1]
-
-    def neighbors(self, i: int) -> tuple:
-        """1-based neighbors of 1-based vertex i, ascending."""
-        return qubits_of(self.nbr_mask(i))
-
-    def degree(self, i: int) -> int:
-        return self.nbr_mask(i).bit_count()
 
     def __str__(self):
         return format_graph(self)
@@ -246,7 +239,10 @@ def cut_rank(g: Graph, mask: int) -> int:
 
     It equals the entanglement entropy of A in bits (Hein, Eisert &
     Briegel, PRA 69, 062311, 2004), so it never exceeds |A| or n - |A|.
+    A mask outside 0..2^n - 1 raises ValueError.
     """
+    if mask < 0 or mask >> g.n:
+        raise ValueError(f"vertex mask 0x{mask:x} out of range for n={g.n}")
     pivots = {}  # lowest set bit -> reduced row
     m = mask
     while m:

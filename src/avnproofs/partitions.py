@@ -46,7 +46,8 @@ def _validate_shape(shape) -> tuple:
 
 
 def integer_partitions(n: int, parts: int | None = None):
-    """Non-increasing positive partitions of n (optionally with a fixed part count)."""
+    """Non-increasing partitions of n (optionally into ``parts`` parts), in
+    lexicographically descending order."""
     def rec(remaining, cap, count):
         if remaining == 0:
             if parts is None or count == parts:
@@ -96,19 +97,6 @@ def minimal_shapes(n: int) -> list:
     return [(m, tuple(levels[m])) for m in sorted(levels)]
 
 
-def partitions_with_shape(n: int, shape):
-    """All set partitions of {1..n} with the given size multiset.
-
-    Each partition is emitted as a tuple of blocks, blocks ordered by their
-    minimum element and sorted internally, so the emitted form is already
-    the canonical encoding.
-    """
-    shape = _validate_shape(shape)
-    if sum(shape) != n:
-        raise ValueError(f"shape {shape} does not sum to {n}")
-    yield from _set_partitions(n, shape, None)
-
-
 @lru_cache(maxsize=1)
 def _block_ranks(g: Graph) -> dict:
     """The rank memo of g's blocks, block -> has full cut-rank, kept for the
@@ -117,8 +105,10 @@ def _block_ranks(g: Graph) -> dict:
 
 
 def _set_partitions(n: int, shape, g: Graph | None):
-    """The stream of ``partitions_with_shape``; given a graph g, only the
-    partitions whose blocks all have full cut-rank in g, in the same order.
+    """All set partitions of {1..n} with the size multiset ``shape``, each a
+    tuple of sorted blocks ordered by their least qubit (the canonical
+    encoding); given a graph g, only those whose blocks all have full
+    cut-rank in g, in the same order.
 
     The recursion anchors the lowest uncovered qubit and chooses the other
     members of its block, so a block that fails the rank test is dropped
@@ -155,10 +145,13 @@ def _set_partitions(n: int, shape, g: Graph | None):
 
 
 def count_partitions_with_shape(n: int, shape) -> int:
-    """Multinomial count: n! / (prod sizes! * prod multiplicity!)."""
+    """Multinomial count: n! / (prod sizes! * prod multiplicity!); a shape
+    not summing to n raises ValueError, as in ``enumerate_distributions``."""
     from math import factorial
 
     shape = _validate_shape(shape)
+    if sum(shape) != n:
+        raise ValueError(f"shape {shape} does not sum to n={n}")
     total = factorial(n)
     for s in shape:
         total //= factorial(s)
@@ -278,7 +271,5 @@ def all_avn_distributions(g: Graph, m: int, dedupe: bool = True):
     if not 2 <= m <= g.n:
         raise ValueError(f"m must be in 2..{g.n}, got {m}")
     _require_connected(g)
-    shapes = [
-        s for s in sorted(integer_partitions(g.n, parts=m), reverse=True) if shape_feasible(s)
-    ]
+    shapes = [s for s in integer_partitions(g.n, parts=m) if shape_feasible(s)]
     return _admitting_reports(g, shapes, dedupe)

@@ -18,7 +18,10 @@ LETTERS = "IXZY"
 
 
 def qubits_of(mask: int) -> tuple:
-    """The 1-based qubits of a mask (bit q-1 for qubit q), ascending."""
+    """The 1-based qubits of a mask (bit q-1 for qubit q), ascending.  A
+    negative mask, which has no finite set of bits, raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -53,16 +56,6 @@ class PauliOperator:
     def support(self) -> tuple:
         """1-based qubits where the operator is not the identity."""
         return qubits_of(self.x | self.z)
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return pauli_multiply(self, other)
-
-    def __str__(self):
-        return format_pauli(self)
-
-
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(0, 0, n=n)
 
 
 def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
@@ -120,8 +113,3 @@ def format_word(x: int, z: int, phase: int) -> str:
         parts.append(cells[(1 if x & low else 0) | (2 if z & low else 0)][low.bit_length() - 1])
         rest ^= low
     return sign + " ".join(parts)
-
-
-def format_pauli(p: PauliOperator) -> str:
-    """``format_word`` of the operator's fields."""
-    return format_word(p.x, p.z, p.phase)

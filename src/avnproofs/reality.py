@@ -75,16 +75,9 @@ class Distribution:
     def m(self) -> int:
         return len(self.particles)
 
-    def particle_of(self, i: int) -> int:
-        """Index (0-based) of the particle holding 1-based qubit i."""
-        for k, p in enumerate(self.particles):
-            if i in p:
-                return k
-        raise ValueError(f"qubit {i} out of range 1..{self.n}")
-
     @cached_property
     def pmasks(self) -> tuple:
-        """``pmask(i)`` of every qubit, at index i-1, built in one pass."""
+        """The mask of P(i), qubit i's particle mates, at index i-1; one pass."""
         masks = [0] * self.n
         for p in self.particles:
             inside = 0
@@ -93,12 +86,6 @@ class Distribution:
             for q in p:
                 masks[q - 1] = inside & ~(1 << (q - 1))
         return tuple(masks)
-
-    def pmask(self, i: int) -> int:
-        """Mask (0-based bits) of P(i): qubit i's particle mates, i excluded."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"qubit {i} out of range 1..{self.n}")
-        return self.pmasks[i - 1]
 
     def shape(self) -> tuple:
         return tuple(sorted((len(p) for p in self.particles), reverse=True))
@@ -257,7 +244,7 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
     need_i, need_par = _eor_requirements(pauli)
 
     if method == "brute":
-        pmask = d.pmask(i)
+        pmask = d.pmasks[i - 1]
         nbr_i = g.nbr_mask(i)
         pj = [(1 << (j - 1), g.nbr_mask(j)) for j in range(1, g.n + 1) if (pmask >> (j - 1)) & 1]
         for mask in range(1 << g.n):
@@ -277,7 +264,7 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
 
     if method != "solver":
         raise ValueError(f"unknown method {method!r}")
-    particle = d.particles[d.particle_of(i)]
+    particle = next(p for p in d.particles if i in p)
     return _particle_lookup(g, particle)[particle.index(i)][PAULI_LETTERS.index(pauli)]
 
 

@@ -34,9 +34,6 @@ class AvnWitness:
 
     subsets: tuple  # of int masks, bit j-1 for generator j
 
-    def __len__(self):
-        return len(self.subsets)
-
 
 @dataclass
 class AssignmentCheck:

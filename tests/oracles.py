@@ -25,7 +25,6 @@ from avnproofs import (
     full_stabilizer,
     generators,
     graph_from_encoding,
-    identity,
     integer_partitions,
     is_connected,
     lc_orbit,
@@ -83,7 +82,8 @@ def sign_of(p):
 
 
 def format_pauli_by_letters(op):
-    """``format_pauli`` spelled with ``support`` and the range-checked ``letter``."""
+    """``format_word`` of the operator's fields, spelled with ``support`` and
+    the range-checked ``letter``."""
     sign = "-" if sign_of(op) < 0 else ""
     parts = [f"{op.letter(q)}{q}" for q in op.support()]
     if not parts:
@@ -98,7 +98,7 @@ def stabilizer_by_products(g, mask):
     with ``pauli_multiply``; the package computes the same element in
     closed form.
     """
-    acc = identity(g.n)
+    acc = PauliOperator(0, 0, n=g.n)
     for v, gen in enumerate(generators(g)):
         if (mask >> v) & 1:
             acc = pauli_multiply(acc, gen)
@@ -149,7 +149,7 @@ def eor_subset_by_system(g, d, i, pauli):
     """
     need_i, need_par = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[pauli]
     rows = []
-    for j in d.particles[d.particle_of(i)]:
+    for j in next(p for p in d.particles if i in p):
         if j != i:
             rows += [(1 << (j - 1), 0), (g.adj[j - 1], 0)]
     rows += [(1 << (i - 1), need_i), (g.adj[i - 1], need_par)]

@@ -24,7 +24,6 @@ from avnproofs import (
     complete_graph,
     expectation,
     full_stabilizer,
-    identity,
     path_graph,
     perfect_correlation_report,
     ring_graph,
@@ -131,7 +130,7 @@ def test_the_walk_needs_one_float_evaluation(float_evaluations):
                 verify_by_expectation(g)[0],
                 [],
             )
-            assert float_evaluations == [identity(n)]
+            assert float_evaluations == [PauliOperator(0, 0, n=n)]
 
 
 def flipped(op):
@@ -308,7 +307,7 @@ for listed in (words(), []):
 
 def test_expectation_rejects_a_matrix():
     with pytest.raises(LengthMismatchError, match=r"state of shape \(2, 2\) is not a vector"):
-        expectation(np.full((2, 2), 0.5), identity(1))
+        expectation(np.full((2, 2), 0.5), PauliOperator(0, 0, n=1))
 
 
 def test_bad_words_raise_under_python_O():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from avnproofs import (
     Graph,
     GraphClassRecord,
+    ResourceLimitError,
     UnsupportedInputError,
     canonical_form,
     classify_all,
@@ -396,6 +397,11 @@ def test_guards():
         lc_orbit(Graph.from_edges(4, [(1, 2), (3, 4)]))
     with pytest.raises(ValueError):
         classify_all(9)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"census needs n >= 1, got {n}"):
+            connected_graph_reps(n)
+    with pytest.raises(ResourceLimitError):
+        connected_graph_reps(9)
     # canonical forms run up to the graph size limit, n = 16
     rng = random.Random(9)
     pairs = [(i, j) for i in range(1, 17) for j in range(i + 1, 17)]

@@ -16,11 +16,9 @@ from avnproofs import (
     complete_graph,
     expectation,
     format_graph,
-    format_pauli,
     format_word,
     full_stabilizer,
     generators,
-    identity,
     is_connected,
     parse_graph,
     path_graph,
@@ -39,31 +37,33 @@ from strategies import connected_cases
 
 def test_generators_single_vertex():
     g = Graph.from_edges(1, [])
-    assert [format_pauli(op) for op in generators(g)] == ["X1"]
+    assert [format_word(op.x, op.z, op.phase) for op in generators(g)] == ["X1"]
 
 
 def test_generators_fc4_and_lc4():
-    assert format_pauli(generators(complete_graph(4))[0]) == "X1 Z2 Z3 Z4"
-    assert format_pauli(generators(path_graph(4))[3]) == "Z3 X4"
+    first = generators(complete_graph(4))[0]
+    assert format_word(first.x, first.z, first.phase) == "X1 Z2 Z3 Z4"
+    last = generators(path_graph(4))[3]
+    assert format_word(last.x, last.z, last.phase) == "Z3 X4"
 
 
 def test_stabilizer_element_examples():
-    assert stabilizer_element(path_graph(4), 0) == identity(4)
-    assert format_pauli(stabilizer_element(complete_graph(4), 0b0111)) == "-X1 X2 X3 Z4"
-    assert format_pauli(stabilizer_element(path_graph(4), 0b0010)) == "Z1 X2 Z3"
+    assert stabilizer_element(path_graph(4), 0) == PauliOperator(0, 0, n=4)
+    assert format_word(*stabilizer_word(complete_graph(4), 0b0111)) == "-X1 X2 X3 Z4"
+    assert format_word(*stabilizer_word(path_graph(4), 0b0010)) == "Z1 X2 Z3"
 
 
 def test_full_stabilizer_small_cases():
     single = Graph.from_edges(1, [])
-    assert [format_pauli(op) for op in full_stabilizer(single)] == ["1", "X1"]
+    assert [format_word(op.x, op.z, op.phase) for op in full_stabilizer(single)] == ["1", "X1"]
     edge = Graph.from_edges(2, [(1, 2)])
     ops = list(full_stabilizer(edge))
-    assert [format_pauli(op) for op in ops] == ["1", "X1 Z2", "Z1 X2", "Y1 Y2"]
+    assert [format_word(op.x, op.z, op.phase) for op in ops] == ["1", "X1 Z2", "Z1 X2", "Y1 Y2"]
     assert all(op.phase == 0 for op in ops)
 
 
 def test_full_stabilizer_contains_fc4_minus_element():
-    rendered = {format_pauli(op) for op in full_stabilizer(complete_graph(4))}
+    rendered = {format_word(op.x, op.z, op.phase) for op in full_stabilizer(complete_graph(4))}
     assert "-X1 X2 X3 Z4" in rendered
 
 
@@ -94,7 +94,7 @@ def test_statevector_guard():
 def test_expectation_identity_and_signs():
     fc4 = complete_graph(4)
     sv = statevector(fc4)
-    assert expectation(sv, identity(4)) == pytest.approx(1.0)
+    assert expectation(sv, PauliOperator(0, 0, n=4)) == pytest.approx(1.0)
     op = stabilizer_element(fc4, 0b0111)  # -X1 X2 X3 Z4
     assert expectation(sv, op) == pytest.approx(1.0)
     flipped = PauliOperator(op.x, op.z, (op.phase + 2) % 4, n=op.n)

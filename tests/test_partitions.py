@@ -26,7 +26,6 @@ from avnproofs import (
     min_party_distributions,
     minimal_shapes,
     parse_graph,
-    partitions_with_shape,
     path_graph,
     ring_graph,
     shape_feasible,
@@ -77,16 +76,23 @@ def test_partition_counts_match_multinomial():
             expected //= math.factorial(s)
         for s in set(shape):
             expected //= math.factorial(shape.count(s))
-        got = list(partitions_with_shape(n, shape))
+        got = [d.particles for d in enumerate_distributions(path_graph(n), shape, dedupe=False)]
         assert len(got) == expected == count_partitions_with_shape(n, shape)
         assert len(set(got)) == expected
+    for n, shape in [(5, (2, 2)), (4, (2, 2, 2))]:
+        with pytest.raises(ValueError, match="does not sum to n=") as counted:
+            count_partitions_with_shape(n, shape)
+        with pytest.raises(ValueError) as enumerated:
+            next(enumerate_distributions(path_graph(n), shape))
+        assert str(counted.value) == str(enumerated.value)
 
 
 def test_partitions_match_independent_enumeration():
     independent = {
         p for p in set_partitions(range(1, 6)) if sorted(map(len, p), reverse=True) == [2, 2, 1]
     }
-    assert set(partitions_with_shape(5, (2, 2, 1))) == independent
+    got = {d.particles for d in enumerate_distributions(path_graph(5), (2, 2, 1), dedupe=False)}
+    assert got == independent
 
 
 def test_automorphism_groups():
@@ -114,7 +120,7 @@ def test_dedupe_orbit_union_covers_everything():
     g = path_graph(5)
     auts = automorphisms_by_backtracking(g)
     for shape in ((2, 2, 1), (3, 1, 1)):
-        full = set(partitions_with_shape(5, shape))
+        full = {d.particles for d in enumerate_distributions(g, shape, dedupe=False)}
         reps = [d.canonical_key() for d in enumerate_distributions(g, shape, dedupe=True)]
         union = set()
         for blocks in reps:
@@ -261,6 +267,13 @@ def test_refinement_closure_small():
 def test_integer_partitions():
     assert list(integer_partitions(4, parts=2)) == [(3, 1), (2, 2)]
     assert sum(1 for _ in integer_partitions(8)) == 22
+    for n in range(1, 17):
+        every = list(integer_partitions(n))
+        assert every == sorted(every, reverse=True)
+        for parts in range(1, n + 1):
+            fixed = list(integer_partitions(n, parts=parts))
+            assert fixed == sorted(fixed, reverse=True)
+            assert fixed == [p for p in every if len(p) == parts]
 
 
 def test_min_party_count_is_constant_on_every_lc_orbit():
@@ -311,6 +324,9 @@ def test_rank_solver_and_brute_verdicts_agree(case):
         assert rank == gf2_rank([g.adj[q - 1] & ~mask for q in p], g.n)
         assert rank == cut_rank(local_complement(g, p[0]), mask)
         assert rank == cut_rank(g, ((1 << g.n) - 1) & ~mask)
+    for bad in (-1, 1 << g.n):
+        with pytest.raises(ValueError, match=f"vertex mask 0x{bad:x} out of range for n={g.n}"):
+            cut_rank(g, bad)
 
 
 @settings(max_examples=120, deadline=None)

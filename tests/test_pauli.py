@@ -15,13 +15,12 @@ from avnproofs import (
     NonHermitianSignError,
     PauliOperator,
     complete_graph,
-    format_pauli,
     format_word,
-    identity,
     pauli_multiply,
     path_graph,
     stabilizer_element,
 )
+from avnproofs.pauli import qubits_of
 from oracles import format_pauli_by_letters, operator_matrix, sign_of, single_letter
 
 
@@ -48,7 +47,7 @@ def test_product_matches_matrix_oracle_n2():
 
 def test_associativity_and_identity_exhaustive_n3():
     ops = list(all_paulis(3))
-    e = identity(3)
+    e = PauliOperator(0, 0, n=3)
     for p in ops:
         assert pauli_multiply(p, e) == p
         assert pauli_multiply(e, p) == p
@@ -68,25 +67,25 @@ def test_involution_for_sign_valid_operators():
 
 def test_x_times_x_is_identity():
     x = single_letter(1, 1, "X")
-    assert pauli_multiply(x, x) == identity(1)
+    assert pauli_multiply(x, x) == PauliOperator(0, 0, n=1)
 
 
 def test_fc4_generator_product_has_minus_sign():
     fc4 = complete_graph(4)
     op = stabilizer_element(fc4, 0b0111)
-    assert format_pauli(op) == "-X1 X2 X3 Z4"
+    assert format_word(op.x, op.z, op.phase) == "-X1 X2 X3 Z4"
     assert sign_of(op) == -1
 
 
 def test_lc4_pair_product_is_y1y2z3():
     lc4 = path_graph(4)
     op = stabilizer_element(lc4, 0b0011)
-    assert format_pauli(op) == "Y1 Y2 Z3"
+    assert format_word(op.x, op.z, op.phase) == "Y1 Y2 Z3"
     assert sign_of(op) == 1
 
 
 def test_sign_of_identity_and_errors():
-    assert sign_of(identity(2)) == 1
+    assert sign_of(PauliOperator(0, 0, n=2)) == 1
     with pytest.raises(NonHermitianSignError):
         sign_of(PauliOperator(1, 1, 1, n=1))
     with pytest.raises(NonHermitianSignError):
@@ -102,7 +101,7 @@ def test_path5_all_subset_products_have_plain_signs():
 
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
-        pauli_multiply(identity(2), identity(3))
+        pauli_multiply(PauliOperator(0, 0, n=2), PauliOperator(0, 0, n=3))
     for x, z in ((0b100, 0), (0, 0b100), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             PauliOperator(x, z, n=2)
@@ -115,16 +114,18 @@ def test_letters_and_support():
     op = single_letter(4, 2, "Y")
     assert op.letter(2) == "Y" and op.letter(1) == "I"
     assert op.support() == (2,)
-    assert format_pauli(op) == "Y2"
-    assert format_pauli(identity(3)) == "1"
+    assert format_word(op.x, op.z, op.phase) == "Y2"
+    assert format_word(0, 0, 0) == "1"
+    with pytest.raises(ValueError, match="mask -1 is negative"):
+        qubits_of(-1)
     for letter in "IXYZ":
         assert single_letter(1, 1, letter).letter(1) == letter
 
 
-def test_format_pauli_matches_letter_spelling_exhaustive_n4():
+def test_format_word_matches_letter_spelling_exhaustive_n4():
     for n in range(5):
         for op in all_paulis(n, phases=(0, 2)):
-            assert format_pauli(op) == format_pauli_by_letters(op)
+            assert format_word(op.x, op.z, op.phase) == format_pauli_by_letters(op)
 
 
 def test_format_word_past_the_widest_operator_so_far():
@@ -138,7 +139,7 @@ def test_format_word_rejects_an_odd_phase(phase):
     with pytest.raises(NonHermitianSignError, match=f"phase exponent {phase}"):
         format_word(1, 0, phase)
     with pytest.raises(NonHermitianSignError):
-        format_pauli(PauliOperator(1, 1, phase, n=1))
+        format_word(1, 1, phase)
 
 
 def test_format_word_rejects_an_odd_phase_under_optimisation():
@@ -169,8 +170,8 @@ def sign_valid_paulis(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(sign_valid_paulis())
-def test_format_pauli_matches_letter_spelling_up_to_n16(op):
-    assert format_pauli(op) == format_pauli_by_letters(op)
+def test_format_word_matches_letter_spelling_up_to_n16(op):
+    assert format_word(op.x, op.z, op.phase) == format_pauli_by_letters(op)
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,6 +18,7 @@ from avnproofs import (
     classify_all,
     classify_action,
     complete_graph,
+    format_word,
     gf2_unit_solutions,
     is_element_of_reality,
     local_complement,
@@ -84,13 +85,13 @@ def test_lc4_alice_bob_x1_witness_is_g1():
     d = parse_distribution("1,4|2,3", 4)
     w = is_element_of_reality(LC4, d, 1, "X")
     assert w == 0b0001
-    assert str(stabilizer_element(LC4, w)) == "X1 Z2"
+    assert format_word(*stabilizer_word(LC4, w)) == "X1 Z2"
 
 
 def test_lc4_alice_bob_x2_witness_is_z1x2x4():
     d = parse_distribution("1,4|2,3", 4)
     w = is_element_of_reality(LC4, d, 2, "X")
-    assert str(stabilizer_element(LC4, w)) == "Z1 X2 X4"
+    assert format_word(*stabilizer_word(LC4, w)) == "Z1 X2 X4"
 
 
 def test_neighborhood_inside_particle_kills_y_and_z():
@@ -100,7 +101,7 @@ def test_neighborhood_inside_particle_kills_y_and_z():
     # X can survive: X1 X3 Z4 predicts X1 from the other particle alone
     wx = is_element_of_reality(LC4, d, 1, "X")
     assert wx is not None
-    assert str(stabilizer_element(LC4, wx)) == "X1 X3 Z4"
+    assert format_word(*stabilizer_word(LC4, wx)) == "X1 X3 Z4"
 
 
 def test_solver_and_brute_agree_with_same_witness_soundness():
@@ -197,8 +198,7 @@ def test_distribution_validation_and_helpers():
     d = parse_distribution("1,4,5|2,3,6", 6)
     assert d.m == 2
     assert d.shape() == (3, 3)
-    assert d.particle_of(3) == 1
-    assert d.pmask(1) == 0b011000  # qubits 4 and 5
+    assert d.pmasks[0] == 0b011000  # qubits 4 and 5
     assert d.canonical_key() == ((1, 4, 5), (2, 3, 6))
     assert str(d) == "1,4,5|2,3,6"
     with pytest.raises(ValueError):

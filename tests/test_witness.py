@@ -17,6 +17,7 @@ from avnproofs import (
     complete_graph,
     find_witness,
     format_witness,
+    format_word,
     is_critical,
     parse_distribution,
     path_graph,
@@ -78,7 +79,7 @@ def test_lc4_witness_verifies_and_is_critical():
     found = {
         mask
         for mask in range(16)
-        if str(stabilizer_element(LC4, mask)) in wanted
+        if format_word(*stabilizer_word(LC4, mask)) in wanted
     }
     assert found == {0b0011, 0b0010, 0b0110, 0b0111}
     assert verify_witness(LC4_WITNESS, LC4)
@@ -221,7 +222,7 @@ def test_verified_witness_defeats_exhaustive_assignment_search_n5():
 
 def test_find_witness_fc3_matches_canonical_structure():
     w = find_witness(FC3, parse_distribution("1|2|3", 3), max_size=4)
-    assert w is not None and len(w) == 4
+    assert w is not None and len(w.subsets) == 4
     signs = [sign_of(stabilizer_element(FC3, s)) for s in w.subsets]
     assert signs.count(-1) % 2 == 1
     assert verify_witness(w, FC3)
@@ -236,7 +237,7 @@ def test_find_witness_needs_size_four_on_fc3():
 
 def test_find_witness_lc4_alice_bob():
     w = find_witness(LC4, parse_distribution("1,4|2,3", 4), max_size=4)
-    assert w is not None and len(w) <= 4
+    assert w is not None and len(w.subsets) <= 4
     assert verify_witness(w, LC4)
 
 
@@ -312,7 +313,7 @@ def test_ring8_size_four_past_the_old_cap():
     with pytest.raises(ResourceLimitError, match=r"\(92 candidates, size 4\)"):
         witness_by_sweep(RING8, RING8_DIST, max_size=4)
     w = find_witness(RING8, RING8_DIST, max_size=4)
-    assert w is not None and len(w) == 4
+    assert w is not None and len(w.subsets) == 4
     assert verify_witness(w, RING8)
     assert is_critical(w, RING8)
     assert find_witness(RING8, RING8_DIST, max_size=3) is None
