@@ -242,7 +242,7 @@ def cut_rank(g: Graph, mask: int) -> int:
     A mask outside 0..2^n - 1 raises ValueError.
     """
     if mask < 0 or mask >> g.n:
-        raise ValueError(f"vertex mask 0x{mask:x} out of range for n={g.n}")
+        raise ValueError(f"vertex mask {mask:#x} out of range for n={g.n}")
     pivots = {}  # lowest set bit -> reduced row
     m = mask
     while m:
@@ -271,7 +271,7 @@ def stabilizer_word(g: Graph, subset: int) -> tuple:
     which is always 0 or 2.  One pass over s gives Gamma s and 2 e(s).
     """
     if subset < 0 or subset >> g.n:
-        raise ValueError(f"subset mask 0x{subset:x} out of range for n={g.n}")
+        raise ValueError(f"subset mask {subset:#x} out of range for n={g.n}")
     adj = g.adj
     z = inner = 0  # inner: twice the edge count inside the subset
     m = subset

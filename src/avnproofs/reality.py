@@ -168,7 +168,7 @@ def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
     if subset < 0 or subset >> g.n:
-        raise ValueError(f"subset mask 0x{subset:x} out of range for n={g.n}")
+        raise ValueError(f"subset mask {subset:#x} out of range for n={g.n}")
     return ActionClass(_letter_at(subset, neighbour_parity(g, subset), i))
 
 
@@ -189,12 +189,12 @@ def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) 
     runs under ``python -O``).  The operator is recomputed from the graph."""
     gamma = neighbour_parity(g, mask)
     if _letter_at(mask, gamma, i) != pauli:
-        raise AssertionError(f"subset 0x{mask:x} does not show {pauli} on qubit {i}")
+        raise AssertionError(f"subset {mask:#x} does not show {pauli} on qubit {i}")
     acting = (mask | gamma) & pmask
     if acting:
         j = (acting & -acting).bit_length()
         raise AssertionError(
-            f"subset 0x{mask:x} for {pauli}{i} acts on particle mate {j}"
+            f"subset {mask:#x} for {pauli}{i} acts on particle mate {j}"
         )
 
 

@@ -11,7 +11,6 @@ as a certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -65,7 +64,7 @@ def assignment_consistent(words, n: int) -> AssignmentCheck:
     rows = []
     for x, z, phase in words:
         if (x | z) >> n:
-            raise LengthMismatchError(f"word 0x{x:x}, 0x{z:x} reaches past {n} qubits")
+            raise LengthMismatchError(f"word {x:#x}, {z:#x} reaches past {n} qubits")
         if phase & 1:
             raise NonHermitianSignError(f"word has phase exponent {phase % 4}, not 0 or 2")
         key = _parity_key((x, z, phase), n)
@@ -86,9 +85,11 @@ def assignment_consistent(words, n: int) -> AssignmentCheck:
 
 
 def verify_witness(w: AvnWitness, g: Graph) -> bool:
-    """Full check: distinct non-identity members, parity and sign
-    invariants, assignment infeasibility, and (for states small enough to
-    simulate) perfect correlation of every member."""
+    """Full check: distinct non-identity members, the parity and sign
+    invariant, and (for states small enough to simulate) perfect correlation
+    of every member.  Keys that XOR to the sign bit alone give every letter
+    an even count on every qubit and a sign product of -1, so the assignment
+    rows sum to 0 = 1 and no GF(2) solve is needed."""
     if not w.subsets or 0 in w.subsets or len(set(w.subsets)) != len(w.subsets):
         return False
     words = [stabilizer_word(g, s) for s in w.subsets]
@@ -96,8 +97,6 @@ def verify_witness(w: AvnWitness, g: Graph) -> bool:
     for word in words:
         key ^= _parity_key(word, g.n)
     if key != 1 << 3 * g.n:
-        return False
-    if assignment_consistent(words, g.n).consistent:
         return False
     return g.n > MAX_STATE_QUBITS or not perfect_correlation_report(statevector(g), words)[1]
 
@@ -111,47 +110,47 @@ def is_critical(w: AvnWitness, g: Graph) -> bool:
     )
 
 
-#: Largest number of prefixes walked plus index entries built in one search.
-MAX_SEARCH_WORK = 2_000_000
-
-
-def _first_subset_by_key(keys, h: int) -> dict:
-    """The lexicographically first h-subset of pool indices for each XOR of
-    their keys."""
-    index = {}
-    for combo in combinations(range(len(keys)), h):
-        key = 0
-        for j in combo:
-            key ^= keys[j]
-        index.setdefault(key, combo)
-    return index
+def _pool(g: Graph, d, exhaustive: bool) -> list:
+    """Sorted ``(subset mask, parity key)`` pairs of the candidate pool."""
+    pool = []
+    for x, z, phase in stabilizer_walk(g):
+        s = x | z  # the qubits the operator acts on
+        eor = any(s >> q & 1 and not s & pm for q, pm in enumerate(d.pmasks))
+        if x and (exhaustive or x.bit_count() <= 3 or eor):
+            pool.append((x, _parity_key((x, z, phase), g.n)))
+    return sorted(pool)
 
 
 def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
-    """Smallest witness over the candidate pool, or None within the bound.
+    """The lexicographically first 4-member witness over the candidate
+    pool, as sorted pool masks, or None.
 
     The default pool is every operator certifying an element of reality
     under the distribution (acting on some qubit i but not on i's particle
-    mates) plus all products of at most three generators;
-    ``exhaustive`` widens it to the whole stabilizer (n <= 5 only).  Sizes
-    are tried in increasing order and, within a size, the lexicographically
-    first set of sorted pool masks is returned, so the result is
-    deterministic.
+    mates) plus all products of at most three generators; ``exhaustive``
+    widens it to the whole stabilizer (n <= 5 only).  A set is a witness iff
+    its ``_parity_key`` values XOR to the sign bit alone.
 
-    A set is a witness iff its ``_parity_key`` values XOR to the sign bit
-    alone: every letter then occurs an even number of times on every qubit,
-    the assignment rows sum to 0 = 1, and stabilizer elements are perfect
-    correlations.  A size-k set is found by meeting in
-    the middle: the lexicographically first floor(k/2)-subset of each key
-    is indexed, and the ceil(k/2)-prefixes are walked in lexicographic order,
-    each looking up the complementary key.  The first hit is the first
-    witness: a matching suffix that started at or below the prefix's last
-    member would either complete a set that an earlier prefix completes, or
-    share a member with the prefix and leave a smaller witness, found at an
-    earlier size.  The search costs about C(P, ceil(k/2)) steps per size for
-    a pool of P members instead of C(P, k); prefixes walked plus index
-    entries built are bounded by ``MAX_SEARCH_WORK`` before any index is
-    built.  A hit whose suffix does not lie above its prefix, or that
+    Four is the smallest witness size, and it suffices, so ``max_size``
+    below 4 gives None and any other the size-4 answer.  If the letters of
+    2 or 3 members pair up on every qubit, their product is +-I, hence +I in
+    the stabilizer: a pair is one operator twice, and a triple's signs
+    multiply to +1.  A graph with a component of at least 3 vertices has an
+    induced path j-i-k or a triangle i, j, k, and with it the GHZ witness
+    {i}, {i,j}, {i,k}, {i,j,k} or {i}, {j}, {k}, {i,j,k} (Mermin, PRL 65,
+    1838, 1990; Guehne, Toth, Hyllus & Briegel, PRL 95, 120405, 2005),
+    whose members are products of at most three generators, so in every
+    pool.  A graph whose components all have at most 2 vertices has no
+    witness.
+
+    The search meets in the middle: the lexicographically first pair of
+    each XOR of keys is indexed, and the pairs are walked in lexicographic
+    order, each looking up the complementary key.  The first hit is the
+    first witness: an indexed pair starting at or below the walked pair's
+    last member would either complete a set an earlier pair completes, or
+    share a member with it and leave a 2-member witness.  Pools have at
+    most 255 members, so at most C(255, 2) = 32,385 steps and as many index
+    entries.  A hit whose pair does not lie above the walked pair, or that
     ``verify_witness`` rejects, raises ``AssertionError``.
     """
     if d.n != g.n:
@@ -163,43 +162,23 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
             raise ResourceLimitError("exhaustive pool limited to n <= 5")
     elif g.n > 8:
         raise ResourceLimitError("witness search limited to n <= 8")
-    pool = []  # (subset mask, parity key); every single generator joins, so never empty
-    for x, z, phase in stabilizer_walk(g):
-        s = x | z  # the qubits the operator acts on
-        eor = any(s >> q & 1 and not s & pm for q, pm in enumerate(d.pmasks))
-        if x and (exhaustive or x.bit_count() <= 3 or eor):
-            pool.append((x, _parity_key((x, z, phase), g.n)))
-    pool, keys = zip(*sorted(pool))
-
-    sizes = range(2, max_size + 1)
-    work = sum(math.comb(len(pool), k - k // 2) for k in sizes)
-    work += sum(math.comb(len(pool), h) for h in {k // 2 for k in sizes})
-    if work > MAX_SEARCH_WORK:
-        raise ResourceLimitError(
-            f"witness search space too large ({len(pool)} candidates, size {max_size})"
-        )
-
+    if max_size < 4:
+        return None
+    pool, keys = zip(*_pool(g, d, exhaustive))  # never empty: every single generator joins
+    index = {}
+    for a, b in combinations(range(len(pool)), 2):
+        index.setdefault(keys[a] ^ keys[b], (a, b))
     target = 1 << 3 * g.n
-
-    index, indexed = {}, 0
-    for k in sizes:
-        h = k // 2
-        if h != indexed:
-            index, indexed = _first_subset_by_key(keys, h), h
-        for prefix in combinations(range(len(pool)), k - h):
-            key = target
-            for j in prefix:
-                key ^= keys[j]
-            suffix = index.get(key)
-            if suffix is None:
-                continue
-            if suffix[0] <= prefix[-1]:
-                raise AssertionError("witness suffix does not lie above its prefix")
-            combo = prefix + suffix
-            w = AvnWitness(tuple(pool[j] for j in combo))
-            if not verify_witness(w, g):
-                raise AssertionError("parity-key match failed witness verification")
-            return w
+    for a, b in combinations(range(len(pool)), 2):
+        suffix = index.get(target ^ keys[a] ^ keys[b])
+        if suffix is None:
+            continue
+        if suffix[0] <= b:
+            raise AssertionError("witness suffix does not lie above its prefix")
+        w = AvnWitness(tuple(pool[j] for j in (a, b) + suffix))
+        if not verify_witness(w, g):
+            raise AssertionError("parity-key match failed witness verification")
+        return w
     return None
 
 

@@ -1,0 +1,364 @@
+"""Mutation checks that can be re-run.
+
+Each entry of ``MUTANTS`` is ``(file, text, replacement, node ids)``: a
+source file under ``src/avnproofs``, an exact piece of its text that must
+occur once, the text put in its place, and the tests expected to fail on
+the mutated code.  For each entry the runner copies ``src/``, ``tests/``
+and ``pyproject.toml`` into a fresh temporary directory, applies the one
+replacement there and runs the named tests with ``pytest -x -q -p
+no:cacheprovider``, so nothing is written inside the repository.  A mutant
+is
+
+- *killed* when the named tests fail, fail to import or hang past
+  ``TIMEOUT_S``,
+- *survived* when they all pass,
+- *stale* when its text is no longer in the file: the code under it was
+  rewritten, and the entry must be rewritten with it,
+- *error* when pytest cannot run the named tests (a wrong node id).
+
+Before any mutant, the union of the named tests is run once on the
+unmutated copy; it must pass.  Exit status 0 means every mutant was killed.
+
+Run from anywhere (pytest does not collect this file)::
+
+    python tests/mutants.py          # every entry
+    python tests/mutants.py 3 7      # entries 3 and 7, numbered from 0
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Seconds before a run is stopped; every named test takes a few seconds,
+#: so a run this long is a mutant that loops forever, and it counts as killed.
+TIMEOUT_S = 60
+
+W = "tests/test_witness.py::"
+CLI = "tests/test_cli.py::"
+
+#: (file, text, replacement, node ids expected to fail)
+MUTANTS = (
+    # The size-4 witness search.
+    (
+        "witness.py",
+        "    if max_size < 4:\n        return None\n",
+        "    if max_size < 3:\n        return None\n",
+        [W + "test_find_witness_needs_size_four_on_fc3"],
+    ),
+    (
+        "witness.py",
+        "if x and (exhaustive or x.bit_count() <= 3 or eor):",
+        "if x and (exhaustive or eor):",
+        [W + "test_pool_matches_the_sweep_pool", W + "test_find_witness_lc4_alice_bob"],
+    ),
+    (
+        "witness.py",
+        "    if key != 1 << 3 * g.n:\n        return False\n",
+        "",
+        [W + "test_witness_with_member_removed_fails_parity"],
+    ),
+    # Parsed input checked once, particles built sorted.
+    (
+        "reality.py",
+        "    if len(earlier) != n:\n",
+        "    if False:\n",
+        ["tests/test_formats.py::test_distribution_parse_errors_carry_positions"],
+    ),
+    (
+        "reality.py",
+        "        particles.append(tuple(sorted(members)))\n",
+        "        particles.append(tuple(members))\n",
+        ["tests/test_formats.py::test_parsers_build_what_the_checked_constructors_build"],
+    ),
+    (
+        "graphstate.py",
+        "        adj[perm[v]] = new\n    return Graph(g.n, tuple(adj))\n",
+        "        adj[perm[v]] = new\n    return Graph._trusted(g.n, tuple(adj))\n",
+        ["tests/test_source.py::test_trusted_constructors_are_called_only_by_the_parsers_and_the_enumeration"],
+    ),
+    (
+        "partitions.py",
+        "    return [(m, tuple(levels[m])) for m in sorted(levels)]\n",
+        "    return [(m, tuple(reversed(levels[m]))) for m in sorted(levels)]\n",
+        ["tests/test_partitions.py::test_minimal_shapes_small_cases"],
+    ),
+    (
+        "reality.py",
+        "                _verify_witness_subset(g, mates, i, pauli, mask)\n",
+        "                pass\n",
+        ["tests/test_reality.py::test_table_verifies_every_entry"],
+    ),
+    # Command lines read from the declared option table.
+    (
+        "cli.py",
+        "        if opt not in options or opt in given:\n",
+        "        if opt not in options:\n",
+        [CLI + "test_scan_leaves_other_spellings_to_the_full_parser[argv0]"],
+    ),
+    (
+        "cli.py",
+        "    for opt in tokens:\n",
+        "    for opt in tokens:\n        opt = next((o for o in options if o.startswith(opt)), opt)\n",
+        [CLI + "test_scan_leaves_other_spellings_to_the_full_parser[argv2]"],
+    ),
+    (
+        "cli.py",
+        '        if value.startswith("-"):\n',
+        '        if value == "-":\n',
+        [CLI + "test_scan_leaves_other_spellings_to_the_full_parser[argv4]"],
+    ),
+    (
+        "cli.py",
+        "            except ValueError:\n                return None\n",
+        "            except ValueError:\n                pass\n",
+        [CLI + "test_one_command_parser_reads_as_the_full_parser[classes]"],
+    ),
+    (
+        "cli.py",
+        "        elif kind is not str and value not in kind:\n",
+        "        elif False:\n",
+        [CLI + "test_one_command_parser_reads_as_the_full_parser[check]"],
+    ),
+    (
+        "cli.py",
+        "    if None in values.values():  # a required option is missing\n",
+        "    if False:\n",
+        [CLI + "test_one_command_parser_reads_as_the_full_parser[check]"],
+    ),
+    (
+        "cli.py",
+        "    if not argv or argv[0] not in _COMMANDS:\n",
+        "    if not argv:\n",
+        [CLI + "test_help_and_unknown_command_build_every_parser"],
+    ),
+    (
+        "cli.py",
+        '        value = next(tokens, "-")\n',
+        '        value = next(tokens, "")\n',
+        [CLI + "test_scan_reads_as_the_full_parser"],
+    ),
+    (
+        "cli.py",
+        "def _command_function(name):\n",
+        "def _command_function(name, globals=lambda g=dict(globals()): g):\n",
+        [CLI + "test_internal_error_exit_three"],
+    ),
+    (
+        "cli.py",
+        "    args = _scan(argv) or build_parser().parse_args(argv)\n",
+        "    args = build_parser().parse_args(argv)\n",
+        [CLI + "test_a_well_formed_command_does_not_load_argparse"],
+    ),
+    (
+        "cli.py",
+        "import json\n",
+        "import argparse\nimport json\n",
+        [CLI + "test_a_well_formed_command_does_not_load_argparse"],
+    ),
+    # Perfect correlations from the quadratic sign form.
+    (
+        "graphstate.py",
+        "        if diff != affine:\n",
+        "        if False:\n",
+        [CLI + "test_verify_reports_a_tampered_state"],
+    ),
+    (
+        "graphstate.py",
+        "        const = q_low ^ q0\n",
+        "        const = 0\n",
+        ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle"],
+    ),
+    (
+        "graphstate.py",
+        "== 2 * (neg[x] ^ q0)",
+        "== 2 * neg[x]",
+        ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle"],
+    ),
+    (
+        "graphstate.py",
+        "    if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):\n",
+        "    if False:\n",
+        ["tests/test_correlations.py::test_not_a_graph_state_raises_under_python_O"],
+    ),
+    (
+        "graphstate.py",
+        "    if sv.ndim != 1:\n",
+        "    if False:\n",
+        ["tests/test_correlations.py::test_expectation_rejects_a_matrix"],
+    ),
+    (
+        "graphstate.py",
+        "        passes = False\n",
+        "        passes = True\n",
+        [CLI + "test_verify_reports_a_tampered_state"],
+    ),
+    # Reports hold no verdict; search hits build no table.
+    (
+        "cli.py",
+        "            if not r.decision.allows:\n",
+        "            if False:\n",
+        [CLI + "test_rank_hit_blocked_by_table_exit_three"],
+    ),
+    (
+        "cli.py",
+        '    if args.oracle or args.format == "json-lines":\n',
+        "    if args.oracle:\n",
+        [CLI + "test_rank_hit_blocked_by_table_exit_three"],
+    ),
+    (
+        "cli.py",
+        '    if args.oracle or args.format == "json-lines":\n',
+        "    if True:\n",
+        [CLI + "test_search_tables_are_built_only_for_printed_records"],
+    ),
+    (
+        "equivalence.py",
+        "    if not 0 <= encoding < 1 << n * (n - 1) // 2:\n",
+        "    if encoding < 0:\n",
+        ["tests/test_equivalence.py::test_encoding_out_of_range_is_rejected"],
+    ),
+    (
+        "witness.py",
+        "    return not assignment_consistent(words, g.n).consistent and all(\n",
+        "    return all(\n",
+        [W + "test_consistent_set_is_not_critical"],
+    ),
+    (
+        "reality.py",
+        "    if subset < 0 or subset >> g.n:\n",
+        "    if subset < 0:\n",
+        ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
+    ),
+    (
+        "witness.py",
+        "if x and (exhaustive or x.bit_count() <= 3 or eor):",
+        "if x and (exhaustive or x.bit_count() <= 3):",
+        [W + "test_pool_matches_the_sweep_pool"],
+    ),
+    (
+        "witness.py",
+        "if x and (exhaustive or x.bit_count() <= 3 or eor):",
+        "if x and (exhaustive or x.bit_count() <= 2 or eor):",
+        [W + "test_pool_matches_the_sweep_pool", W + "test_find_witness_lc4_alice_bob"],
+    ),
+    (
+        "witness.py",
+        "s >> q & 1 and not s & pm",
+        "s >> q & 1 and not x & pm",
+        [W + "test_pool_matches_the_sweep_pool"],
+    ),
+    (
+        "reports.py",
+        "        return allows_specific_avn(self.graph, self.distribution)\n",
+        "        return allows_specific_avn(\n"
+        "            self.graph, Distribution(self.graph.n, tuple((q,) for q in range(1, self.graph.n + 1)))\n"
+        "        )\n",
+        ["tests/test_formats.py::test_report_decision_is_built_from_its_graph_and_distribution"],
+    ),
+    # Range checks of public masks, shapes and sizes.
+    (
+        "pauli.py",
+        "    if mask < 0:\n",
+        "    if False:\n",
+        ["tests/test_pauli.py::test_letters_and_support"],
+    ),
+    (
+        "graphstate.py",
+        "    if mask < 0 or mask >> g.n:\n",
+        "    if mask < 0:\n",
+        ["tests/test_partitions.py::test_rank_solver_and_brute_verdicts_agree"],
+    ),
+    (
+        "partitions.py",
+        "    if sum(shape) != n:\n",
+        "    if False:\n",
+        ["tests/test_partitions.py::test_partition_counts_match_multinomial"],
+    ),
+    (
+        "equivalence.py",
+        "    if n < 1:\n",
+        "    if False:\n",
+        ["tests/test_equivalence.py::test_guards"],
+    ),
+    (
+        "partitions.py",
+        "        for first in range(min(cap, remaining), 0, -1):\n",
+        "        for first in range(1, min(cap, remaining) + 1):\n",
+        ["tests/test_partitions.py::test_integer_partitions"],
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(dest: Path, ids) -> subprocess.CompletedProcess:
+    """Raises ``subprocess.TimeoutExpired`` (the run is killed) after
+    ``TIMEOUT_S``."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=dest,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=TIMEOUT_S,
+    )
+
+
+def run_mutant(entry) -> str:
+    """'killed', 'survived', 'stale' or 'error' for one entry."""
+    file, text, replacement, ids = entry
+    with tempfile.TemporaryDirectory(prefix="avn-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy(dest)
+        path = dest / "src" / "avnproofs" / file
+        source = path.read_text()
+        if source.count(text) != 1:
+            return "stale"
+        path.write_text(source.replace(text, replacement))
+        try:
+            proc = _pytest(dest, ids)
+        except subprocess.TimeoutExpired:  # the mutant made a test hang
+            return "killed"
+    if proc.returncode in (1, 2):  # tests failed, or the mutated code failed to import
+        return "killed"
+    return "survived" if proc.returncode == 0 else "error"
+
+
+def main(argv) -> int:
+    chosen = [int(a) for a in argv] or range(len(MUTANTS))
+    ids = sorted({i for k in chosen for i in MUTANTS[k][3]})
+    with tempfile.TemporaryDirectory(prefix="avn-mutant-") as tmp:
+        _copy(Path(tmp))
+        base = _pytest(Path(tmp), ids)
+    if base.returncode != 0:
+        print(base.stdout[-2000:] + base.stderr[-2000:])
+        print("the named tests do not pass on the unmutated code")
+        return 2
+    tally = {}
+    for k in chosen:
+        start = time.perf_counter()
+        outcome = run_mutant(MUTANTS[k])
+        tally[outcome] = tally.get(outcome, 0) + 1
+        file, text = MUTANTS[k][:2]
+        first = text.strip().splitlines()[0]
+        print(f"{k:3} {outcome:9} {time.perf_counter() - start:5.1f}s  {file}: {first}", flush=True)
+    print(", ".join(f"{n} {outcome}" for outcome, n in sorted(tally.items())))
+    return 0 if set(tally) <= {"killed"} else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -54,7 +54,8 @@ def test_classify_lc4_pair_qubit1_is_y():
 
 @pytest.mark.parametrize("subset", [-1, 1 << 4, 1 << 5])
 def test_classify_rejects_a_subset_out_of_range(subset):
-    message = f"subset mask 0x{subset:x} out of range for n=4"
+    shown = {-1: "-0x1", 1 << 4: "0x10", 1 << 5: "0x20"}[subset]
+    message = f"subset mask {shown} out of range for n=4"
     with pytest.raises(ValueError, match=message):
         stabilizer_word(LC4, subset)
     for i in range(1, 5):

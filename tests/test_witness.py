@@ -13,11 +13,15 @@ from avnproofs import (
     LengthMismatchError,
     ResourceLimitError,
     assignment_consistent,
+    canonical_form,
     classify_all,
     complete_graph,
+    connected_graph_reps,
     find_witness,
+    format_graph,
     format_witness,
     format_word,
+    graph_from_encoding,
     is_critical,
     parse_distribution,
     path_graph,
@@ -31,6 +35,7 @@ from avnproofs import (
 from oracles import (
     all_sign_assignments_consistent,
     canonical_solution,
+    edge_sets,
     set_partitions,
     sign_of,
     sweep_pool,
@@ -320,28 +325,125 @@ def test_ring8_size_four_past_the_old_cap():
     assert witness_by_sweep(RING8, RING8_DIST, max_size=3) is None
 
 
-def test_pool_size_matches_the_sweep_pool(monkeypatch):
-    """With no work allowed, the search reports its pool size before
-    searching: the sweep's pool size on every distribution of every class
-    representative with n <= 6."""
-    monkeypatch.setattr(witness, "MAX_SEARCH_WORK", -1)
+def test_pool_matches_the_sweep_pool():
+    """The search's pool is the sweep's pool, mask for mask, on every
+    distribution of every class representative with n <= 6 (the whole
+    stabilizer too for n <= 5)."""
     for n in range(3, 7):
         for record in classify_all(n):
             g = record.representative
             ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << n)}
             for particles in set_partitions(range(1, n + 1)):
-                size = len(sweep_pool(ops, Distribution(n, particles)))
-                with pytest.raises(ResourceLimitError, match=rf"\({size} candidates, size 2\)"):
-                    find_witness(g, Distribution(n, particles), max_size=2)
+                d = Distribution(n, particles)
+                for exhaustive in (False, True) if n <= 5 else (False,):
+                    masks = [mask for mask, _ in witness._pool(g, d, exhaustive)]
+                    assert masks == sweep_pool(ops, d, exhaustive)
 
 
-def test_work_bound_raises_before_any_index(monkeypatch):
-    def no_index(keys, h):
-        raise AssertionError("index built before the work bound was checked")
+@pytest.mark.parametrize("g", [star_graph(8), complete_graph(8)], ids=["star8", "complete8"])
+def test_largest_pools_give_a_size_four_witness(monkeypatch, g):
+    """With singletons every stabilizer element of the 8-qubit star and
+    complete graph certifies an element of reality: 255 candidates, the most
+    the guards admit.  At ``max_size=8`` the search still returns a critical
+    size-4 witness, and it only ever forms pairs, so its index holds at most
+    C(255, 2) entries."""
+    calls = []
 
-    monkeypatch.setattr(witness, "_first_subset_by_key", no_index)
-    g = star_graph(8)
+    def recorded(iterable, r):
+        items = list(iterable)
+        calls.append((len(items), r))
+        return combinations(items, r)
+
+    monkeypatch.setattr(witness, "combinations", recorded)
     d = parse_distribution("1|2|3|4|5|6|7|8", 8)
-    # 255 candidates: C(255, 4) prefixes at size 8 alone exceed the bound
-    with pytest.raises(ResourceLimitError, match=r"too large \(255 candidates, size 8\)"):
-        find_witness(g, d, max_size=8)
+    assert len(witness._pool(g, d, False)) == 255
+    w = find_witness(g, d, max_size=8)
+    assert w is not None and len(w.subsets) == 4
+    assert verify_witness(w, g)
+    assert is_critical(w, g)
+    assert calls and all(call == (255, 2) for call in calls)
+
+
+def letter_parity(op):
+    """One bit per (qubit, letter) the oracle's ``op.letter`` shows."""
+    return sum(1 << 3 * (q - 1) + "XYZ".index(op.letter(q)) for q in op.support())
+
+
+def contradicts(members):
+    """Every letter an even number of times on every qubit, signs multiplying to -1."""
+    parity, sign = 0, 1
+    for op in members:
+        parity ^= letter_parity(op)
+        sign *= sign_of(op)
+    return parity == 0 and sign == -1
+
+
+def ghz_quadruples(g):
+    """The closed-form witness at every induced path j-i-k ({i}, {i,j},
+    {i,k}, {i,j,k}) and every triangle i, j, k ({i}, {j}, {k}, {i,j,k})."""
+    for i in range(g.n):
+        neighbours = [j for j in range(g.n) if g.adj[i] >> j & 1]
+        for j, k in combinations(neighbours, 2):
+            if g.adj[j] >> k & 1:
+                yield (1 << i, 1 << j, 1 << k, 1 << i | 1 << j | 1 << k)
+            else:
+                yield (1 << i, 1 << i | 1 << j, 1 << i | 1 << k, 1 << i | 1 << j | 1 << k)
+
+
+def test_ghz_quadruples_verify_on_every_connected_graph():
+    """Each closed form is a witness of products of at most three
+    generators, at every induced path and triangle of every connected graph
+    with n = 3..6; every such graph has one."""
+    for n in range(3, 7):
+        for enc in connected_graph_reps(n):
+            g = graph_from_encoding(n, enc)
+            quadruples = list(ghz_quadruples(g))
+            assert quadruples, format_graph(g)
+            for masks in quadruples:
+                w = AvnWitness(tuple(sorted(masks)))
+                assert verify_witness(w, g), (format_graph(g), masks)
+                assert contradicts(ops(g, w.subsets))
+
+
+def test_no_witness_has_two_or_three_members():
+    """No 2- or 3-subset of the nonidentity stabilizer contradicts, on every
+    graph with n <= 5 (one per isomorphism class)."""
+    for n in range(2, 6):
+        graphs = {}
+        for edges in edge_sets(n):
+            g = Graph.from_edges(n, edges)
+            graphs.setdefault(canonical_form(g).encoding, g)
+        for g in graphs.values():
+            members = ops(g, range(1, 1 << n))
+            for size in (2, 3):
+                assert not any(contradicts(c) for c in combinations(members, size)), format_graph(g)
+
+
+def test_search_at_every_size_is_the_size_eight_sweep():
+    """``max_size`` 4..8 give the sweep's answer up to size 8, on every
+    distribution of every class representative with n <= 4."""
+    for n in range(2, 5):
+        for record in classify_all(n):
+            g = record.representative
+            for particles in set_partitions(range(1, n + 1)):
+                d = Distribution(n, particles)
+                for exhaustive in (True, False):
+                    swept = witness_by_sweep(g, d, max_size=8, exhaustive=exhaustive)
+                    for max_size in range(4, 9):
+                        found = find_witness(g, d, max_size=max_size, exhaustive=exhaustive)
+                        assert found == swept, (format_graph(g), particles, max_size)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_no_witness_when_every_component_has_at_most_two_vertices(n):
+    """The empty graph, one edge plus isolated vertices, and a perfect
+    matching: no witness at any ``max_size``, with either pool."""
+    graphs = [Graph.from_edges(n, []), Graph.from_edges(n, [(1, 2)] if n >= 2 else [])]
+    if n % 2 == 0:
+        graphs.append(Graph.from_edges(n, [(q, q + 1) for q in range(1, n, 2)]))
+    for g in graphs:
+        for particles in set_partitions(range(1, n + 1)):
+            d = Distribution(n, particles)
+            for max_size in range(2, 9):
+                for exhaustive in (False, True):
+                    assert find_witness(g, d, max_size=max_size, exhaustive=exhaustive) is None
