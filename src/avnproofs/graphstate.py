@@ -222,8 +222,11 @@ def neighbour_parity(g: Graph, mask: int) -> int:
 
     The subset's operator shows, on qubit q, the letter given by bit q-1 of
     ``mask`` (X part) and of Gamma s (Z part): X for (1, 0), Y for (1, 1),
-    Z for (0, 1) and the identity for (0, 0).
+    Z for (0, 1) and the identity for (0, 0).  A mask outside 0..2^n - 1
+    raises ValueError.
     """
+    if mask >> g.n:
+        raise ValueError(f"subset mask {mask:#x} out of range for n={g.n}")
     z = 0
     m = mask
     while m:
@@ -241,7 +244,7 @@ def cut_rank(g: Graph, mask: int) -> int:
     Briegel, PRA 69, 062311, 2004), so it never exceeds |A| or n - |A|.
     A mask outside 0..2^n - 1 raises ValueError.
     """
-    if mask < 0 or mask >> g.n:
+    if mask >> g.n:
         raise ValueError(f"vertex mask {mask:#x} out of range for n={g.n}")
     pivots = {}  # lowest set bit -> reduced row
     m = mask
@@ -270,7 +273,7 @@ def stabilizer_word(g: Graph, subset: int) -> tuple:
     to the exponent of i, so the phase is ``2 e(s) - |s & Gamma s|`` mod 4,
     which is always 0 or 2.  One pass over s gives Gamma s and 2 e(s).
     """
-    if subset < 0 or subset >> g.n:
+    if subset >> g.n:
         raise ValueError(f"subset mask {subset:#x} out of range for n={g.n}")
     adj = g.adj
     z = inner = 0  # inner: twice the edge count inside the subset

@@ -163,12 +163,11 @@ def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     ``subset`` is an int mask with bit j-1 selecting generator j.  The
     letter at i is X when i is selected and an even number of its neighbors
     are, Y for an odd number, Z when i is unselected with an odd neighbor
-    count, and identity otherwise.  A subset outside 0..2^n - 1 raises ValueError.
+    count, and identity otherwise.  A subset outside 0..2^n - 1 raises
+    ``neighbour_parity``'s ValueError.
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    if subset < 0 or subset >> g.n:
-        raise ValueError(f"subset mask {subset:#x} out of range for n={g.n}")
     return ActionClass(_letter_at(subset, neighbour_parity(g, subset), i))
 
 

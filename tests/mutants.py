@@ -55,15 +55,34 @@ MUTANTS = (
     ),
     (
         "witness.py",
-        "if x and (exhaustive or x.bit_count() <= 3 or eor):",
-        "if x and (exhaustive or eor):",
-        [W + "test_pool_matches_the_sweep_pool", W + "test_find_witness_lc4_alice_bob"],
-    ),
-    (
-        "witness.py",
         "    if key != 1 << 3 * g.n:\n        return False\n",
         "",
         [W + "test_witness_with_member_removed_fails_parity"],
+    ),
+    # The witness as a formula: the least GHZ quadruple.
+    (
+        "witness.py",
+        "            if g.adj[j.bit_length() - 1] & k:  # a triangle\n",
+        "            if False:  # a triangle\n",
+        [W + "test_search_matches_sweep_on_every_labelled_graph"],
+    ),
+    (
+        "witness.py",
+        "    w = AvnWitness(tuple(min(quadruples)))\n",
+        "    w = AvnWitness(tuple(max(quadruples)))\n",
+        [W + "test_search_matches_sweep_on_every_labelled_graph"],
+    ),
+    (
+        "witness.py",
+        "    if not verify_witness(w, g):\n        raise AssertionError(",
+        "    if False:\n        raise AssertionError(",
+        [CLI + "test_witness_rejected_by_verification_exit_three"],
+    ),
+    (
+        "witness.py",
+        "    if not quadruples:\n        return None\n",
+        "",
+        [W + "test_no_witness_when_every_component_has_at_most_two_vertices[3]"],
     ),
     # Parsed input checked once, particles built sorted.
     (
@@ -232,30 +251,6 @@ MUTANTS = (
         [W + "test_consistent_set_is_not_critical"],
     ),
     (
-        "reality.py",
-        "    if subset < 0 or subset >> g.n:\n",
-        "    if subset < 0:\n",
-        ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
-    ),
-    (
-        "witness.py",
-        "if x and (exhaustive or x.bit_count() <= 3 or eor):",
-        "if x and (exhaustive or x.bit_count() <= 3):",
-        [W + "test_pool_matches_the_sweep_pool"],
-    ),
-    (
-        "witness.py",
-        "if x and (exhaustive or x.bit_count() <= 3 or eor):",
-        "if x and (exhaustive or x.bit_count() <= 2 or eor):",
-        [W + "test_pool_matches_the_sweep_pool", W + "test_find_witness_lc4_alice_bob"],
-    ),
-    (
-        "witness.py",
-        "s >> q & 1 and not s & pm",
-        "s >> q & 1 and not x & pm",
-        [W + "test_pool_matches_the_sweep_pool"],
-    ),
-    (
         "reports.py",
         "        return allows_specific_avn(self.graph, self.distribution)\n",
         "        return allows_specific_avn(\n"
@@ -272,9 +267,21 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "    if mask < 0 or mask >> g.n:\n",
-        "    if mask < 0:\n",
+        '    if mask >> g.n:\n        raise ValueError(f"vertex mask',
+        '    if False:\n        raise ValueError(f"vertex mask',
         ["tests/test_partitions.py::test_rank_solver_and_brute_verdicts_agree"],
+    ),
+    (
+        "graphstate.py",
+        '    if mask >> g.n:\n        raise ValueError(f"subset mask',
+        '    if False:\n        raise ValueError(f"subset mask',
+        ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
+    ),
+    (
+        "graphstate.py",
+        "    if subset >> g.n:\n",
+        "    if False:\n",
+        ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
     ),
     (
         "partitions.py",

@@ -505,9 +505,8 @@ def sweep_pool(ops, d, exhaustive=False):
 def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     """First witness by trying every k-subset of the candidate pool, k = 2 up.
 
-    The combination sweep the package used before its meet-in-the-middle
-    search; same pool, guards and lexicographic order, capped at 2,000,000
-    combinations.
+    The slow reference for ``find_witness``: the candidate pool, guards and
+    lexicographic order it stands for, capped at 2,000,000 combinations.
     """
     if not 2 <= max_size <= 8:
         raise ValueError(f"max_size must be in 2..8, got {max_size}")

@@ -204,7 +204,7 @@ RING8 = "8: 1-2, 2-3, 3-4, 4-5, 5-6, 6-7, 7-8, 1-8"
 
 def test_witness_past_the_old_combination_cap(capsys):
     # 92 candidates: C(92, 2) + C(92, 3) + C(92, 4) combinations exceed the
-    # old 2,000,000 cap; the key search forms C(92, 2) pairs
+    # sweep's 2,000,000 cap; the formula needs no candidates
     code, out, _ = run(
         capsys,
         "witness",

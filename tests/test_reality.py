@@ -23,6 +23,7 @@ from avnproofs import (
     is_element_of_reality,
     local_complement,
     min_party_distributions,
+    neighbour_parity,
     parse_distribution,
     path_graph,
     relabel,
@@ -58,6 +59,8 @@ def test_classify_rejects_a_subset_out_of_range(subset):
     message = f"subset mask {shown} out of range for n=4"
     with pytest.raises(ValueError, match=message):
         stabilizer_word(LC4, subset)
+    with pytest.raises(ValueError, match=message):
+        neighbour_parity(LC4, subset)
     for i in range(1, 5):
         with pytest.raises(ValueError, match=message):
             classify_action(subset, LC4, i)

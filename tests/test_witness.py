@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avnproofs import witness
 from avnproofs import (
     AvnWitness,
     Distribution,
@@ -38,10 +37,9 @@ from oracles import (
     edge_sets,
     set_partitions,
     sign_of,
-    sweep_pool,
     witness_by_sweep,
 )
-from strategies import connected_cases
+from strategies import connected_cases, labelled_cases
 
 FC3 = complete_graph(3)
 FC4 = complete_graph(4)
@@ -273,7 +271,7 @@ def test_underrepresented_qubits_flags_fixed_observer():
 
 
 def _same_search(g, d, max_size, exhaustive=False):
-    """The meet-in-the-middle search returns the sweep's witness (or None),
+    """``find_witness`` returns the sweep's witness (or None),
     that witness verifies and is critical, and its underrepresented qubits
     are the ones its operators spell with fewer than two letters."""
     found = find_witness(g, d, max_size=max_size, exhaustive=exhaustive)
@@ -325,43 +323,42 @@ def test_ring8_size_four_past_the_old_cap():
     assert witness_by_sweep(RING8, RING8_DIST, max_size=3) is None
 
 
-def test_pool_matches_the_sweep_pool():
-    """The search's pool is the sweep's pool, mask for mask, on every
-    distribution of every class representative with n <= 6 (the whole
-    stabilizer too for n <= 5)."""
-    for n in range(3, 7):
-        for record in classify_all(n):
-            g = record.representative
-            ops = {mask: stabilizer_element(g, mask) for mask in range(1, 1 << n)}
+def test_search_matches_sweep_on_every_labelled_graph():
+    """Every labelled graph with n <= 4 (every edge set), under every
+    distribution, with either pool."""
+    for n in range(1, 5):
+        for edges in edge_sets(n):
+            g = Graph.from_edges(n, edges)
             for particles in set_partitions(range(1, n + 1)):
                 d = Distribution(n, particles)
-                for exhaustive in (False, True) if n <= 5 else (False,):
-                    masks = [mask for mask, _ in witness._pool(g, d, exhaustive)]
-                    assert masks == sweep_pool(ops, d, exhaustive)
+                for exhaustive in (False, True):
+                    found = find_witness(g, d, exhaustive=exhaustive)
+                    assert found == witness_by_sweep(g, d, exhaustive=exhaustive), (format_graph(g), particles)
 
 
-@pytest.mark.parametrize("g", [star_graph(8), complete_graph(8)], ids=["star8", "complete8"])
-def test_largest_pools_give_a_size_four_witness(monkeypatch, g):
+@settings(max_examples=60, deadline=None)
+@given(labelled_cases(6, min_n=5))
+def test_search_matches_sweep_on_random_labelled_graphs(case):
+    """Random edge sets with n = 5..6, disconnected ones included."""
+    g, d = case
+    assert find_witness(g, d) == witness_by_sweep(g, d)
+
+
+@pytest.mark.parametrize(
+    "g, least",
+    [(star_graph(8), (0b001, 0b011, 0b101, 0b111)), (complete_graph(8), (0b001, 0b010, 0b100, 0b111))],
+    ids=["star8", "complete8"],
+)
+def test_largest_pools_give_a_size_four_witness(g, least):
     """With singletons every stabilizer element of the 8-qubit star and
-    complete graph certifies an element of reality: 255 candidates, the most
-    the guards admit.  At ``max_size=8`` the search still returns a critical
-    size-4 witness, and it only ever forms pairs, so its index holds at most
-    C(255, 2) entries."""
-    calls = []
-
-    def recorded(iterable, r):
-        items = list(iterable)
-        calls.append((len(items), r))
-        return combinations(items, r)
-
-    monkeypatch.setattr(witness, "combinations", recorded)
+    complete graph certifies an element of reality, so every one of the 255
+    belongs to the pool.  At ``max_size=8`` the answer is still the least
+    GHZ quadruple, and it verifies and is critical."""
     d = parse_distribution("1|2|3|4|5|6|7|8", 8)
-    assert len(witness._pool(g, d, False)) == 255
     w = find_witness(g, d, max_size=8)
-    assert w is not None and len(w.subsets) == 4
+    assert w.subsets == least == min(tuple(sorted(q)) for q in ghz_quadruples(g))
     assert verify_witness(w, g)
     assert is_critical(w, g)
-    assert calls and all(call == (255, 2) for call in calls)
 
 
 def letter_parity(op):
