@@ -73,7 +73,6 @@ from .reality import (
 from .reports import DistributionReport
 from .witness import (
     AssignmentCheck,
-    AvnWitness,
     assignment_consistent,
     find_witness,
     format_witness,

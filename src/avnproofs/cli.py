@@ -149,8 +149,12 @@ def cmd_enumerate(args) -> int:
 def cmd_witness(args) -> int:
     g = parse_graph(args.graph)
     dist = parse_distribution(args.dist, g.n)
-    w = find_witness(g, dist, max_size=args.max_size, exhaustive=args.exhaustive)
-    if w is None:
+    if not 2 <= args.max_size <= 8:
+        raise ValueError(f"max_size must be in 2..8, got {args.max_size}")
+    if args.exhaustive and g.n > 5:
+        raise ResourceLimitError("exhaustive pool limited to n <= 5")
+    w = find_witness(g)
+    if w is None or args.max_size < 4:  # no witness has 2 or 3 members
         print("no witness found within the size bound")
         return 1
     if args.format == "json-lines":
@@ -159,7 +163,7 @@ def cmd_witness(args) -> int:
                 {
                     "graph": format_graph(g),
                     "distribution": format_distribution(dist),
-                    "subsets": [list(qubits_of(s)) for s in w.subsets],
+                    "subsets": [list(qubits_of(s)) for s in w],
                     "equations": format_witness(w, g),
                     "single_observable_qubits": list(underrepresented_qubits(w, g)),
                 },

@@ -99,11 +99,13 @@ def format_word(x: int, z: int, phase: int) -> str:
     """Render the operator ``i**phase X^x Z^z`` (letters by bit pair, as in
     ``PauliOperator``) like ``-X1 X2 X3 Z4``: identity letters omitted, no
     leading +, ``1`` for the identity.  An odd phase has no +-1 sign and
-    raises ``NonHermitianSignError``."""
+    raises ``NonHermitianSignError``; a negative mask raises ValueError."""
     if phase & 1:
         raise NonHermitianSignError(f"operator has phase exponent {phase % 4}, not 0 or 2")
     sign = "-" if phase & 2 else ""
     rest = x | z
+    if rest < 0:
+        raise ValueError(f"mask {rest} is negative")
     if not rest:
         return sign + "1"
     cells = _cells(rest.bit_length())

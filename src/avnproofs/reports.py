@@ -25,7 +25,7 @@ from .reality import (
     allows_specific_avn,
     format_distribution,
 )
-from .witness import AvnWitness, format_witness, verify_witness
+from .witness import format_witness, verify_witness
 
 
 def _qubit_lists(entries: list, n: int, what: str) -> list:
@@ -44,7 +44,7 @@ class DistributionReport:
 
     graph: Graph
     distribution: Distribution
-    witness: AvnWitness | None = field(default=None, kw_only=True)
+    witness: tuple | None = field(default=None, kw_only=True)  # of generator-subset masks
 
     @cached_property
     def decision(self) -> AvnDecision:
@@ -65,7 +65,7 @@ class DistributionReport:
         witness = None
         if self.witness is not None:
             witness = {
-                "subsets": [list(qubits_of(s)) for s in self.witness.subsets],
+                "subsets": [list(qubits_of(s)) for s in self.witness],
                 "equations": format_witness(self.witness, self.graph),
             }
         return {
@@ -96,7 +96,7 @@ class DistributionReport:
         witness = None
         if data.get("witness") is not None:
             subsets = _qubit_lists(record_field(data["witness"], "subsets", list), n, "witness subsets")
-            witness = AvnWitness(tuple(sum({1 << (q - 1) for q in s}) for s in subsets))
+            witness = tuple(sum({1 << (q - 1) for q in s}) for s in subsets)
             if not verify_witness(witness, graph):
                 raise ValueError("witness subsets do not form a contradiction witness")
         report = cls(graph, dist, witness=witness)

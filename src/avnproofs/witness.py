@@ -1,12 +1,12 @@
 """Construction and verification of explicit contradiction witnesses.
 
-A witness is a list of stabilizing operators (named by generator subsets)
-whose perfect correlations cannot all hold under any +-1 assignment to the
-single-qubit observables: every letter occurs an even number of times on
-every qubit, yet the product of the operator signs is -1.  Operators are
-``(x, z, phase)`` words throughout.  Consistency of arbitrary word sets is
-decided exactly over GF(2), with the inconsistent row combination reported
-as a certificate.
+A witness is a tuple of generator-subset masks (bit j-1 for generator j)
+naming stabilizing operators whose perfect correlations cannot all hold
+under any +-1 assignment to the single-qubit observables: every letter
+occurs an even number of times on every qubit, yet the product of the
+operator signs is -1.  Operators are ``(x, z, phase)`` words throughout.
+Consistency of arbitrary word sets is decided exactly over GF(2), with the
+inconsistent row combination reported as a certificate.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ from .graphstate import (
     statevector,
 )
 from .pauli import format_word
-
-
-@dataclass(frozen=True)
-class AvnWitness:
-    """Generator subsets of the stabilizing operators forming one proof."""
-
-    subsets: tuple  # of int masks, bit j-1 for generator j
 
 
 @dataclass
@@ -83,15 +76,15 @@ def assignment_consistent(words, n: int) -> AssignmentCheck:
     return AssignmentCheck(consistent=True, model=model)
 
 
-def verify_witness(w: AvnWitness, g: Graph) -> bool:
+def verify_witness(w: tuple, g: Graph) -> bool:
     """Full check: distinct non-identity members, the parity and sign
     invariant, and (for states small enough to simulate) perfect correlation
     of every member.  Keys that XOR to the sign bit alone give every letter
     an even count on every qubit and a sign product of -1, so the assignment
     rows sum to 0 = 1 and no GF(2) solve is needed."""
-    if not w.subsets or 0 in w.subsets or len(set(w.subsets)) != len(w.subsets):
+    if not w or 0 in w or len(set(w)) != len(w):
         return False
-    words = [stabilizer_word(g, s) for s in w.subsets]
+    words = [stabilizer_word(g, s) for s in w]
     key = 0
     for word in words:
         key ^= _parity_key(word, g.n)
@@ -100,16 +93,16 @@ def verify_witness(w: AvnWitness, g: Graph) -> bool:
     return g.n > MAX_STATE_QUBITS or not perfect_correlation_report(statevector(g), words)[1]
 
 
-def is_critical(w: AvnWitness, g: Graph) -> bool:
+def is_critical(w: tuple, g: Graph) -> bool:
     """True when the set is inconsistent and removing any one operator makes it consistent."""
-    words = [stabilizer_word(g, s) for s in w.subsets]
+    words = [stabilizer_word(g, s) for s in w]
     return not assignment_consistent(words, g.n).consistent and all(
         assignment_consistent(words[:k] + words[k + 1 :], g.n).consistent
         for k in range(len(words))
     )
 
 
-def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
+def find_witness(g: Graph):
     """The lexicographically least GHZ quadruple of the graph, as sorted
     generator-subset masks, or None.
 
@@ -118,28 +111,18 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
     otherwise (Mermin, PRL 65, 1838, 1990; Guehne, Toth, Hyllus & Briegel,
     PRL 95, 120405, 2005).  A graph where no vertex has two neighbours has
     no witness.  No 2 or 3 stabilizing operators contradict (letters that
-    pair up on every qubit multiply to +I), so ``max_size`` below 4 gives
-    None and any other the same answer.
+    pair up on every qubit multiply to +I).
 
     The least GHZ quadruple is the lexicographically least 4-member witness
     of the whole nonidentity stabilizer: an exhaustive scan of every
     labelled graph with n <= 8 found no exception.  Its members are
     products of at most three generators, so it is also the least witness
-    of the pool the distribution ``d`` selects, with or without
-    ``exhaustive``; the answer depends on the graph alone.  A quadruple
-    that ``verify_witness`` rejects raises ``AssertionError``.
+    of the pool any distribution selects; the answer depends on the graph
+    alone.  A quadruple that ``verify_witness`` rejects raises
+    ``AssertionError``.
     """
-    if d.n != g.n:
-        raise LengthMismatchError(f"graph has {g.n} qubits, distribution {d.n}")
-    if not 2 <= max_size <= 8:
-        raise ValueError(f"max_size must be in 2..8, got {max_size}")
-    if exhaustive:
-        if g.n > 5:
-            raise ResourceLimitError("exhaustive pool limited to n <= 5")
-    elif g.n > 8:
+    if g.n > 8:
         raise ResourceLimitError("witness search limited to n <= 8")
-    if max_size < 4:
-        return None
     quadruples = []
     for v in range(g.n):
         i = 1 << v  # vertex masks: i, and its neighbours j and k
@@ -151,16 +134,16 @@ def find_witness(g: Graph, d, max_size: int = 4, exhaustive: bool = False):
                 quadruples.append(sorted((i, i | j, i | k, i | j | k)))
     if not quadruples:
         return None
-    w = AvnWitness(tuple(min(quadruples)))
+    w = tuple(min(quadruples))
     if not verify_witness(w, g):
-        raise AssertionError("parity-key match failed witness verification")
+        raise AssertionError("GHZ quadruple failed witness verification")
     return w
 
 
-def underrepresented_qubits(w: AvnWitness, g: Graph) -> tuple:
+def underrepresented_qubits(w: tuple, g: Graph) -> tuple:
     """1-based qubits showing fewer than two distinct letters in the witness."""
     seen = 0  # the X, Y and Z parts of the qubits' letters somewhere
-    for s in w.subsets:
+    for s in w:
         seen |= _parity_key(stabilizer_word(g, s), g.n)
     qubits = (1 << g.n) - 1
     seen_x, seen_y, seen_z = seen & qubits, seen >> g.n & qubits, seen >> 2 * g.n & qubits
@@ -168,6 +151,6 @@ def underrepresented_qubits(w: AvnWitness, g: Graph) -> tuple:
     return tuple(q for q in range(1, g.n + 1) if not twice >> (q - 1) & 1)
 
 
-def format_witness(w: AvnWitness, g: Graph) -> list:
+def format_witness(w: tuple, g: Graph) -> list:
     """One ``<operator> = 1`` equation per member, e.g. ``-X1 X2 X3 Z4 = 1``."""
-    return [f"{format_word(*stabilizer_word(g, s))} = 1" for s in w.subsets]
+    return [f"{format_word(*stabilizer_word(g, s))} = 1" for s in w]

@@ -46,12 +46,36 @@ CLI = "tests/test_cli.py::"
 
 #: (file, text, replacement, node ids expected to fail)
 MUTANTS = (
-    # The size-4 witness search.
+    # The witness command checks its own options; no witness has 2 or 3 members.
     (
-        "witness.py",
-        "    if max_size < 4:\n        return None\n",
-        "    if max_size < 3:\n        return None\n",
-        [W + "test_find_witness_needs_size_four_on_fc3"],
+        "cli.py",
+        "    if w is None or args.max_size < 4:",
+        "    if w is None or args.max_size < 3:",
+        [CLI + "test_witness_checks_its_options_in_order[max-size-3]"],
+    ),
+    (
+        "cli.py",
+        "    if w is None or args.max_size < 4:",
+        "    if w is None or args.max_size <= 4:",
+        [CLI + "test_witness_found_and_not_found"],
+    ),
+    (
+        "cli.py",
+        "    w = find_witness(g)\n    if w is None or args.max_size < 4:",
+        "    w = None if args.max_size < 4 else find_witness(g)\n    if w is None:",
+        [CLI + "test_witness_checks_its_options_in_order[n9-before-size-bound]"],
+    ),
+    (
+        "cli.py",
+        "    if args.exhaustive and g.n > 5:\n",
+        "    if False:\n",
+        [CLI + "test_witness_checks_its_options_in_order[exhaustive-n6]"],
+    ),
+    (
+        "cli.py",
+        "    if not 2 <= args.max_size <= 8:\n",
+        "    if False:\n",
+        [CLI + "test_witness_checks_its_options_in_order[max-size-1]"],
     ),
     (
         "witness.py",
@@ -68,8 +92,8 @@ MUTANTS = (
     ),
     (
         "witness.py",
-        "    w = AvnWitness(tuple(min(quadruples)))\n",
-        "    w = AvnWitness(tuple(max(quadruples)))\n",
+        "    w = tuple(min(quadruples))\n",
+        "    w = tuple(max(quadruples))\n",
         [W + "test_search_matches_sweep_on_every_labelled_graph"],
     ),
     (
@@ -262,6 +286,12 @@ MUTANTS = (
     (
         "pauli.py",
         "    if mask < 0:\n",
+        "    if False:\n",
+        ["tests/test_pauli.py::test_letters_and_support"],
+    ),
+    (
+        "pauli.py",
+        "    if rest < 0:\n",
         "    if False:\n",
         ["tests/test_pauli.py::test_letters_and_support"],
     ),

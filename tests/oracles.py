@@ -11,7 +11,6 @@ from itertools import combinations
 import numpy as np
 
 from avnproofs import (
-    AvnWitness,
     DistributionReport,
     Graph,
     NonHermitianSignError,
@@ -503,10 +502,12 @@ def sweep_pool(ops, d, exhaustive=False):
 
 
 def witness_by_sweep(g, d, max_size=4, exhaustive=False):
-    """First witness by trying every k-subset of the candidate pool, k = 2 up.
+    """First witness, as a tuple of masks, by trying every k-subset of the
+    candidate pool, k = 2 up.
 
-    The slow reference for ``find_witness``: the candidate pool, guards and
-    lexicographic order it stands for, capped at 2,000,000 combinations.
+    The slow reference for ``find_witness`` and the ``witness`` command:
+    the candidate pool that d and ``exhaustive`` select, the command's
+    guards and lexicographic order, capped at 2,000,000 combinations.
     """
     if not 2 <= max_size <= 8:
         raise ValueError(f"max_size must be in 2..8, got {max_size}")
@@ -542,9 +543,8 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
                 sign *= s
             if px or py or pz or sign != -1:
                 continue
-            w = AvnWitness(combo)
-            if verify_witness(w, g):
-                return w
+            if verify_witness(combo, g):
+                return combo
     return None
 
 

@@ -31,7 +31,6 @@ from avnproofs import (
     verify_witness,
 )
 from avnproofs.reality import ActionClass
-from avnproofs.witness import AvnWitness
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
     all_sign_assignments_consistent,
@@ -165,12 +164,12 @@ def test_criterion_5_solver_equals_brute_force_with_perfect_witnesses():
 
 def test_criterion_6_witness_suite():
     fc4 = complete_graph(4)
-    ghz4 = AvnWitness((0b0001, 0b0010, 0b0100, 0b0111))
+    ghz4 = (0b0001, 0b0010, 0b0100, 0b0111)
     assert verify_witness(ghz4, fc4)
     assert is_critical(ghz4, fc4)
 
     lc4 = path_graph(4)
-    cluster4 = AvnWitness((0b0011, 0b0010, 0b0110, 0b0111))
+    cluster4 = (0b0011, 0b0010, 0b0110, 0b0111)
     assert verify_witness(cluster4, lc4)
     assert is_critical(cluster4, lc4)
 

@@ -221,12 +221,47 @@ def test_witness_past_the_old_combination_cap(capsys):
     assert len(json.loads(out)["subsets"]) == 4
 
 
+PATH6 = "6: 1-2,2-3,3-4,4-5,5-6"
+PATH9 = "9: 1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9"
+NO_WITNESS = "no witness found within the size bound\n"
+
+
+@pytest.mark.parametrize(
+    "graph, dist, extra, code, out, err",
+    [
+        ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "1"), 2, "", "error: max_size must be in 2..8, got 1\n"),
+        ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "9"), 2, "", "error: max_size must be in 2..8, got 9\n"),
+        (PATH6, "1|2|3|4|5|6", ("--max-size", "9", "--exhaustive"), 2, "", "error: max_size must be in 2..8, got 9\n"),
+        (PATH6, "1|2|3|4|5|6", ("--exhaustive",), 2, "", "error: exhaustive pool limited to n <= 5\n"),
+        (PATH6, "1|2|3|4|5|6", ("--exhaustive", "--max-size", "3"), 2, "", "error: exhaustive pool limited to n <= 5\n"),
+        (PATH9, "1|2|3|4|5|6|7|8|9", ("--max-size", "3"), 2, "", "error: witness search limited to n <= 8\n"),
+        ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "2"), 1, NO_WITNESS, ""),
+        ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "3"), 1, NO_WITNESS, ""),
+    ],
+    ids=[
+        "max-size-1",
+        "max-size-9",
+        "max-size-before-exhaustive",
+        "exhaustive-n6",
+        "exhaustive-before-size-bound",
+        "n9-before-size-bound",
+        "max-size-2",
+        "max-size-3",
+    ],
+)
+def test_witness_checks_its_options_in_order(capsys, graph, dist, extra, code, out, err):
+    """The ``witness`` command checks ``--max-size`` (2..8), then
+    ``--exhaustive`` (n <= 5), then the library's n <= 8 guard, and only
+    then the size bound: no witness has 2 or 3 members."""
+    assert run(capsys, "witness", "--graph", graph, "--dist", dist, *extra) == (code, out, err)
+
+
 def test_witness_rejected_by_verification_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(witness, "verify_witness", lambda w, g: False)
     code, out, err = run(capsys, "witness", "--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3")
     assert code == 3
     assert out == ""
-    assert err == "internal error: parity-key match failed witness verification\n"
+    assert err == "internal error: GHZ quadruple failed witness verification\n"
 
 
 def test_witness_rejected_by_verification_exit_three_under_python_O():
@@ -247,7 +282,7 @@ sys.exit(main(["witness", "--graph", "3: 1-2,1-3,2-3", "--dist", "1|2|3"]))
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "internal error: parity-key match failed witness verification\n"
+    assert proc.stderr == "internal error: GHZ quadruple failed witness verification\n"
 
 
 def count_verdicts(monkeypatch) -> list:

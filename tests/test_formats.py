@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from avnproofs import (
     AvnDecision,
-    AvnWitness,
     Graph,
     GraphClassRecord,
     ParseError,
@@ -31,7 +30,7 @@ from avnproofs.reports import DistributionReport
 def make_report(with_witness=False):
     g = path_graph(4)
     d = parse_distribution("1,4|2,3", 4)
-    witness = find_witness(g, d, max_size=4) if with_witness else None
+    witness = find_witness(g) if with_witness else None
     return DistributionReport(g, d, witness=witness)
 
 
@@ -172,7 +171,7 @@ def test_from_json_dict_rejects_a_padded_witness(extra):
     data = make_report(True).to_json_dict()
     assert data["witness"]["subsets"] == [[2], [1, 2], [2, 3], [1, 2, 3]]
     subsets = data["witness"]["subsets"] + extra
-    padded = AvnWitness(tuple(sum(1 << (q - 1) for q in s) for s in subsets))
+    padded = tuple(sum(1 << (q - 1) for q in s) for s in subsets)
     data["witness"] = {"subsets": subsets, "equations": format_witness(padded, g)}
     with pytest.raises(ValueError, match="witness subsets do not form"):
         DistributionReport.from_json_dict(data)

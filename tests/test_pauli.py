@@ -118,6 +118,8 @@ def test_letters_and_support():
     assert format_word(0, 0, 0) == "1"
     with pytest.raises(ValueError, match="mask -1 is negative"):
         qubits_of(-1)
+    with pytest.raises(ValueError, match="mask -1 is negative"):
+        format_word(-1, 0, 0)
     for letter in "IXYZ":
         assert single_letter(1, 1, letter).letter(1) == letter
 

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avnproofs import (
-    AvnWitness,
     Distribution,
     Graph,
-    LengthMismatchError,
     ResourceLimitError,
     assignment_consistent,
     canonical_form,
@@ -47,7 +45,7 @@ LC4 = path_graph(4)
 
 
 def witness_from(subsets):
-    return AvnWitness(tuple(sum(1 << (i - 1) for i in s) for s in subsets))
+    return tuple(sum(1 << (i - 1) for i in s) for s in subsets)
 
 
 def words(g, masks):
@@ -90,7 +88,7 @@ def test_lc4_witness_verifies_and_is_critical():
 
 
 def test_witness_with_member_removed_fails_parity():
-    broken = AvnWitness(GHZ4_WITNESS.subsets[:-1])
+    broken = GHZ4_WITNESS[:-1]
     assert not verify_witness(broken, FC4)
 
 
@@ -98,7 +96,7 @@ def test_padded_witness_is_rejected_and_not_critical():
     """A repeated member changes neither the parities nor the sign, so the
     padded set is still contradictory, but it is not a witness the search
     writes: ``verify_witness`` rejects it, and it is not critical."""
-    padded = AvnWitness(GHZ4_WITNESS.subsets + GHZ4_WITNESS.subsets[:1] * 2)
+    padded = GHZ4_WITNESS + GHZ4_WITNESS[:1] * 2
     assert not verify_witness(padded, FC4)
     assert not is_critical(padded, FC4)
 
@@ -108,7 +106,7 @@ def test_consistent_set_is_not_critical():
     set was never a contradiction, so it is not critical."""
     for g, subsets in ((LC4, [(1, 2)]), (LC4, [(1,), (2,)]), (FC4, [(1,), (2,), (3,)])):
         w = witness_from(subsets)
-        assert assignment_consistent(words(g, w.subsets), g.n).consistent
+        assert assignment_consistent(words(g, w), g.n).consistent
         assert not is_critical(w, g)
 
 
@@ -117,11 +115,11 @@ def test_identity_or_repeated_member_is_rejected(extra):
     """Neither an identity member nor a repeated one changes the parities,
     the sign or the inconsistency, so only the member check rejects them.
     The search itself is unchanged: it still finds the plain witness."""
-    w = find_witness(LC4, parse_distribution("1,4|2,3", 4))
-    assert w.subsets == (0b0010, 0b0011, 0b0110, 0b0111)
+    w = find_witness(LC4)
+    assert w == (0b0010, 0b0011, 0b0110, 0b0111)
     assert verify_witness(w, LC4)
-    padded = AvnWitness(w.subsets + extra)
-    assert all_sign_assignments_consistent(ops(LC4, padded.subsets)) is False
+    padded = w + extra
+    assert all_sign_assignments_consistent(ops(LC4, padded)) is False
     assert not verify_witness(padded, LC4)
 
 
@@ -218,71 +216,58 @@ def test_parity_sign_duality_exhaustive():
 
 def test_verified_witness_defeats_exhaustive_assignment_search_n5():
     g = ring_graph(5)
-    w = find_witness(g, parse_distribution("1|2|3|4|5", 5), max_size=4)
+    w = find_witness(g)
     assert w is not None and verify_witness(w, g)
-    assert not all_sign_assignments_consistent(ops(g, w.subsets))
+    assert not all_sign_assignments_consistent(ops(g, w))
 
 
 def test_find_witness_fc3_matches_canonical_structure():
-    w = find_witness(FC3, parse_distribution("1|2|3", 3), max_size=4)
-    assert w is not None and len(w.subsets) == 4
-    signs = [sign_of(stabilizer_element(FC3, s)) for s in w.subsets]
+    w = find_witness(FC3)
+    assert w is not None and len(w) == 4
+    signs = [sign_of(stabilizer_element(FC3, s)) for s in w]
     assert signs.count(-1) % 2 == 1
     assert verify_witness(w, FC3)
     # deterministic
-    again = find_witness(FC3, parse_distribution("1|2|3", 3), max_size=4)
-    assert again.subsets == w.subsets
-
-
-def test_find_witness_needs_size_four_on_fc3():
-    assert find_witness(FC3, parse_distribution("1|2|3", 3), max_size=3) is None
+    assert find_witness(FC3) == w
 
 
 def test_find_witness_lc4_alice_bob():
-    w = find_witness(LC4, parse_distribution("1,4|2,3", 4), max_size=4)
-    assert w is not None and len(w.subsets) <= 4
+    w = find_witness(LC4)
+    assert w is not None and len(w) <= 4
     assert verify_witness(w, LC4)
 
 
 def test_find_witness_none_for_two_qubits():
-    edge = Graph.from_edges(2, [(1, 2)])
-    assert find_witness(edge, parse_distribution("1|2", 2), max_size=8, exhaustive=True) is None
-
-
-def test_find_witness_exhaustive_guards():
-    with pytest.raises(ResourceLimitError):
-        find_witness(path_graph(6), parse_distribution("1,2|3,4|5,6", 6), exhaustive=True)
-
-
-@pytest.mark.parametrize("text,n", [("1,2|3,4|5,6", 6), ("1,2|3", 3)])
-def test_find_witness_rejects_a_distribution_of_another_size(text, n):
-    with pytest.raises(LengthMismatchError):
-        find_witness(path_graph(5), parse_distribution(text, n))
+    assert find_witness(Graph.from_edges(2, [(1, 2)])) is None
 
 
 def test_underrepresented_qubits_flags_fixed_observer():
-    w = find_witness(FC4, parse_distribution("1|2|3|4", 4), max_size=4)
+    w = find_witness(FC4)
     assert underrepresented_qubits(w, FC4) == (4,)
     # the four-correlation set shows qubit 4 only as Z4
     assert underrepresented_qubits(LC4_WITNESS, LC4) == (4,)
     # every qubit of the three-qubit witness shows two observables
-    w3 = find_witness(FC3, parse_distribution("1|2|3", 3), max_size=4)
+    w3 = find_witness(FC3)
     assert underrepresented_qubits(w3, FC3) == ()
 
 
 def _same_search(g, d, max_size, exhaustive=False):
-    """``find_witness`` returns the sweep's witness (or None),
-    that witness verifies and is critical, and its underrepresented qubits
-    are the ones its operators spell with fewer than two letters."""
-    found = find_witness(g, d, max_size=max_size, exhaustive=exhaustive)
+    """The sweep of the pool ``d`` and ``exhaustive`` select returns None
+    below size 4 and ``find_witness(g)`` from size 4 on, so the witness does
+    not depend on the distribution.  A witness found verifies and is
+    critical, and its underrepresented qubits are the ones its operators
+    spell with fewer than two letters."""
     swept = witness_by_sweep(g, d, max_size=max_size, exhaustive=exhaustive)
-    if swept is None:
-        assert found is None
+    if max_size < 4:
+        assert swept is None
         return
-    assert found is not None and found.subsets == swept.subsets
+    found = find_witness(g)
+    assert found == swept
+    if found is None:
+        return
     assert verify_witness(found, g)
     assert is_critical(found, g)
-    members = ops(g, found.subsets)
+    members = ops(g, found)
     letters = {q: {op.letter(q) for op in members if q in op.support()} for q in range(1, g.n + 1)}
     assert underrepresented_qubits(found, g) == tuple(q for q, seen in letters.items() if len(seen) < 2)
 
@@ -315,24 +300,23 @@ RING8_DIST = parse_distribution("1,4,5,8|2,3,6,7", 8)
 def test_ring8_size_four_past_the_old_cap():
     with pytest.raises(ResourceLimitError, match=r"\(92 candidates, size 4\)"):
         witness_by_sweep(RING8, RING8_DIST, max_size=4)
-    w = find_witness(RING8, RING8_DIST, max_size=4)
-    assert w is not None and len(w.subsets) == 4
+    w = find_witness(RING8)
+    assert w is not None and len(w) == 4
     assert verify_witness(w, RING8)
     assert is_critical(w, RING8)
-    assert find_witness(RING8, RING8_DIST, max_size=3) is None
     assert witness_by_sweep(RING8, RING8_DIST, max_size=3) is None
 
 
 def test_search_matches_sweep_on_every_labelled_graph():
-    """Every labelled graph with n <= 4 (every edge set), under every
-    distribution, with either pool."""
+    """Every labelled graph with n <= 4 (every edge set): the sweep finds
+    ``find_witness(g)`` under every distribution, with either pool."""
     for n in range(1, 5):
         for edges in edge_sets(n):
             g = Graph.from_edges(n, edges)
+            found = find_witness(g)
             for particles in set_partitions(range(1, n + 1)):
                 d = Distribution(n, particles)
                 for exhaustive in (False, True):
-                    found = find_witness(g, d, exhaustive=exhaustive)
                     assert found == witness_by_sweep(g, d, exhaustive=exhaustive), (format_graph(g), particles)
 
 
@@ -341,7 +325,7 @@ def test_search_matches_sweep_on_every_labelled_graph():
 def test_search_matches_sweep_on_random_labelled_graphs(case):
     """Random edge sets with n = 5..6, disconnected ones included."""
     g, d = case
-    assert find_witness(g, d) == witness_by_sweep(g, d)
+    assert find_witness(g) == witness_by_sweep(g, d)
 
 
 @pytest.mark.parametrize(
@@ -352,11 +336,10 @@ def test_search_matches_sweep_on_random_labelled_graphs(case):
 def test_largest_pools_give_a_size_four_witness(g, least):
     """With singletons every stabilizer element of the 8-qubit star and
     complete graph certifies an element of reality, so every one of the 255
-    belongs to the pool.  At ``max_size=8`` the answer is still the least
+    belongs to the pool, too many for the sweep.  The answer is the least
     GHZ quadruple, and it verifies and is critical."""
-    d = parse_distribution("1|2|3|4|5|6|7|8", 8)
-    w = find_witness(g, d, max_size=8)
-    assert w.subsets == least == min(tuple(sorted(q)) for q in ghz_quadruples(g))
+    w = find_witness(g)
+    assert w == least == min(tuple(sorted(q)) for q in ghz_quadruples(g))
     assert verify_witness(w, g)
     assert is_critical(w, g)
 
@@ -397,9 +380,9 @@ def test_ghz_quadruples_verify_on_every_connected_graph():
             quadruples = list(ghz_quadruples(g))
             assert quadruples, format_graph(g)
             for masks in quadruples:
-                w = AvnWitness(tuple(sorted(masks)))
+                w = tuple(sorted(masks))
                 assert verify_witness(w, g), (format_graph(g), masks)
-                assert contradicts(ops(g, w.subsets))
+                assert contradicts(ops(g, w))
 
 
 def test_no_witness_has_two_or_three_members():
@@ -417,30 +400,30 @@ def test_no_witness_has_two_or_three_members():
 
 
 def test_search_at_every_size_is_the_size_eight_sweep():
-    """``max_size`` 4..8 give the sweep's answer up to size 8, on every
-    distribution of every class representative with n <= 4."""
+    """The sweep at every ``max_size`` 4..8 finds ``find_witness(g)``, on
+    every distribution of every class representative with n <= 4, with
+    either pool."""
     for n in range(2, 5):
         for record in classify_all(n):
             g = record.representative
+            found = find_witness(g)
             for particles in set_partitions(range(1, n + 1)):
                 d = Distribution(n, particles)
                 for exhaustive in (True, False):
-                    swept = witness_by_sweep(g, d, max_size=8, exhaustive=exhaustive)
                     for max_size in range(4, 9):
-                        found = find_witness(g, d, max_size=max_size, exhaustive=exhaustive)
+                        swept = witness_by_sweep(g, d, max_size=max_size, exhaustive=exhaustive)
                         assert found == swept, (format_graph(g), particles, max_size)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_no_witness_when_every_component_has_at_most_two_vertices(n):
     """The empty graph, one edge plus isolated vertices, and a perfect
-    matching: no witness at any ``max_size``, with either pool."""
+    matching: no witness, and none in the sweep of the whole stabilizer up
+    to size 8, which holds every pool and every smaller size."""
     graphs = [Graph.from_edges(n, []), Graph.from_edges(n, [(1, 2)] if n >= 2 else [])]
     if n % 2 == 0:
         graphs.append(Graph.from_edges(n, [(q, q + 1) for q in range(1, n, 2)]))
+    singles = Distribution(n, tuple((q,) for q in range(1, n + 1)))
     for g in graphs:
-        for particles in set_partitions(range(1, n + 1)):
-            d = Distribution(n, particles)
-            for max_size in range(2, 9):
-                for exhaustive in (False, True):
-                    assert find_witness(g, d, max_size=max_size, exhaustive=exhaustive) is None
+        assert find_witness(g) is None
+        assert witness_by_sweep(g, singles, max_size=8, exhaustive=True) is None
