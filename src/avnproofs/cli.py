@@ -33,8 +33,9 @@ from .graphstate import (
     MAX_STATE_QUBITS,
     format_graph,
     parse_graph,
+    perfect_correlation_arrays,
     perfect_correlation_report,
-    stabilizer_walk,
+    stabilizer_arrays,
     stabilizer_word,
     statevector,
 )
@@ -181,8 +182,8 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse_graph(args.graph)
-    worst, failures = perfect_correlation_report(statevector(g), stabilizer_walk(g))
-    for word, dev in sorted(failures, key=lambda f: f[0][0]):
+    worst, failures = perfect_correlation_arrays(statevector(g), *stabilizer_arrays(g))
+    for word, dev in failures:
         print(f"FAIL {format_word(*word)} deviates by {dev:.3e}")
     print(
         f"{1 << g.n} stabilizing operators checked, "

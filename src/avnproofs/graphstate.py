@@ -7,19 +7,11 @@ arithmetic: both must agree that every stabilizing operator is a perfect
 correlation.  numpy is imported inside the oracle functions only, so the
 exact paths load without it.
 
-``stabilizer_walk`` yields the 2^n stabilizing operators as plain
-``(x, z, phase)`` integer words in Gray-code order: each step toggles one
-generator, so x changes in one bit, z by one XOR with that generator's
-neighbour mask, and the parity of the inner edge count by a popcount.
-``stabilizer_word`` gives the same word for one subset, and
-``stabilizer_element`` wraps it as a ``PauliOperator``.
-
-The statevector check decides each word exactly on the state's sign bits.
-Graph-state amplitudes are real and all of magnitude 1/sqrt(N), N = 2^n, and
-their signs are a quadratic form over GF(2), so n comparisons of the sign
-pattern with its unit shifts give, for every word, one linear mask and one
-sign bit to test (see ``perfect_correlation_report``).  That report serves
-``verify`` (on the walk), ``check --oracle`` and ``verify_witness``.
+The statevector check decides each word exactly on the state's sign bits, a
+quadratic form over GF(2) for every graph state (see
+``perfect_correlation_report``).  ``verify`` decides the whole stabilizer at
+once on ``stabilizer_arrays``; the 4 to 3n words of ``check --oracle`` and
+``verify_witness`` go through a loop per word, which is faster for so few.
 """
 
 from __future__ import annotations
@@ -298,42 +290,45 @@ def full_stabilizer(g: Graph):
         yield stabilizer_element(g, mask)
 
 
-def stabilizer_walk(g: Graph):
-    """Yield ``(x, z, phase)`` for all 2^n stabilizing operators in Gray-code
-    order, starting from the identity.
-
-    Step t toggles generator v, the lowest set bit of t, so x (the subset
-    mask) changes in bit v only and z (Gamma x) by ``adj[v]``.  The edge
-    count inside the subset moves by |adj[v] & x| whether v joins or leaves,
-    so only its parity e is kept, and the phase of ``stabilizer_word(g, x)``
-    is ``(2 e - |x & z|) mod 4``.
-    """
-    adj = g.adj
-    x = z = odd = 0
-    yield 0, 0, 0
-    for t in range(1, 1 << g.n):
-        v = (t & -t).bit_length() - 1
-        odd ^= (adj[v] & x).bit_count() & 1
-        x ^= 1 << v
-        z ^= adj[v]
-        yield x, z, (2 * odd - (x & z).bit_count()) % 4
-
-
 # ---------------------------------------------------------------------------
 # Dense statevector oracle
 
-_PARITY_TABLE = None
+_BIT_COUNTS = None
 
 
-def _parity_table():
-    global _PARITY_TABLE
-    if _PARITY_TABLE is None:
+def _bit_counts():
+    global _BIT_COUNTS
+    if _BIT_COUNTS is None:
         import numpy as np
 
-        _PARITY_TABLE = np.array(
-            [i.bit_count() & 1 for i in range(1 << MAX_STATE_QUBITS)], dtype=np.int8
-        )
-    return _PARITY_TABLE
+        _BIT_COUNTS = np.array([i.bit_count() for i in range(1 << MAX_STATE_QUBITS)], np.uint8)
+    return _BIT_COUNTS
+
+
+def _xor_span(rows, dtype):
+    """Entry s is the XOR of ``rows[v]`` over the bits v of s, built by doubling."""
+    import numpy as np
+
+    out = np.zeros(1 << len(rows), dtype)
+    for v, row in enumerate(rows):
+        out[1 << v : 2 << v] = out[: 1 << v] ^ out.dtype.type(row)
+    return out
+
+
+def stabilizer_arrays(g: Graph) -> tuple:
+    """``(x, z, phase)`` numpy arrays with ``stabilizer_word(g, s)`` at entry s,
+    s ascending, for n <= MAX_STATE_QUBITS.  z is Gamma s, and the inner edge
+    count's parity that of |s & low(s)|, low(s) the XOR of the rows' parts
+    below the diagonal over the bits of s: n doublings give each span."""
+    import numpy as np
+
+    if g.n > MAX_STATE_QUBITS:
+        raise ResourceLimitError(f"stabilizer arrays limited to n <= {MAX_STATE_QUBITS}, got {g.n}")
+    dtype = np.uint8 if g.n <= 8 else np.uint16
+    x = np.arange(1 << g.n, dtype=dtype)
+    z = _xor_span(g.adj, dtype)
+    low = _xor_span([row & ((1 << v) - 1) for v, row in enumerate(g.adj)], dtype)
+    return x, z, (2 * _bit_counts()[x & low] - _bit_counts()[x & z]) & 3  # uint8 wraps mod 256
 
 
 def statevector(g: Graph) -> np.ndarray:
@@ -350,11 +345,10 @@ def statevector(g: Graph) -> np.ndarray:
         )
     dim = 1 << g.n
     idx = np.arange(dim, dtype=np.uint32)
-    signs = np.ones(dim, dtype=np.float64)
+    both = np.zeros(dim, dtype=np.uint32)  # bit 0: parity of the edges with both qubits 1
     for i, j in g.edges():
-        both = ((idx >> (i - 1)) & (idx >> (j - 1)) & 1).astype(bool)
-        signs[both] *= -1.0
-    return (signs / np.sqrt(dim)).astype(np.complex128)
+        both ^= (idx >> (i - 1)) & (idx >> (j - 1))
+    return ((1.0 - 2.0 * (both & 1)) / np.sqrt(dim)).astype(np.complex128)
 
 
 def expectation(sv: np.ndarray, p: PauliOperator) -> float:
@@ -373,9 +367,9 @@ def expectation(sv: np.ndarray, p: PauliOperator) -> float:
     # is real for any Hermitian operator.
     k = (p.phase + (p.x & p.z).bit_count()) % 4
     idx = np.arange(dim, dtype=np.uint32)
-    par = _parity_table()[np.bitwise_and(idx, np.uint32(p.z))]
+    odd = _bit_counts()[np.bitwise_and(idx, np.uint32(p.z))] & 1
     terms = np.conj(sv[np.bitwise_xor(idx, np.uint32(p.x))]) * sv
-    val = (1j ** k) * np.sum(np.where(par == 1, -terms, terms))
+    val = (1j ** k) * np.sum(np.where(odd, -terms, terms))
     return float(val.real)
 
 
@@ -390,55 +384,24 @@ def _coordinate_bits(j: int, dim: int) -> int:
     return bits
 
 
-def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
-    """``(worst, failures)`` for the ``(x, z, phase)`` words on the state ``sv``.
-
-    ``worst`` is the largest ``abs(expectation(sv, op) - 1.0)`` over the
-    words' operators (0.0 for none) and ``failures`` lists, in input order,
-    the ``(word, deviation)`` pairs above ``PERFECT_CORRELATION_TOL``: the
-    same values, bit for bit, as a loop calling ``expectation`` on every
-    operator.  A word acting past the state's qubits raises
-    ``LengthMismatchError``.  An odd-phase word never passes the sign-bit
-    test, so ``expectation`` raises ``NonHermitianSignError`` on it.
-    ``sv`` must be a vector of length 2^n, real, finite and of one
-    magnitude, as every graph state is; otherwise ``AssertionError`` is
-    raised before any word is read.
-
-    With Q(b) = 1 where amplitude b < 0 and D_x(b) = Q(b ^ x) ^ Q(b), every
-    Q has D_{x ^ e_v}(b) = D_x(b ^ e_v) ^ D_{e_v}(b).  So if each unit
-    difference is affine, D_{e_v}(b) = L_v . b ^ D_{e_v}(0), as for every
-    stabilizer state (Dehaene & De Moor, PRA 68, 042318, 2003), every D_x
-    is affine with linear part L_x, the XOR of L_v over the bits of x, and
-    constant Q(x) ^ Q(0).  ``i**k X^x Z^z`` (k = phase + |x & z| mod 4) has
-    expectation ``i**k (N - 2 c) / N``, c the count of b with
-    D_x(b) ^ z . b = 1: 0 or N when z = L_x, N/2 otherwise.  So a word
-    passes exactly when ``z == L_x and k == 2 (Q(x) ^ Q(0))``.  If some unit
-    difference is not affine, the state is no stabilizer state and every
-    word takes the float path of ``expectation``.  Otherwise a
-    ``PauliOperator`` is built only for the first passing word and for each
-    word that does not pass; every passing word has the float deviation of
-    the first, computed once.
-    """
+def _sign_form(sv: np.ndarray) -> tuple:
+    """``(neg, lins)``: byte b of ``neg`` is Q(b), and ``lins`` the L_v, or None
+    when a unit difference of Q is not affine (see ``perfect_correlation_report``)."""
     import numpy as np
 
     if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):
         raise AssertionError(f"statevector of shape {sv.shape} is not a vector of length 2^n")
     dim = sv.shape[0]
     real = sv.real
-    if (
-        sv.imag.any()
-        or not np.isfinite(real).all()
-        or not (np.abs(real) == abs(real[0])).all()
-    ):
+    if sv.imag.any() or not np.isfinite(real).all() or not (np.abs(real) == abs(real[0])).all():
         raise AssertionError("statevector is not real with entries of one magnitude")
-    n = dim.bit_length() - 1
     full = (1 << dim) - 1
     negative = real < 0
     signs = int.from_bytes(np.packbits(negative, bitorder="little").tobytes(), "little")
-    neg = negative.tobytes()  # byte b: Q(b)
+    neg = negative.tobytes()
     q0 = neg[0]
-    units = [(1 << u, neg[1 << u], _coordinate_bits(u, dim)) for u in range(n)]
-    lins = []  # L_v per qubit; None when some unit difference is not affine
+    units = [(1 << u, neg[1 << u], _coordinate_bits(u, dim)) for u in range(dim.bit_length() - 1)]
+    lins = []
     for low, q_low, high in units:
         diff = signs ^ ((signs & (full ^ high)) << low) ^ ((signs & high) >> low)
         const = q_low ^ q0
@@ -449,27 +412,54 @@ def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
                 lin |= unit
                 affine ^= coord
         if diff != affine:
-            lins = None
-            break
+            return neg, None
         lins.append(lin)
-    lin = prev_x = 0
+    return neg, lins
+
+
+def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
+    """``(worst, failures)`` for the ``(x, z, phase)`` words on the state ``sv``:
+    the largest ``abs(expectation(sv, op) - 1.0)`` (0.0 for no word) and, in
+    input order, the ``(word, deviation)`` pairs above
+    ``PERFECT_CORRELATION_TOL``, bit for bit as a loop calling ``expectation``
+    on every word.  When a word is reached, a negative mask raises
+    ValueError, a mask past the state's qubits ``LengthMismatchError`` and an
+    odd phase ``NonHermitianSignError`` (from ``expectation``).  A state that
+    is not a real, finite vector of length 2^n with entries of one magnitude
+    raises ``AssertionError`` before any word is read.
+
+    With Q(b) = 1 where amplitude b < 0 and D_x(b) = Q(b ^ x) ^ Q(b), every
+    Q has D_{x ^ e_v}(b) = D_x(b ^ e_v) ^ D_{e_v}(b).  So if each unit
+    difference is affine, D_{e_v}(b) = L_v . b ^ D_{e_v}(0), as for every
+    stabilizer state (Dehaene & De Moor, PRA 68, 042318, 2003), every D_x
+    is affine with linear part L_x, the XOR of L_v over the bits of x, and
+    constant Q(x) ^ Q(0).  ``i**k X^x Z^z`` (k = phase + |x & z| mod 4) has
+    expectation ``i**k (N - 2 c) / N``, c the count of b with
+    D_x(b) ^ z . b = 1: 0 or N when z = L_x, N/2 otherwise.  So a word
+    passes exactly when ``z == L_x and k == 2 (Q(x) ^ Q(0))``, and every
+    passing word has the float deviation of the first, computed once.  Every
+    other word, and every word of a state that is no stabilizer state, takes
+    the float path.
+    """
+    neg, lins = _sign_form(sv)
+    n = len(neg).bit_length() - 1
     worst = 0.0
     passing_dev = None
     failures = []
     for x, z, phase in words:
+        if x < 0 or z < 0:
+            raise ValueError(f"mask {x if x < 0 else z} is negative")
         if (x | z) >> n:
             raise LengthMismatchError(
-                f"state dimension {dim} does not match {(x | z).bit_length()}-qubit operator"
+                f"state dimension {len(neg)} does not match {(x | z).bit_length()}-qubit operator"
             )
         passes = False
         if lins is not None:
-            flip = x ^ prev_x
-            prev_x = x
-            while flip:
-                low = flip & -flip
-                lin ^= lins[low.bit_length() - 1]
-                flip ^= low
-            passes = z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (neg[x] ^ q0)
+            lin, rest = 0, x
+            while rest:
+                lin ^= lins[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            passes = z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (neg[x] ^ neg[0])
         if passes and passing_dev is not None:  # already counted in worst
             if passing_dev > PERFECT_CORRELATION_TOL:
                 failures.append(((x, z, phase), passing_dev))
@@ -481,3 +471,26 @@ def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
         if dev > PERFECT_CORRELATION_TOL:
             failures.append(((x, z, phase), dev))
     return worst, failures
+
+
+def perfect_correlation_arrays(sv: np.ndarray, x, z, phase) -> tuple:
+    """``perfect_correlation_report`` on the arrays of ``stabilizer_arrays``,
+    every word decided at once, with L_x built by the doubling that builds z."""
+    import numpy as np
+
+    neg, lins = _sign_form(sv)
+    passes = np.zeros(x.size, bool)
+    if lins is not None:
+        q = np.frombuffer(neg, np.uint8)
+        k = (phase + _bit_counts()[x & z]) & 3
+        passes = (z == _xor_span(lins, z.dtype)[x]) & (k == 2 * (q[x] ^ q[0]))
+    evaluate = ~passes
+    evaluate[passes.argmax()] = True  # the first passing word; word 0 when none passes
+    words = np.column_stack((x, z, phase))
+    n = len(neg).bit_length() - 1
+    dev = np.zeros(x.size)
+    for i in np.flatnonzero(evaluate).tolist():
+        dev[i] = abs(expectation(sv, PauliOperator(*words[i].tolist(), n=n)) - 1.0)
+    dev[passes] = dev[passes.argmax()]
+    failed = np.flatnonzero(dev > PERFECT_CORRELATION_TOL).tolist()
+    return float(dev.max(initial=0.0)), [(tuple(words[i].tolist()), dev[i].item()) for i in failed]

@@ -43,6 +43,7 @@ TIMEOUT_S = 60
 
 W = "tests/test_witness.py::"
 CLI = "tests/test_cli.py::"
+GS = "tests/test_graphstate.py::"
 
 #: (file, text, replacement, node ids expected to fail)
 MUTANTS = (
@@ -221,7 +222,7 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "== 2 * (neg[x] ^ q0)",
+        "== 2 * (neg[x] ^ neg[0])",
         "== 2 * neg[x]",
         ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle"],
     ),
@@ -241,7 +242,62 @@ MUTANTS = (
         "graphstate.py",
         "        passes = False\n",
         "        passes = True\n",
+        ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle[3]"],
+    ),
+    (
+        "graphstate.py",
+        "        if x < 0 or z < 0:\n",
+        "        if False:\n",
+        ["tests/test_correlations.py::test_a_negative_mask_is_named_at_its_place[z]"],
+    ),
+    # The whole stabilizer decided on arrays.
+    (
+        "graphstate.py",
+        "out[1 << v : 2 << v] = out[: 1 << v] ^ out.dtype.type(row)\n",
+        "out[1 << v : 2 << v] = out[: 1 << v]\n",
+        [GS + "test_arrays_are_the_stabilizer_on_every_graph_up_to_four_vertices"],
+    ),
+    (
+        "graphstate.py",
+        "[row & ((1 << v) - 1) for v, row in enumerate(g.adj)]",
+        "list(g.adj)",
+        [GS + "test_arrays_are_the_stabilizer_on_every_graph_up_to_four_vertices"],
+    ),
+    (
+        "graphstate.py",
+        "        k = (phase + _bit_counts()[x & z]) & 3\n",
+        "        k = phase & 3\n",
+        [CLI + "test_verify_needs_one_float_evaluation"],
+    ),
+    (
+        "graphstate.py",
+        "(k == 2 * (q[x] ^ q[0]))",
+        "(k == 2 * q[x])",
+        [CLI + "test_verify_on_a_scaled_state[-1.0]"],
+    ),
+    (
+        "graphstate.py",
+        "    passes = np.zeros(x.size, bool)\n",
+        "    passes = np.ones(x.size, bool)\n",
         [CLI + "test_verify_reports_a_tampered_state"],
+    ),
+    (
+        "graphstate.py",
+        "    evaluate = ~passes\n",
+        "    evaluate = np.zeros_like(passes)\n",
+        [CLI + "test_verify_reports_an_injected_failure"],
+    ),
+    (
+        "graphstate.py",
+        "    dev[passes] = dev[passes.argmax()]\n",
+        "",
+        [CLI + "test_verify_on_a_scaled_state[2.0]"],
+    ),
+    (
+        "graphstate.py",
+        "        both ^= (idx >> (i - 1)) & (idx >> (j - 1))\n",
+        "        both |= (idx >> (i - 1)) & (idx >> (j - 1))\n",
+        [GS + "test_statevector_is_the_edge_count_sign_bit_for_bit"],
     ),
     # Reports hold no verdict; search hits build no table.
     (

@@ -548,6 +548,36 @@ def witness_by_sweep(g, d, max_size=4, exhaustive=False):
     return None
 
 
+def statevector_by_edge_counts(g):
+    """The graph state amplitude by amplitude: (-1)^e(b) / sqrt(2^n), e(b)
+    the number of edges with both qubits 1 in the basis string b."""
+    dim = 1 << g.n
+    signs = [(-1.0) ** sum(1 for i, j in g.edges() if b >> (i - 1) & b >> (j - 1) & 1) for b in range(dim)]
+    return (np.array(signs) / np.sqrt(dim)).astype(complex)
+
+
+def stabilizer_walk(g):
+    """Yield ``(x, z, phase)`` for all 2^n stabilizing operators in Gray-code
+    order, starting from the identity: the oracle for ``stabilizer_arrays``,
+    one word at a time.
+
+    Step t toggles generator v, the lowest set bit of t, so x (the subset
+    mask) changes in bit v only and z (Gamma x) by ``adj[v]``.  The edge
+    count inside the subset moves by |adj[v] & x| whether v joins or leaves,
+    so only its parity e is kept, and the phase of ``stabilizer_word(g, x)``
+    is ``(2 e - |x & z|) mod 4``.
+    """
+    adj = g.adj
+    x = z = odd = 0
+    yield 0, 0, 0
+    for t in range(1, 1 << g.n):
+        v = (t & -t).bit_length() - 1
+        odd ^= (adj[v] & x).bit_count() & 1
+        x ^= 1 << v
+        z ^= adj[v]
+        yield x, z, (2 * odd - (x & z).bit_count()) % 4
+
+
 def correlations_by_expectation(sv, ops):
     """``(worst, failures)`` from the float ``expectation`` of every operator:
     the loop ``avnproofs verify`` ran before operators were decided on sign

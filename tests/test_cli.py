@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,12 @@ from avnproofs import (
     NonHermitianSignError,
     PauliOperator,
     cli,
+    complete_graph,
     format_graph,
     full_stabilizer,
+    graphstate,
     parse_graph,
+    path_graph,
     reality,
     reports,
     statevector,
@@ -400,16 +404,16 @@ def test_verify_output_matches_the_float_loop(capsys):
         assert err == ""
 
 
-def walk_with_flipped_signs(monkeypatch, masks):
-    """Make ``verify`` walk the stabilizer with the sign of each subset in
+def arrays_with_flipped_signs(monkeypatch, masks):
+    """Make ``verify`` build the stabilizer with the sign of each subset in
     ``masks`` flipped, and return the same operators in ascending subset order."""
-    walk = cli.stabilizer_walk
+    build = cli.stabilizer_arrays
 
-    def flipped_walk(g):
-        for x, z, phase in walk(g):
-            yield x, z, (phase + 2) % 4 if x in masks else phase
+    def flipped_arrays(g):
+        x, z, phase = build(g)
+        return x, z, np.where(np.isin(x, list(masks)), phase ^ 2, phase)
 
-    monkeypatch.setattr(cli, "stabilizer_walk", flipped_walk)
+    monkeypatch.setattr(cli, "stabilizer_arrays", flipped_arrays)
     g = parse_graph(LC6)
     return [
         PauliOperator(op.x, op.z, op.phase + 2, n=op.n) if mask in masks else op
@@ -418,7 +422,7 @@ def walk_with_flipped_signs(monkeypatch, masks):
 
 
 def test_verify_reports_an_injected_failure(capsys, monkeypatch):
-    ops = walk_with_flipped_signs(monkeypatch, {13})
+    ops = arrays_with_flipped_signs(monkeypatch, {13})
     code, out, err = run(capsys, "verify", "--graph", LC6)
     assert (out, code) == verify_output_by_expectation(parse_graph(LC6), ops)
     assert err == ""
@@ -427,10 +431,8 @@ def test_verify_reports_an_injected_failure(capsys, monkeypatch):
 
 
 def test_verify_prints_failures_in_ascending_subset_order(capsys, monkeypatch):
-    """The walk visits subset 3 before subset 2; the FAIL lines do not."""
-    walked = [x for x, _, _ in cli.stabilizer_walk(parse_graph(LC6))]
-    assert walked.index(3) < walked.index(2)
-    ops = walk_with_flipped_signs(monkeypatch, {2, 3})
+    """The FAIL lines come in ascending subset order: subset 2, then subset 3."""
+    ops = arrays_with_flipped_signs(monkeypatch, {2, 3})
     code, out, err = run(capsys, "verify", "--graph", LC6)
     assert (out, code) == verify_output_by_expectation(parse_graph(LC6), ops)
     assert (code, err) == (1, "")
@@ -438,6 +440,41 @@ def test_verify_prints_failures_in_ascending_subset_order(capsys, monkeypatch):
         "FAIL -Z1 X2 Z3 deviates by 2.000e+00",
         "FAIL -Y1 Y2 Z3 deviates by 2.000e+00",
     ]
+
+
+@pytest.fixture
+def float_evaluations(monkeypatch):
+    """The operators passed to ``graphstate.expectation`` since the fixture ran."""
+    seen = []
+    real = graphstate.expectation
+    monkeypatch.setattr(graphstate, "expectation", lambda sv, op: seen.append(op) or real(sv, op))
+    return seen
+
+
+def test_verify_needs_one_float_evaluation(capsys, float_evaluations):
+    """On a graph state every word passes the sign-bit test, so only the
+    identity reaches the float ``expectation``."""
+    for n in range(1, 11):
+        for g in [path_graph(n), complete_graph(n)]:
+            float_evaluations.clear()
+            code, out, err = run(capsys, "verify", "--graph", format_graph(g))
+            assert (out, code, err) == (*verify_output_by_expectation(g), "")
+            assert float_evaluations == [PauliOperator(0, 0, n=n)]
+
+
+@pytest.mark.parametrize("scale", [2.0, -1.0])
+def test_verify_on_a_scaled_state(scale, capsys, monkeypatch, float_evaluations):
+    """Twice the state, or minus it, has the graph state's sign form, so every
+    word passes the sign-bit test and only the identity is evaluated: its
+    deviation, 3 at twice the norm and 0 under a global sign, is every word's."""
+    g = parse_graph(LC6)
+    sv = statevector(g) * scale
+    monkeypatch.setattr(cli, "statevector", lambda graph: sv)
+    code, out, err = run(capsys, "verify", "--graph", LC6)
+    assert (out, code) == verify_output_by_expectation(g, sv=sv)
+    assert (code, err) == ((1, "") if scale == 2.0 else (0, ""))
+    assert len(out.splitlines()) == (65 if scale == 2.0 else 1)
+    assert float_evaluations == [PauliOperator(0, 0, n=6)]
 
 
 def test_verify_reports_a_tampered_state(capsys, monkeypatch):

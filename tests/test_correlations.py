@@ -31,8 +31,7 @@ from avnproofs import (
     statevector,
 )
 from avnproofs import graphstate
-from avnproofs.graphstate import stabilizer_walk
-from oracles import correlations_by_expectation, edge_sets, verify_by_expectation
+from oracles import correlations_by_expectation, edge_sets, stabilizer_walk, verify_by_expectation
 from strategies import connected_cases
 
 LC6 = path_graph(6)
@@ -61,8 +60,8 @@ def assert_same(report, oracle):
 
 
 def assert_both_orders_match_the_oracle(g):
-    """The report on the ascending stabilizer and on the Gray walk (what
-    ``verify`` runs) both give the float loop's values."""
+    """The report on the ascending stabilizer and on the Gray walk both give
+    the float loop's values."""
     sv = statevector(g)
     oracle = verify_by_expectation(g)
     assert_same(perfect_correlation_report(sv, ascending_words(g)), oracle)
@@ -187,6 +186,18 @@ def test_errors_match_the_oracle(bad, error):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("word, mask", [((-1, 0, 0), -1), ((1, -4, 2), -4)], ids=["x", "z"])
+def test_a_negative_mask_is_named_at_its_place(word, mask):
+    """A negative mask raises ValueError naming it, when its word is reached;
+    it is not read as a width, and a bad word before it raises first."""
+    sv = statevector(path_graph(3))
+    with pytest.raises(ValueError) as got:
+        perfect_correlation_report(sv, [(1, 2, 0), word, (0b1000, 0, 0)])
+    assert (type(got.value), str(got.value)) == (ValueError, f"mask {mask} is negative")
+    with pytest.raises(LengthMismatchError):
+        perfect_correlation_report(sv, [(0b1000, 0, 0), word])
+
+
 @pytest.mark.parametrize("scale", [1.0, -1.0, 2.0, 0.0])
 def test_any_uniform_real_vector_matches_the_oracle(scale):
     """A global sign passes every operator; a wrong norm fails every one."""
@@ -289,8 +300,10 @@ def test_not_a_graph_state_raises_under_python_O(vector, message):
     """The report raises before it reads a word, for any word list."""
     script = f"""
 import numpy as np
+import sys
 from avnproofs import path_graph, perfect_correlation_report
-from avnproofs.graphstate import stabilizer_walk
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from oracles import stabilizer_walk
 
 def words():
     print("a word was read")

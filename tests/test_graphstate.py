@@ -30,8 +30,15 @@ from avnproofs import (
     stabilizer_word,
     statevector,
 )
-from avnproofs.graphstate import stabilizer_walk
-from oracles import edge_sets, format_pauli_by_letters, operator_matrix, stabilizer_by_products
+from avnproofs.graphstate import stabilizer_arrays
+from oracles import (
+    edge_sets,
+    format_pauli_by_letters,
+    operator_matrix,
+    stabilizer_by_products,
+    stabilizer_walk,
+    statevector_by_edge_counts,
+)
 from strategies import connected_cases
 
 
@@ -84,6 +91,13 @@ def test_statevector_single_vertex_and_edge():
     # index bit 0 is qubit 1: basis order 00, 10, 01, 11
     assert np.allclose(sv, np.array([1, 1, 1, -1]) / 2)
     assert abs(np.linalg.norm(sv) - 1) < 1e-12
+
+
+def test_statevector_is_the_edge_count_sign_bit_for_bit():
+    graphs = [Graph.from_edges(n, edges) for n in range(1, 5) for edges in edge_sets(n)]
+    graphs += [ring_graph(12), complete_graph(12), star_graph(9)]
+    for g in graphs:
+        assert statevector(g).tobytes() == statevector_by_edge_counts(g).tobytes(), format_graph(g)
 
 
 def test_statevector_guard():
@@ -144,27 +158,38 @@ def words_by_subset(g):
     return [(op.x, op.z, op.phase) for op in full_stabilizer(g)]
 
 
-def assert_walk_is_the_stabilizer(g):
+def assert_arrays_are_the_stabilizer(g):
+    """Entry s of the arrays is ``stabilizer_word(g, s)``, and the Gray walk,
+    which steps one generator at a time from the identity, visits the same words."""
+    x, z, phase = stabilizer_arrays(g)
+    assert x.dtype == z.dtype == (np.uint8 if g.n <= 8 else np.uint16)
+    words = list(zip(x.tolist(), z.tolist(), phase.tolist()))
+    assert words == words_by_subset(g)
     walk = list(stabilizer_walk(g))
     assert walk[0] == (0, 0, 0)
-    assert sorted(walk) == words_by_subset(g)
+    assert sorted(walk) == words
     for (x0, _, _), (x1, _, _) in zip(walk, walk[1:]):
         assert (x0 ^ x1).bit_count() == 1
 
 
-def test_walk_is_the_stabilizer_on_every_graph_up_to_four_vertices():
+def test_arrays_are_the_stabilizer_on_every_graph_up_to_four_vertices():
     graphs = 0
     for n in range(1, 5):
         for edges in edge_sets(n):
-            assert_walk_is_the_stabilizer(Graph.from_edges(n, edges))
+            assert_arrays_are_the_stabilizer(Graph.from_edges(n, edges))
             graphs += 1
     assert graphs == 1 + 2 + 8 + 64  # "1:" and every disconnected graph included
 
 
 @settings(max_examples=25, deadline=None)
 @given(connected_cases(12))
-def test_walk_is_the_stabilizer_on_connected_graphs(case):
-    assert_walk_is_the_stabilizer(case[0])
+def test_arrays_are_the_stabilizer_on_connected_graphs(case):
+    assert_arrays_are_the_stabilizer(case[0])
+
+
+def test_arrays_guard_matches_the_statevector():
+    with pytest.raises(ResourceLimitError, match=r"^stabilizer arrays limited to n <= 12, got 13$"):
+        stabilizer_arrays(path_graph(13))
 
 
 def test_walk_visits_subsets_in_gray_code_order():
