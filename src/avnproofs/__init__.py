@@ -38,6 +38,7 @@ from .graphstate import (
     parse_graph,
     path_graph,
     perfect_correlation_report,
+    perfect_correlations_hold,
     relabel,
     ring_graph,
     star_graph,

@@ -7,11 +7,11 @@ arithmetic: both must agree that every stabilizing operator is a perfect
 correlation.  numpy is imported inside the oracle functions only, so the
 exact paths load without it.
 
-The statevector check decides each word exactly on the state's sign bits, a
-quadratic form over GF(2) for every graph state (see
-``perfect_correlation_report``).  ``verify`` decides the whole stabilizer at
-once on ``stabilizer_arrays``; the 4 to 3n words of ``check --oracle`` and
-``verify_witness`` go through a loop per word, which is faster for so few.
+Words are decided exactly on the sign bits Q, a quadratic form over GF(2)
+for every graph state (see ``perfect_correlation_report``).  Witnesses use
+``perfect_correlations_hold``, Q built from the edges as one int with no
+float state, at every n; ``verify`` checks the float statevector on
+``stabilizer_arrays``, and ``check --oracle`` its 3n words one by one.
 """
 
 from __future__ import annotations
@@ -384,21 +384,20 @@ def _coordinate_bits(j: int, dim: int) -> int:
     return bits
 
 
-def _sign_form(sv: np.ndarray) -> tuple:
-    """``(neg, lins)``: byte b of ``neg`` is Q(b), and ``lins`` the L_v, or None
-    when a unit difference of Q is not affine (see ``perfect_correlation_report``)."""
-    import numpy as np
+def _sign_bits(g: Graph) -> int:
+    """Q as a 2^n-bit int: bit b is the parity of the edges inside b."""
+    dim = 1 << g.n
+    signs = 0
+    for i, j in g.edges():
+        signs ^= _coordinate_bits(i - 1, dim) & _coordinate_bits(j - 1, dim)
+    return signs
 
-    if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):
-        raise AssertionError(f"statevector of shape {sv.shape} is not a vector of length 2^n")
-    dim = sv.shape[0]
-    real = sv.real
-    if sv.imag.any() or not np.isfinite(real).all() or not (np.abs(real) == abs(real[0])).all():
-        raise AssertionError("statevector is not real with entries of one magnitude")
+
+def _linear_parts(signs: int, neg: bytes):
+    """The L_v of the sign function Q, bit b of ``signs`` and byte b of ``neg``,
+    or None when a unit difference is not affine (``perfect_correlation_report``)."""
+    dim = len(neg)
     full = (1 << dim) - 1
-    negative = real < 0
-    signs = int.from_bytes(np.packbits(negative, bitorder="little").tobytes(), "little")
-    neg = negative.tobytes()
     q0 = neg[0]
     units = [(1 << u, neg[1 << u], _coordinate_bits(u, dim)) for u in range(dim.bit_length() - 1)]
     lins = []
@@ -412,9 +411,60 @@ def _sign_form(sv: np.ndarray) -> tuple:
                 lin |= unit
                 affine ^= coord
         if diff != affine:
-            return neg, None
+            return None
         lins.append(lin)
-    return neg, lins
+    return lins
+
+
+def _correlates(x: int, z: int, phase: int, neg: bytes, lins) -> bool:
+    """``z == L_x and (phase + |x & z|) % 4 == 2 (Q(x) ^ Q(0))``, never when
+    ``lins`` is None.  A negative mask raises ValueError; a mask past the qubits
+    and an odd phase raise as in ``expectation``."""
+    if x < 0 or z < 0:
+        raise ValueError(f"mask {x if x < 0 else z} is negative")
+    if (x | z) >> len(neg).bit_length() - 1:
+        raise LengthMismatchError(
+            f"state dimension {len(neg)} does not match {(x | z).bit_length()}-qubit operator"
+        )
+    if phase & 1:
+        raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
+    if lins is None:
+        return False
+    lin, rest = 0, x
+    while rest:
+        lin ^= lins[(rest & -rest).bit_length() - 1]
+        rest &= rest - 1
+    return z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (neg[x] ^ neg[0])
+
+
+def perfect_correlations_hold(g: Graph, words) -> bool:
+    """Whether every ``(x, z, phase)`` word is a perfect correlation of the
+    graph state: the test of ``perfect_correlation_report`` on
+    ``_sign_bits(g)``, L_v read from Q, with no float state.  Every word is
+    checked as the report checks it; a Q that is not quadratic, which no
+    graph has, raises ``AssertionError``."""
+    signs = _sign_bits(g)
+    neg = format(signs, f"0{1 << g.n}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    lins = _linear_parts(signs, neg)
+    if lins is None:
+        raise AssertionError("the sign bits of the graph state are not a quadratic form")
+    return all([_correlates(x, z, phase, neg, lins) for x, z, phase in words])
+
+
+def _sign_form(sv: np.ndarray) -> tuple:
+    """``(neg, lins)``: byte b of ``neg`` is Q(b), and ``lins`` the L_v, or None
+    when a unit difference of Q is not affine (see ``perfect_correlation_report``)."""
+    import numpy as np
+
+    if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):
+        raise AssertionError(f"statevector of shape {sv.shape} is not a vector of length 2^n")
+    real = sv.real
+    if sv.imag.any() or not np.isfinite(real).all() or not (np.abs(real) == abs(real[0])).all():
+        raise AssertionError("statevector is not real with entries of one magnitude")
+    negative = real < 0
+    signs = int.from_bytes(np.packbits(negative, bitorder="little").tobytes(), "little")
+    neg = negative.tobytes()
+    return neg, _linear_parts(signs, neg)
 
 
 def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
@@ -447,19 +497,7 @@ def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
     passing_dev = None
     failures = []
     for x, z, phase in words:
-        if x < 0 or z < 0:
-            raise ValueError(f"mask {x if x < 0 else z} is negative")
-        if (x | z) >> n:
-            raise LengthMismatchError(
-                f"state dimension {len(neg)} does not match {(x | z).bit_length()}-qubit operator"
-            )
-        passes = False
-        if lins is not None:
-            lin, rest = 0, x
-            while rest:
-                lin ^= lins[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            passes = z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (neg[x] ^ neg[0])
+        passes = _correlates(x, z, phase, neg, lins)
         if passes and passing_dev is not None:  # already counted in worst
             if passing_dev > PERFECT_CORRELATION_TOL:
                 failures.append(((x, z, phase), passing_dev))

@@ -14,15 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LengthMismatchError, NonHermitianSignError, ResourceLimitError
+from .errors import LengthMismatchError, NonHermitianSignError
 from .gf2 import gf2_solve_explain
-from .graphstate import (
-    MAX_STATE_QUBITS,
-    Graph,
-    perfect_correlation_report,
-    stabilizer_word,
-    statevector,
-)
+from .graphstate import Graph, perfect_correlations_hold, stabilizer_word
 from .pauli import format_word
 
 
@@ -78,10 +72,10 @@ def assignment_consistent(words, n: int) -> AssignmentCheck:
 
 def verify_witness(w: tuple, g: Graph) -> bool:
     """Full check: distinct non-identity members, the parity and sign
-    invariant, and (for states small enough to simulate) perfect correlation
-    of every member.  Keys that XOR to the sign bit alone give every letter
-    an even count on every qubit and a sign product of -1, so the assignment
-    rows sum to 0 = 1 and no GF(2) solve is needed."""
+    invariant, and perfect correlation of every member, exact at every n
+    (``perfect_correlations_hold``).  Keys that XOR to the sign bit alone
+    give every letter an even count on every qubit and a sign product of -1,
+    so the assignment rows sum to 0 = 1 and no GF(2) solve is needed."""
     if not w or 0 in w or len(set(w)) != len(w):
         return False
     words = [stabilizer_word(g, s) for s in w]
@@ -90,7 +84,7 @@ def verify_witness(w: tuple, g: Graph) -> bool:
         key ^= _parity_key(word, g.n)
     if key != 1 << 3 * g.n:
         return False
-    return g.n > MAX_STATE_QUBITS or not perfect_correlation_report(statevector(g), words)[1]
+    return perfect_correlations_hold(g, words)
 
 
 def is_critical(w: tuple, g: Graph) -> bool:
@@ -113,16 +107,18 @@ def find_witness(g: Graph):
     no witness.  No 2 or 3 stabilizing operators contradict (letters that
     pair up on every qubit multiply to +I).
 
-    The least GHZ quadruple is the lexicographically least 4-member witness
-    of the whole nonidentity stabilizer: an exhaustive scan of every
-    labelled graph with n <= 8 found no exception.  Its members are
-    products of at most three generators, so it is also the least witness
-    of the pool any distribution selects; the answer depends on the graph
-    alone.  A quadruple that ``verify_witness`` rejects raises
-    ``AssertionError``.
+    For n <= 8 the least GHZ quadruple is the least 4-member witness of the
+    whole nonidentity stabilizer: a scan of every labelled graph with n <= 8
+    found no exception.  Its members are products of at most three
+    generators, so it is also the least witness of the pool any distribution
+    selects; the answer depends on the graph alone.  A quadruple that
+    ``verify_witness`` rejects raises ``AssertionError``.
+
+    Locality: {a, b, c, a ^ b ^ c} is a witness of G exactly when its in-order
+    compression is one of G[U], U = a | b | c (outside U the members show Z
+    or I, and the Z parts cancel).  Compression keeps the order of masks, and
+    G[U]'s GHZ quadruples are G's, so a counterexample has |U| >= 9.
     """
-    if g.n > 8:
-        raise ResourceLimitError("witness search limited to n <= 8")
     quadruples = []
     for v in range(g.n):
         i = 1 << v  # vertex masks: i, and its neighbours j and k

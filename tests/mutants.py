@@ -44,6 +44,7 @@ TIMEOUT_S = 60
 W = "tests/test_witness.py::"
 CLI = "tests/test_cli.py::"
 GS = "tests/test_graphstate.py::"
+CORR = "tests/test_correlations.py::"
 
 #: (file, text, replacement, node ids expected to fail)
 MUTANTS = (
@@ -59,12 +60,6 @@ MUTANTS = (
         "    if w is None or args.max_size < 4:",
         "    if w is None or args.max_size <= 4:",
         [CLI + "test_witness_found_and_not_found"],
-    ),
-    (
-        "cli.py",
-        "    w = find_witness(g)\n    if w is None or args.max_size < 4:",
-        "    w = None if args.max_size < 4 else find_witness(g)\n    if w is None:",
-        [CLI + "test_witness_checks_its_options_in_order[n9-before-size-bound]"],
     ),
     (
         "cli.py",
@@ -240,15 +235,64 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "        passes = False\n",
-        "        passes = True\n",
+        "    if lins is None:\n        return False\n",
+        "    if lins is None:\n        return True\n",
         ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle[3]"],
     ),
     (
         "graphstate.py",
-        "        if x < 0 or z < 0:\n",
-        "        if False:\n",
+        "    if x < 0 or z < 0:\n",
+        "    if False:\n",
         ["tests/test_correlations.py::test_a_negative_mask_is_named_at_its_place[z]"],
+    ),
+    # Witness members decided exactly on the graph's sign bits.
+    (
+        "graphstate.py",
+        "        signs ^= _coordinate_bits(i - 1, dim) & _coordinate_bits(j - 1, dim)\n",
+        "        signs |= _coordinate_bits(i - 1, dim) & _coordinate_bits(j - 1, dim)\n",
+        [CORR + "test_exact_check_on_every_word_of_every_graph_up_to_four_vertices"],
+    ),
+    (
+        "graphstate.py",
+        "[::-1].encode()",
+        ".encode()",
+        [CORR + "test_exact_check_on_every_word_of_every_graph_up_to_four_vertices"],
+    ),
+    (
+        "graphstate.py",
+        "== 2 * (neg[x] ^ neg[0])",
+        "== 0",
+        [W + "test_ghz4_witness_verifies_and_is_critical"],
+    ),
+    (
+        "graphstate.py",
+        "(phase + (x & z).bit_count()) % 4",
+        "phase % 4",
+        [W + "test_lc4_witness_verifies_and_is_critical"],
+    ),
+    (
+        "graphstate.py",
+        "    if lins is None:\n        raise AssertionError(",
+        "    if False:\n        raise AssertionError(",
+        [CORR + "test_exact_check_raises_on_a_sign_pattern_that_is_not_quadratic"],
+    ),
+    (
+        "graphstate.py",
+        "    if phase & 1:\n",
+        "    if False:\n",
+        [CORR + "test_exact_check_raises_for_a_bad_word[phase-1]"],
+    ),
+    (
+        "graphstate.py",
+        "    return all([_correlates(x, z, phase, neg, lins) for x, z, phase in words])\n",
+        "    return all(_correlates(x, z, phase, neg, lins) for x, z, phase in words)\n",
+        [CORR + "test_exact_check_raises_for_a_bad_word[x-past-n]"],
+    ),
+    (
+        "witness.py",
+        "    return perfect_correlations_hold(g, words)\n",
+        "    return True\n",
+        [W + "test_verification_rejects_broken_correlations_at_every_n[13]"],
     ),
     # The whole stabilizer decided on arrays.
     (

@@ -141,6 +141,31 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout == "False\n"
 
 
+WITNESS_LINES = [
+    ("3: 1-2,1-3,2-3", "1|2|3"),
+    ("9: 1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9", "1,2,3|4,5,6|7,8,9"),
+    ("16: " + ", ".join(f"{i}-{i + 1}" for i in range(1, 16)) + ", 1-16", "|".join(map(str, range(1, 17)))),
+]
+
+
+def test_a_witness_command_does_not_load_numpy():
+    """Witness members are checked on the graph's sign bits, with no float state."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import contextlib, io, sys\n"
+        "from avnproofs.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['witness', '--graph', g, '--dist', d]) for g, d in {WITNESS_LINES!r}]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] False\n"
+
+
 def test_a_well_formed_command_does_not_load_argparse():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -228,6 +253,10 @@ def test_witness_past_the_old_combination_cap(capsys):
 PATH6 = "6: 1-2,2-3,3-4,4-5,5-6"
 PATH9 = "9: 1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9"
 NO_WITNESS = "no witness found within the size bound\n"
+PATH9_WITNESS = (
+    "Z1 X2 Z3 = 1\nY1 Y2 Z3 = 1\nZ1 Y2 Y3 Z4 = 1\n-Y1 X2 Y3 Z4 = 1\n"
+    "note: qubits with fewer than two observables: [4, 5, 6, 7, 8, 9]\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -238,7 +267,8 @@ NO_WITNESS = "no witness found within the size bound\n"
         (PATH6, "1|2|3|4|5|6", ("--max-size", "9", "--exhaustive"), 2, "", "error: max_size must be in 2..8, got 9\n"),
         (PATH6, "1|2|3|4|5|6", ("--exhaustive",), 2, "", "error: exhaustive pool limited to n <= 5\n"),
         (PATH6, "1|2|3|4|5|6", ("--exhaustive", "--max-size", "3"), 2, "", "error: exhaustive pool limited to n <= 5\n"),
-        (PATH9, "1|2|3|4|5|6|7|8|9", ("--max-size", "3"), 2, "", "error: witness search limited to n <= 8\n"),
+        (PATH9, "1|2|3|4|5|6|7|8|9", ("--max-size", "3"), 1, NO_WITNESS, ""),
+        (PATH9, "1|2|3|4|5|6|7|8|9", (), 0, PATH9_WITNESS, ""),
         ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "2"), 1, NO_WITNESS, ""),
         ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "3"), 1, NO_WITNESS, ""),
     ],
@@ -248,15 +278,17 @@ NO_WITNESS = "no witness found within the size bound\n"
         "max-size-before-exhaustive",
         "exhaustive-n6",
         "exhaustive-before-size-bound",
-        "n9-before-size-bound",
+        "n9-size-bound",
+        "n9",
         "max-size-2",
         "max-size-3",
     ],
 )
 def test_witness_checks_its_options_in_order(capsys, graph, dist, extra, code, out, err):
     """The ``witness`` command checks ``--max-size`` (2..8), then
-    ``--exhaustive`` (n <= 5), then the library's n <= 8 guard, and only
-    then the size bound: no witness has 2 or 3 members."""
+    ``--exhaustive`` (n <= 5), and only then the size bound: no witness has
+    2 or 3 members.  Past n = 8 it prints the GHZ quadruple, verified
+    exactly at every n."""
     assert run(capsys, "witness", "--graph", graph, "--dist", dist, *extra) == (code, out, err)
 
 

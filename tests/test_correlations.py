@@ -26,6 +26,7 @@ from avnproofs import (
     full_stabilizer,
     path_graph,
     perfect_correlation_report,
+    perfect_correlations_hold,
     ring_graph,
     stabilizer_word,
     statevector,
@@ -340,3 +341,88 @@ for bad in [(0b1000, 0, 0), (0, 0b1000, 2), (1, 2, 1), (0, 1, 3)]:
 """
     lines = run_under_python_O(script).split()
     assert lines == ["LengthMismatchError"] * 4 + ["NonHermitianSignError"] * 4
+
+
+def assert_exact_check_matches_the_report(g, words):
+    """``perfect_correlations_hold(g, [w])`` is ``not
+    perfect_correlation_report(statevector(g), [w])[1]`` for every word."""
+    sv = statevector(g)
+    for word in words:
+        assert perfect_correlations_hold(g, [word]) == (not perfect_correlation_report(sv, [word])[1]), word
+
+
+def test_exact_check_on_every_word_of_every_graph_up_to_four_vertices():
+    for n in range(1, 5):
+        dim = 1 << n
+        words = [(x, z, phase) for x in range(dim) for z in range(dim) for phase in (0, 2)]
+        for edges in edge_sets(n):
+            assert_exact_check_matches_the_report(Graph.from_edges(n, edges), words)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=connected_cases(12, min_n=1),
+    extra=st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 4095), st.integers(0, 4095)), max_size=8),
+)
+def test_exact_check_matches_the_report_up_to_twelve_vertices(case, extra):
+    """The whole stabilizer holds; random words, and stabilizer words with
+    the sign or one Z bit flipped, are decided as the report decides them."""
+    g = case[0]
+    full = (1 << g.n) - 1
+    stabilizer = ascending_words(g)
+    assert perfect_correlations_hold(g, stabilizer)
+    others = []
+    for x, z, s in extra:
+        sx, sz, sphase = stabilizer[s & full]
+        others += [(x & full, z & full, 2 * (s & 1)), (sx, sz, sphase ^ 2), (sx, sz ^ 1 << s % g.n, sphase)]
+    assert_exact_check_matches_the_report(g, others)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((-1, 0, 0), ValueError),
+        ((1, -4, 2), ValueError),
+        ((1 << 6, 0, 0), LengthMismatchError),
+        ((0, 1 << 8, 2), LengthMismatchError),
+        ((1, 2, 1), NonHermitianSignError),
+        ((1, 2, 3), NonHermitianSignError),
+    ],
+    ids=["negative-x", "negative-z", "x-past-n", "z-past-n", "phase-1", "phase-3"],
+)
+def test_exact_check_raises_for_a_bad_word(bad, error):
+    """A bad word raises at its place, also after a word that fails (X1
+    alone is no correlation of the path)."""
+    for words in (ascending_words(LC6)[:5] + [bad], [(1, 0, 0), bad]):
+        with pytest.raises(ValueError) as got:
+            perfect_correlations_hold(LC6, words)
+        assert type(got.value) is error
+
+
+def test_exact_check_raises_on_a_sign_pattern_that_is_not_quadratic(monkeypatch):
+    """Q(b) = b1 b2 b3 has degree 3; no graph gives it, so it is an internal error."""
+    monkeypatch.setattr(graphstate, "_sign_bits", lambda g: 1 << 7)
+    with pytest.raises(AssertionError, match="^the sign bits of the graph state are not a quadratic form$"):
+        perfect_correlations_hold(complete_graph(3), [])
+
+
+def test_exact_check_raises_under_python_O():
+    """The raises of ``perfect_correlations_hold`` are explicit, so ``-O`` keeps them."""
+    script = """
+from avnproofs import complete_graph, graphstate
+
+for bad in [(-1, 0, 0), (0b1000, 0, 0), (1, 2, 1)]:
+    try:
+        graphstate.perfect_correlations_hold(complete_graph(3), [bad])
+    except ValueError as exc:
+        print(type(exc).__name__)
+graphstate._sign_bits = lambda g: 1 << 7
+try:
+    graphstate.perfect_correlations_hold(complete_graph(3), [])
+except AssertionError as exc:
+    print(exc)
+"""
+    assert run_under_python_O(script) == (
+        "ValueError\nLengthMismatchError\nNonHermitianSignError\n"
+        "the sign bits of the graph state are not a quadratic form\n"
+    )

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from avnproofs import (
     star_graph,
     underrepresented_qubits,
     verify_witness,
+    witness,
 )
 from oracles import (
     all_sign_assignments_consistent,
@@ -427,3 +429,74 @@ def test_no_witness_when_every_component_has_at_most_two_vertices(n):
     for g in graphs:
         assert find_witness(g) is None
         assert witness_by_sweep(g, singles, max_size=8, exhaustive=True) is None
+
+
+def test_verification_builds_no_float_state(monkeypatch):
+    """``verify_witness`` decides the members on the graph's sign bits: it
+    calls neither ``statevector`` nor ``expectation``, at any n."""
+
+    def forbidden(*args):
+        pytest.fail("a float state was used")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "avnproofs":
+            for attr in ("statevector", "expectation"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    for g in (FC3, FC4, LC4, ring_graph(5), RING8, path_graph(13), complete_graph(16)):
+        w = find_witness(g)
+        assert verify_witness(w, g)
+        assert not verify_witness(w[:3] + (w[3] ^ 1,), g)
+
+
+@pytest.mark.parametrize("n", [5, 12, 13, 16])
+def test_verification_rejects_broken_correlations_at_every_n(n, monkeypatch):
+    """Flipping Z bit q of two members whose X bit q agrees keeps the parity
+    key, so only the correlation check can reject the set; it runs at every
+    n, also past the statevector's n = 12."""
+    g = path_graph(n)
+    w = (0b010, 0b011, 0b110, 0b111)  # the GHZ quadruple at vertex 2
+    assert verify_witness(w, g)
+    q = n - 1  # qubit n, outside every member
+    real = witness.stabilizer_word
+
+    def tampered(graph, s):
+        x, z, phase = real(graph, s)
+        return x, z ^ (1 << q if s in w[:2] else 0), phase
+
+    key = 0
+    for s in w:
+        key ^= witness._parity_key(tampered(g, s), n)
+    assert key == 1 << 3 * n
+    monkeypatch.setattr(witness, "stabilizer_word", tampered)
+    assert not verify_witness(w, g)
+
+
+def compress(mask, support):
+    """The bits of ``mask`` inside ``support``, packed in order."""
+    out = k = 0
+    for v in range(support.bit_length()):
+        if support >> v & 1:
+            out |= (mask >> v & 1) << k
+            k += 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_cases(10, min_n=3), st.data())
+def test_witness_locality(case, data):
+    """For every three distinct subsets a, b, c of a few vertices,
+    {a, b, c, a ^ b ^ c} verifies on G exactly when its in-order compression
+    verifies on G[U], U = a | b | c, and compression keeps the order of the
+    members."""
+    g = case[0]
+    near = data.draw(st.sets(st.integers(0, g.n - 1), min_size=3, max_size=4))
+    inside = sum(1 << v for v in near)
+    for a, b, c in combinations([m for m in range(1, inside + 1) if m & inside == m], 3):
+        u = a | b | c
+        w = tuple(sorted({a, b, c, a ^ b ^ c}))
+        vertices = [v for v in range(g.n) if u >> v & 1]
+        induced = Graph(len(vertices), tuple(compress(g.adj[v], u) for v in vertices))
+        compressed = tuple(compress(m, u) for m in w)
+        assert compressed == tuple(sorted(compressed))
+        assert verify_witness(w, g) == verify_witness(compressed, induced), (format_graph(g), w)
