@@ -9,7 +9,7 @@ from avnproofs import (
     expectation,
     parse_distribution,
     parse_graph,
-    stabilizer_element,
+    stabilizer_word,
     statevector,
 )
 from avnproofs.reports import DistributionReport
@@ -28,7 +28,6 @@ sv = statevector(graph)
 worst = 0.0
 for row in decision.eor.values():
     for subset in row.values():  # each certificate is a generator-subset mask
-        op = stabilizer_element(graph, subset)
-        worst = max(worst, abs(expectation(sv, op) - 1.0))
+        worst = max(worst, abs(expectation(sv, stabilizer_word(graph, subset)) - 1.0))
 print()
 print(f"largest deviation of any certifying correlation from 1: {worst:.2e}")

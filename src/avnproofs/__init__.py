@@ -37,7 +37,6 @@ from .graphstate import (
     neighbour_parity,
     parse_graph,
     path_graph,
-    perfect_correlation_report,
     perfect_correlations_hold,
     relabel,
     ring_graph,

@@ -1,17 +1,16 @@
 """Graphs, graph-state stabilizer generation, and a dense statevector oracle.
 
 Vertices are 1-based at every interface (matching the usual labelling of
-qubits); internally vertex i lives at bit i-1 of the adjacency masks.  The
-statevector path is an independent numerical check on the exact symplectic
-arithmetic: both must agree that every stabilizing operator is a perfect
-correlation.  numpy is imported inside the oracle functions only, so the
-exact paths load without it.
+qubits); internally vertex i lives at bit i-1 of the adjacency masks.
+Stabilizing operators are ``(x, z, phase)`` words.
 
 Words are decided exactly on the sign bits Q, a quadratic form over GF(2)
-for every graph state (see ``perfect_correlation_report``).  Witnesses use
-``perfect_correlations_hold``, Q built from the edges as one int with no
-float state, at every n; ``verify`` checks the float statevector on
-``stabilizer_arrays``, and ``check --oracle`` its 3n words one by one.
+for every graph state (see ``perfect_correlation_arrays``).  Witnesses and
+``check --oracle`` use ``perfect_correlations_hold``: Q built from the edges
+as one int, with no float state, at every n.  The float statevector serves
+``verify`` alone, as an independent numerical check of the whole stabilizer
+(``stabilizer_arrays``), for n <= 12.  numpy is imported inside the
+statevector functions only, so every other path loads without it.
 """
 
 from __future__ import annotations
@@ -351,24 +350,28 @@ def statevector(g: Graph) -> np.ndarray:
     return ((1.0 - 2.0 * (both & 1)) / np.sqrt(dim)).astype(np.complex128)
 
 
-def expectation(sv: np.ndarray, p: PauliOperator) -> float:
-    """Exact ``<sv| p |sv>`` computed basis-state-wise."""
+def expectation(sv: np.ndarray, word) -> float:
+    """Exact ``<sv| i**phase X^x Z^z |sv>`` of the ``(x, z, phase)`` word,
+    computed basis-state-wise on the n qubits of ``sv``."""
     import numpy as np
 
     if sv.ndim != 1:
         raise LengthMismatchError(f"state of shape {sv.shape} is not a vector")
+    x, z, phase = word
     dim = sv.shape[0]
-    if dim != (1 << p.n):
-        raise LengthMismatchError(f"state dimension {dim} does not match {p.n}-qubit operator")
-    if p.phase % 2 == 1:
+    if not dim or dim & (dim - 1) or (x | z) >> dim.bit_length() - 1:
+        raise LengthMismatchError(
+            f"state dimension {dim} does not match {(x | z).bit_length()}-qubit operator"
+        )
+    if phase & 1:
         raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
-    # p = i**(phase + popcount(x & z)) * X^x Z^z as a whole tensor; the sum
-    # below is imaginary exactly when that exponent is odd, so the product
+    # the word is i**(phase + popcount(x & z)) * X^x Z^z as a whole tensor; the
+    # sum below is imaginary exactly when that exponent is odd, so the product
     # is real for any Hermitian operator.
-    k = (p.phase + (p.x & p.z).bit_count()) % 4
+    k = (phase + (x & z).bit_count()) % 4
     idx = np.arange(dim, dtype=np.uint32)
-    odd = _bit_counts()[np.bitwise_and(idx, np.uint32(p.z))] & 1
-    terms = np.conj(sv[np.bitwise_xor(idx, np.uint32(p.x))]) * sv
+    odd = _bit_counts()[np.bitwise_and(idx, np.uint32(z))] & 1
+    terms = np.conj(sv[np.bitwise_xor(idx, np.uint32(x))]) * sv
     val = (1j ** k) * np.sum(np.where(odd, -terms, terms))
     return float(val.real)
 
@@ -395,7 +398,7 @@ def _sign_bits(g: Graph) -> int:
 
 def _linear_parts(signs: int, neg: bytes):
     """The L_v of the sign function Q, bit b of ``signs`` and byte b of ``neg``,
-    or None when a unit difference is not affine (``perfect_correlation_report``)."""
+    or None when a unit difference is not affine (``perfect_correlation_arrays``)."""
     dim = len(neg)
     full = (1 << dim) - 1
     q0 = neg[0]
@@ -416,44 +419,40 @@ def _linear_parts(signs: int, neg: bytes):
     return lins
 
 
-def _correlates(x: int, z: int, phase: int, neg: bytes, lins) -> bool:
-    """``z == L_x and (phase + |x & z|) % 4 == 2 (Q(x) ^ Q(0))``, never when
-    ``lins`` is None.  A negative mask raises ValueError; a mask past the qubits
-    and an odd phase raise as in ``expectation``."""
-    if x < 0 or z < 0:
-        raise ValueError(f"mask {x if x < 0 else z} is negative")
-    if (x | z) >> len(neg).bit_length() - 1:
-        raise LengthMismatchError(
-            f"state dimension {len(neg)} does not match {(x | z).bit_length()}-qubit operator"
-        )
-    if phase & 1:
-        raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
-    if lins is None:
-        return False
-    lin, rest = 0, x
-    while rest:
-        lin ^= lins[(rest & -rest).bit_length() - 1]
-        rest &= rest - 1
-    return z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (neg[x] ^ neg[0])
-
-
 def perfect_correlations_hold(g: Graph, words) -> bool:
     """Whether every ``(x, z, phase)`` word is a perfect correlation of the
-    graph state: the test of ``perfect_correlation_report`` on
-    ``_sign_bits(g)``, L_v read from Q, with no float state.  Every word is
-    checked as the report checks it; a Q that is not quadratic, which no
-    graph has, raises ``AssertionError``."""
+    graph state, decided on ``_sign_bits(g)`` with L_v read from Q and no
+    float state: a word holds when ``z == L_x and (phase + |x & z|) % 4 ==
+    2 Q(x)`` (Q(0) = 0 for a graph; see ``perfect_correlation_arrays``).
+    Every word is read, in input order: a negative mask raises ValueError, a
+    mask past the n qubits and an odd phase raise as in ``expectation``.  A
+    Q that is not quadratic, which no graph has, raises ``AssertionError``."""
     signs = _sign_bits(g)
     neg = format(signs, f"0{1 << g.n}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
     lins = _linear_parts(signs, neg)
     if lins is None:
         raise AssertionError("the sign bits of the graph state are not a quadratic form")
-    return all([_correlates(x, z, phase, neg, lins) for x, z, phase in words])
+    holds = True
+    for x, z, phase in words:
+        if x < 0 or z < 0:
+            raise ValueError(f"mask {x if x < 0 else z} is negative")
+        if (x | z) >> g.n:
+            raise LengthMismatchError(
+                f"state dimension {1 << g.n} does not match {(x | z).bit_length()}-qubit operator"
+            )
+        if phase & 1:
+            raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
+        lin, rest = 0, x
+        while rest:
+            lin ^= lins[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        holds &= z == lin and (phase + (x & z).bit_count()) % 4 == 2 * neg[x]
+    return holds
 
 
 def _sign_form(sv: np.ndarray) -> tuple:
     """``(neg, lins)``: byte b of ``neg`` is Q(b), and ``lins`` the L_v, or None
-    when a unit difference of Q is not affine (see ``perfect_correlation_report``)."""
+    when a unit difference of Q is not affine (see ``perfect_correlation_arrays``)."""
     import numpy as np
 
     if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):
@@ -467,16 +466,13 @@ def _sign_form(sv: np.ndarray) -> tuple:
     return neg, _linear_parts(signs, neg)
 
 
-def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
-    """``(worst, failures)`` for the ``(x, z, phase)`` words on the state ``sv``:
-    the largest ``abs(expectation(sv, op) - 1.0)`` (0.0 for no word) and, in
-    input order, the ``(word, deviation)`` pairs above
+def perfect_correlation_arrays(sv: np.ndarray, x, z, phase) -> tuple:
+    """``(worst, failures)`` for the words of the arrays of ``stabilizer_arrays``
+    on the state ``sv``: the largest ``abs(expectation(sv, word) - 1.0)`` (0.0
+    for no word) and, in input order, the ``(word, deviation)`` pairs above
     ``PERFECT_CORRELATION_TOL``, bit for bit as a loop calling ``expectation``
-    on every word.  When a word is reached, a negative mask raises
-    ValueError, a mask past the state's qubits ``LengthMismatchError`` and an
-    odd phase ``NonHermitianSignError`` (from ``expectation``).  A state that
-    is not a real, finite vector of length 2^n with entries of one magnitude
-    raises ``AssertionError`` before any word is read.
+    on every word.  A state that is not a real, finite vector of length 2^n
+    with entries of one magnitude raises ``AssertionError``.
 
     With Q(b) = 1 where amplitude b < 0 and D_x(b) = Q(b ^ x) ^ Q(b), every
     Q has D_{x ^ e_v}(b) = D_x(b ^ e_v) ^ D_{e_v}(b).  So if each unit
@@ -487,33 +483,10 @@ def perfect_correlation_report(sv: np.ndarray, words) -> tuple:
     expectation ``i**k (N - 2 c) / N``, c the count of b with
     D_x(b) ^ z . b = 1: 0 or N when z = L_x, N/2 otherwise.  So a word
     passes exactly when ``z == L_x and k == 2 (Q(x) ^ Q(0))``, and every
-    passing word has the float deviation of the first, computed once.  Every
-    other word, and every word of a state that is no stabilizer state, takes
-    the float path.
+    passing word has the float deviation of the first, computed once; L_x is
+    built by the doubling that builds z.  Every other word, and every word
+    of a state that is no stabilizer state, takes the float path.
     """
-    neg, lins = _sign_form(sv)
-    n = len(neg).bit_length() - 1
-    worst = 0.0
-    passing_dev = None
-    failures = []
-    for x, z, phase in words:
-        passes = _correlates(x, z, phase, neg, lins)
-        if passes and passing_dev is not None:  # already counted in worst
-            if passing_dev > PERFECT_CORRELATION_TOL:
-                failures.append(((x, z, phase), passing_dev))
-            continue
-        dev = abs(expectation(sv, PauliOperator(x, z, phase, n=n)) - 1.0)
-        if passes:
-            passing_dev = dev
-        worst = max(worst, dev)
-        if dev > PERFECT_CORRELATION_TOL:
-            failures.append(((x, z, phase), dev))
-    return worst, failures
-
-
-def perfect_correlation_arrays(sv: np.ndarray, x, z, phase) -> tuple:
-    """``perfect_correlation_report`` on the arrays of ``stabilizer_arrays``,
-    every word decided at once, with L_x built by the doubling that builds z."""
     import numpy as np
 
     neg, lins = _sign_form(sv)
@@ -525,10 +498,9 @@ def perfect_correlation_arrays(sv: np.ndarray, x, z, phase) -> tuple:
     evaluate = ~passes
     evaluate[passes.argmax()] = True  # the first passing word; word 0 when none passes
     words = np.column_stack((x, z, phase))
-    n = len(neg).bit_length() - 1
     dev = np.zeros(x.size)
     for i in np.flatnonzero(evaluate).tolist():
-        dev[i] = abs(expectation(sv, PauliOperator(*words[i].tolist(), n=n)) - 1.0)
+        dev[i] = abs(expectation(sv, tuple(words[i].tolist())) - 1.0)
     dev[passes] = dev[passes.argmax()]
     failed = np.flatnonzero(dev > PERFECT_CORRELATION_TOL).tolist()
     return float(dev.max(initial=0.0)), [(tuple(words[i].tolist()), dev[i].item()) for i in failed]

@@ -63,12 +63,6 @@ MUTANTS = (
     ),
     (
         "cli.py",
-        "    if args.exhaustive and g.n > 5:\n",
-        "    if False:\n",
-        [CLI + "test_witness_checks_its_options_in_order[exhaustive-n6]"],
-    ),
-    (
-        "cli.py",
         "    if not 2 <= args.max_size <= 8:\n",
         "    if False:\n",
         [CLI + "test_witness_checks_its_options_in_order[max-size-1]"],
@@ -217,12 +211,6 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "== 2 * (neg[x] ^ neg[0])",
-        "== 2 * neg[x]",
-        ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle"],
-    ),
-    (
-        "graphstate.py",
         "    if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):\n",
         "    if False:\n",
         ["tests/test_correlations.py::test_not_a_graph_state_raises_under_python_O"],
@@ -235,15 +223,21 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "    if lins is None:\n        return False\n",
-        "    if lins is None:\n        return True\n",
-        ["tests/test_correlations.py::test_every_sign_pattern_matches_the_oracle[3]"],
+        "    if not dim or dim & (dim - 1) or (x | z) >> dim.bit_length() - 1:\n",
+        "    if False:\n",
+        [CORR + "test_expectation_rejects_a_word_past_the_state_or_an_odd_phase[z-past-n]"],
     ),
     (
         "graphstate.py",
-        "    if x < 0 or z < 0:\n",
-        "    if False:\n",
-        ["tests/test_correlations.py::test_a_negative_mask_is_named_at_its_place[z]"],
+        "\n    if phase & 1:\n",
+        "\n    if False:\n",
+        [CORR + "test_expectation_rejects_a_word_past_the_state_or_an_odd_phase[odd-phase]"],
+    ),
+    (
+        "graphstate.py",
+        "        if x < 0 or z < 0:\n",
+        "        if False:\n",
+        [CORR + "test_exact_check_raises_for_a_bad_word[negative-z]"],
     ),
     # Witness members decided exactly on the graph's sign bits.
     (
@@ -260,14 +254,14 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "== 2 * (neg[x] ^ neg[0])",
+        "== 2 * neg[x]",
         "== 0",
         [W + "test_ghz4_witness_verifies_and_is_critical"],
     ),
     (
         "graphstate.py",
-        "(phase + (x & z).bit_count()) % 4",
-        "phase % 4",
+        "and (phase + (x & z).bit_count()) % 4",
+        "and phase % 4",
         [W + "test_lc4_witness_verifies_and_is_critical"],
     ),
     (
@@ -278,15 +272,28 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "    if phase & 1:\n",
-        "    if False:\n",
+        "        if phase & 1:\n",
+        "        if False:\n",
         [CORR + "test_exact_check_raises_for_a_bad_word[phase-1]"],
     ),
     (
         "graphstate.py",
-        "    return all([_correlates(x, z, phase, neg, lins) for x, z, phase in words])\n",
-        "    return all(_correlates(x, z, phase, neg, lins) for x, z, phase in words)\n",
+        "        holds &= z == lin and (phase + (x & z).bit_count()) % 4 == 2 * neg[x]\n",
+        "        if not (z == lin and (phase + (x & z).bit_count()) % 4 == 2 * neg[x]):\n            return False\n",
         [CORR + "test_exact_check_raises_for_a_bad_word[x-past-n]"],
+    ),
+    # check --oracle decides every certificate exactly, at every n.
+    (
+        "cli.py",
+        "    if not perfect_correlations_hold(g, words):\n",
+        "    if False:\n",
+        [CLI + "test_oracle_rejects_a_broken_certificate_at_every_n[13-first]"],
+    ),
+    (
+        "cli.py",
+        "    if not perfect_correlations_hold(g, words):\n",
+        "    if not perfect_correlations_hold(g, words[:1]):\n",
+        [CLI + "test_oracle_rejects_a_broken_certificate_at_every_n[12-last]"],
     ),
     (
         "witness.py",
@@ -361,6 +368,12 @@ MUTANTS = (
         '    if args.oracle or args.format == "json-lines":\n',
         "    if True:\n",
         [CLI + "test_search_tables_are_built_only_for_printed_records"],
+    ),
+    (
+        "equivalence.py",
+        "                stab = [s for s, f in zip(gens, fixes) if not prefix & ~f]\n",
+        "                stab = gens\n",
+        ["tests/test_equivalence.py::test_pruning_uses_only_generators_that_fix_the_prefix"],
     ),
     (
         "equivalence.py",

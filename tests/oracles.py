@@ -579,13 +579,13 @@ def stabilizer_walk(g):
 
 
 def correlations_by_expectation(sv, ops):
-    """``(worst, failures)`` from the float ``expectation`` of every operator:
-    the loop ``avnproofs verify`` ran before operators were decided on sign
-    bits."""
+    """``(worst, failures)`` from the float ``expectation`` of every operator,
+    passed as its ``(x, z, phase)`` word: the loop ``avnproofs verify`` ran
+    before operators were decided on sign bits."""
     worst = 0.0
     failures = []
     for op in ops:
-        dev = abs(expectation(sv, op) - 1.0)
+        dev = abs(expectation(sv, (op.x, op.z, op.phase)) - 1.0)
         worst = max(worst, dev)
         if dev > PERFECT_CORRELATION_TOL:
             failures.append((op, dev))

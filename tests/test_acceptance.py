@@ -155,7 +155,7 @@ def test_criterion_5_solver_equals_brute_force_with_perfect_witnesses():
                                         continue
                                     op = stabilizer_element(g, w)
                                     assert op.letter(i) == pauli
-                                    assert abs(expectation(sv, op) - 1.0) <= 1e-10
+                                    assert abs(expectation(sv, (op.x, op.z, op.phase)) - 1.0) <= 1e-10
                                 checks += 1
     elapsed = time.time() - start
     assert elapsed < 300

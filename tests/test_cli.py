@@ -60,6 +60,33 @@ def test_check_oracle_mode(capsys):
     assert code == 0
 
 
+def path_line(n):
+    return f"{n}: " + ", ".join(f"{i}-{i + 1}" for i in range(1, n))
+
+
+def singletons(n):
+    return "|".join(map(str, range(1, n + 1)))
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("n", [12, 13])
+def test_oracle_rejects_a_broken_certificate_at_every_n(capsys, monkeypatch, n, which):
+    """One Z bit flipped in the word of one of the 3n certificates breaks its
+    correlation, and ``--oracle`` finds it also past the statevector's n <= 12."""
+    real = cli.stabilizer_word
+    masks = []
+
+    def broken(g, mask):
+        masks.append(mask)
+        x, z, phase = real(g, mask)
+        return (x, z ^ 1, phase) if len(masks) == (1 if which == "first" else 3 * n) else (x, z, phase)
+
+    monkeypatch.setattr(cli, "stabilizer_word", broken)
+    code, out, err = run(capsys, "check", "--oracle", "--graph", path_line(n), "--dist", singletons(n))
+    assert (code, out, err) == (3, "", "internal error: witness operator is not a perfect correlation\n")
+    assert len(masks) == 3 * n
+
+
 def test_malformed_graph_exit_two(capsys):
     code, _, err = run(capsys, "check", "--graph", "6: 1-2, oops", "--dist", "1|2")
     assert code == 2
@@ -166,6 +193,32 @@ def test_a_witness_command_does_not_load_numpy():
     assert proc.stdout == "[0, 0, 0] False\n"
 
 
+ORACLE_LINES = [
+    ["check", "--oracle", "--graph", LC6, "--dist", "1,4,5|2,3,6"],
+    ["check", "--oracle", "--graph", path_line(13), "--dist", singletons(13)],
+    ["min-parties", "--oracle", "--graph", LC6],
+    ["enumerate", "--oracle", "--graph", LC6, "--m", "2", "--format", "json-lines"],
+]
+
+
+def test_an_oracle_command_does_not_load_numpy():
+    """``--oracle`` decides its certificates on the graph's sign bits, with no float state."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import contextlib, io, sys\n"
+        "from avnproofs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {ORACLE_LINES!r}]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0] False\n"
+
+
 def test_a_well_formed_command_does_not_load_argparse():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -206,7 +259,6 @@ def test_witness_found_and_not_found(capsys):
         "1|2",
         "--max-size",
         "8",
-        "--exhaustive",
     )
     assert code == 1
 
@@ -253,6 +305,10 @@ def test_witness_past_the_old_combination_cap(capsys):
 PATH6 = "6: 1-2,2-3,3-4,4-5,5-6"
 PATH9 = "9: 1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9"
 NO_WITNESS = "no witness found within the size bound\n"
+PATH6_WITNESS = (
+    "Z1 X2 Z3 = 1\nY1 Y2 Z3 = 1\nZ1 Y2 Y3 Z4 = 1\n-Y1 X2 Y3 Z4 = 1\n"
+    "note: qubits with fewer than two observables: [4, 5, 6]\n"
+)
 PATH9_WITNESS = (
     "Z1 X2 Z3 = 1\nY1 Y2 Z3 = 1\nZ1 Y2 Y3 Z4 = 1\n-Y1 X2 Y3 Z4 = 1\n"
     "note: qubits with fewer than two observables: [4, 5, 6, 7, 8, 9]\n"
@@ -264,9 +320,9 @@ PATH9_WITNESS = (
     [
         ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "1"), 2, "", "error: max_size must be in 2..8, got 1\n"),
         ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "9"), 2, "", "error: max_size must be in 2..8, got 9\n"),
-        (PATH6, "1|2|3|4|5|6", ("--max-size", "9", "--exhaustive"), 2, "", "error: max_size must be in 2..8, got 9\n"),
-        (PATH6, "1|2|3|4|5|6", ("--exhaustive",), 2, "", "error: exhaustive pool limited to n <= 5\n"),
-        (PATH6, "1|2|3|4|5|6", ("--exhaustive", "--max-size", "3"), 2, "", "error: exhaustive pool limited to n <= 5\n"),
+        (PATH6, "1|2|3|4|5|6", ("--max-size", "9"), 2, "", "error: max_size must be in 2..8, got 9\n"),
+        (PATH6, "1|2|3|4|5|6", (), 0, PATH6_WITNESS, ""),
+        (PATH6, "1|2|3|4|5|6", ("--max-size", "3"), 1, NO_WITNESS, ""),
         (PATH9, "1|2|3|4|5|6|7|8|9", ("--max-size", "3"), 1, NO_WITNESS, ""),
         (PATH9, "1|2|3|4|5|6|7|8|9", (), 0, PATH9_WITNESS, ""),
         ("3: 1-2,1-3,2-3", "1|2|3", ("--max-size", "2"), 1, NO_WITNESS, ""),
@@ -275,9 +331,9 @@ PATH9_WITNESS = (
     ids=[
         "max-size-1",
         "max-size-9",
-        "max-size-before-exhaustive",
-        "exhaustive-n6",
-        "exhaustive-before-size-bound",
+        "max-size-9-n6",
+        "n6",
+        "n6-size-bound",
         "n9-size-bound",
         "n9",
         "max-size-2",
@@ -285,11 +341,23 @@ PATH9_WITNESS = (
     ],
 )
 def test_witness_checks_its_options_in_order(capsys, graph, dist, extra, code, out, err):
-    """The ``witness`` command checks ``--max-size`` (2..8), then
-    ``--exhaustive`` (n <= 5), and only then the size bound: no witness has
-    2 or 3 members.  Past n = 8 it prints the GHZ quadruple, verified
-    exactly at every n."""
+    """The ``witness`` command checks ``--max-size`` (2..8), and only then
+    the size bound: no witness has 2 or 3 members.  Past n = 8 it prints the
+    GHZ quadruple, verified exactly at every n."""
     assert run(capsys, "witness", "--graph", graph, "--dist", dist, *extra) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "extra", [("--max-size", "9", "--exhaustive"), ("--exhaustive",), ("--exhaustive", "--max-size", "3")]
+)
+def test_witness_has_no_exhaustive_option(capsys, extra):
+    """``--exhaustive`` selected no pool once the witness became a formula;
+    the option is gone, so argparse refuses it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--graph", PATH6, "--dist", "1|2|3|4|5|6", *extra])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("avnproofs: error: unrecognized arguments: --exhaustive\n")
 
 
 def test_witness_rejected_by_verification_exit_three(capsys, monkeypatch):
@@ -476,10 +544,10 @@ def test_verify_prints_failures_in_ascending_subset_order(capsys, monkeypatch):
 
 @pytest.fixture
 def float_evaluations(monkeypatch):
-    """The operators passed to ``graphstate.expectation`` since the fixture ran."""
+    """The words passed to ``graphstate.expectation`` since the fixture ran."""
     seen = []
     real = graphstate.expectation
-    monkeypatch.setattr(graphstate, "expectation", lambda sv, op: seen.append(op) or real(sv, op))
+    monkeypatch.setattr(graphstate, "expectation", lambda sv, word: seen.append(word) or real(sv, word))
     return seen
 
 
@@ -491,7 +559,7 @@ def test_verify_needs_one_float_evaluation(capsys, float_evaluations):
             float_evaluations.clear()
             code, out, err = run(capsys, "verify", "--graph", format_graph(g))
             assert (out, code, err) == (*verify_output_by_expectation(g), "")
-            assert float_evaluations == [PauliOperator(0, 0, n=n)]
+            assert float_evaluations == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("scale", [2.0, -1.0])
@@ -506,7 +574,7 @@ def test_verify_on_a_scaled_state(scale, capsys, monkeypatch, float_evaluations)
     assert (out, code) == verify_output_by_expectation(g, sv=sv)
     assert (code, err) == ((1, "") if scale == 2.0 else (0, ""))
     assert len(out.splitlines()) == (65 if scale == 2.0 else 1)
-    assert float_evaluations == [PauliOperator(0, 0, n=6)]
+    assert float_evaluations == [(0, 0, 0)]
 
 
 def test_verify_reports_a_tampered_state(capsys, monkeypatch):

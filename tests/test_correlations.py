@@ -1,6 +1,7 @@
-"""The sign-bit perfect-correlation report against the float expectation loop.
+"""The sign-bit perfect-correlation checks against the float expectation loop.
 
-The report takes ``(x, z, phase)`` words; its oracle,
+``perfect_correlation_arrays`` takes the words as arrays and
+``perfect_correlations_hold`` as ``(x, z, phase)`` tuples; their oracle,
 ``correlations_by_expectation``, takes the same operators as
 ``PauliOperator`` objects.
 """
@@ -25,13 +26,13 @@ from avnproofs import (
     expectation,
     full_stabilizer,
     path_graph,
-    perfect_correlation_report,
     perfect_correlations_hold,
     ring_graph,
     stabilizer_word,
     statevector,
 )
 from avnproofs import graphstate
+from avnproofs.graphstate import perfect_correlation_arrays, stabilizer_arrays
 from oracles import correlations_by_expectation, edge_sets, stabilizer_walk, verify_by_expectation
 from strategies import connected_cases
 
@@ -47,9 +48,15 @@ def ascending_words(g):
     return [stabilizer_word(g, mask) for mask in range(1 << g.n)]
 
 
-def report_and_oracle(sv, ops):
+def as_arrays(words):
+    """The x, z and phase columns of the words, as ``stabilizer_arrays`` gives them."""
+    x, z, phase = np.array(list(words), np.uint16).reshape(-1, 3).T
+    return x, z, phase.astype(np.uint8)
+
+
+def arrays_and_oracle(sv, ops):
     ops = list(ops)
-    return perfect_correlation_report(sv, words_of(ops)), correlations_by_expectation(sv, ops)
+    return perfect_correlation_arrays(sv, *as_arrays(words_of(ops))), correlations_by_expectation(sv, ops)
 
 
 def assert_same(report, oracle):
@@ -61,12 +68,12 @@ def assert_same(report, oracle):
 
 
 def assert_both_orders_match_the_oracle(g):
-    """The report on the ascending stabilizer and on the Gray walk both give
+    """The arrays of the ascending stabilizer and of the Gray walk both give
     the float loop's values."""
     sv = statevector(g)
     oracle = verify_by_expectation(g)
-    assert_same(perfect_correlation_report(sv, ascending_words(g)), oracle)
-    assert_same(perfect_correlation_report(sv, stabilizer_walk(g)), oracle)
+    assert_same(perfect_correlation_arrays(sv, *stabilizer_arrays(g)), oracle)
+    assert_same(perfect_correlation_arrays(sv, *as_arrays(stabilizer_walk(g))), oracle)
 
 
 def test_every_graph_up_to_four_vertices():
@@ -86,25 +93,25 @@ def test_connected_graphs_up_to_twelve_vertices(case):
 
 def test_worst_is_the_identity_deviation_bit_for_bit():
     """Every stabilizer element has the float deviation of the identity, so
-    the report's single float evaluation gives the loop's maximum."""
+    the single float evaluation gives the loop's maximum."""
     for n in range(1, 13):
         g = ring_graph(n) if n >= 3 else path_graph(n)
         sv = statevector(g)
-        worst, failures = perfect_correlation_report(sv, ascending_words(g))
-        identity_dev = abs(expectation(sv, next(full_stabilizer(g))) - 1.0)
+        worst, failures = perfect_correlation_arrays(sv, *stabilizer_arrays(g))
+        identity_dev = abs(expectation(sv, (0, 0, 0)) - 1.0)
         assert failures == []
         assert worst.hex() == identity_dev.hex() == verify_by_expectation(g)[0].hex()
 
 
 @pytest.fixture
 def float_evaluations(monkeypatch):
-    """The operators passed to ``expectation`` since the fixture ran."""
+    """The words passed to ``expectation`` since the fixture ran."""
     seen = []
     real = graphstate.expectation
 
-    def counting(sv, op):
-        seen.append(op)
-        return real(sv, op)
+    def counting(sv, word):
+        seen.append(word)
+        return real(sv, word)
 
     monkeypatch.setattr(graphstate, "expectation", counting)
     return seen
@@ -114,23 +121,23 @@ def test_a_graph_state_needs_one_float_evaluation(float_evaluations):
     for n in range(1, 11):
         for g in [path_graph(n), complete_graph(n)]:
             float_evaluations.clear()
-            ops = list(full_stabilizer(g))
-            assert perfect_correlation_report(statevector(g), reversed(words_of(ops))) == (
+            words = ascending_words(g)[::-1]
+            assert perfect_correlation_arrays(statevector(g), *as_arrays(words)) == (
                 verify_by_expectation(g)[0],
                 [],
             )
-            assert float_evaluations == [ops[-1]]
+            assert float_evaluations == words[:1]
 
 
 def test_the_walk_needs_one_float_evaluation(float_evaluations):
     for n in range(1, 11):
         for g in [path_graph(n), complete_graph(n)]:
             float_evaluations.clear()
-            assert perfect_correlation_report(statevector(g), stabilizer_walk(g)) == (
+            assert perfect_correlation_arrays(statevector(g), *as_arrays(stabilizer_walk(g))) == (
                 verify_by_expectation(g)[0],
                 [],
             )
-            assert float_evaluations == [PauliOperator(0, 0, n=n)]
+            assert float_evaluations == [(0, 0, 0)]
 
 
 def flipped(op):
@@ -159,44 +166,11 @@ def x_times_z_on_qubit_one(n):
 def test_failures_match_the_oracle(insert, float_evaluations):
     ops = list(full_stabilizer(LC6))
     insert(ops)
-    report, oracle = report_and_oracle(statevector(LC6), ops)
+    report, oracle = arrays_and_oracle(statevector(LC6), ops)
     assert_same(report, oracle)
     failed = [word for word, _ in report[1]]
     assert failed
-    assert words_of(float_evaluations) == words_of(ops[:1]) + failed
-
-
-@pytest.mark.parametrize(
-    "bad, error",
-    [
-        (PauliOperator(1, 2, 1, n=6), NonHermitianSignError),
-        (PauliOperator(1 << 6, 0, n=7), LengthMismatchError),
-        (PauliOperator(1, 1 << 8, 2, n=9), LengthMismatchError),
-    ],
-    ids=["odd-phase", "wrong-length", "three-qubits-past"],
-)
-def test_errors_match_the_oracle(bad, error):
-    ops = list(full_stabilizer(LC6))
-    ops[7] = flipped(ops[7])
-    ops.insert(20, bad)
-    sv = statevector(LC6)
-    with pytest.raises(error) as got:
-        perfect_correlation_report(sv, words_of(ops))
-    with pytest.raises(error) as want:
-        correlations_by_expectation(sv, ops)
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("word, mask", [((-1, 0, 0), -1), ((1, -4, 2), -4)], ids=["x", "z"])
-def test_a_negative_mask_is_named_at_its_place(word, mask):
-    """A negative mask raises ValueError naming it, when its word is reached;
-    it is not read as a width, and a bad word before it raises first."""
-    sv = statevector(path_graph(3))
-    with pytest.raises(ValueError) as got:
-        perfect_correlation_report(sv, [(1, 2, 0), word, (0b1000, 0, 0)])
-    assert (type(got.value), str(got.value)) == (ValueError, f"mask {mask} is negative")
-    with pytest.raises(LengthMismatchError):
-        perfect_correlation_report(sv, [(0b1000, 0, 0), word])
+    assert float_evaluations == words_of(ops[:1]) + failed
 
 
 @pytest.mark.parametrize("scale", [1.0, -1.0, 2.0, 0.0])
@@ -204,11 +178,7 @@ def test_any_uniform_real_vector_matches_the_oracle(scale):
     """A global sign passes every operator; a wrong norm fails every one."""
     sv = statevector(ring_graph(5)) * scale
     for vec in (sv, sv.real.copy()):
-        assert_same(*report_and_oracle(vec, full_stabilizer(ring_graph(5))))
-
-
-def test_empty_operator_list():
-    assert perfect_correlation_report(statevector(LC6), []) == (0.0, [])
+        assert_same(*arrays_and_oracle(vec, full_stabilizer(ring_graph(5))))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -222,6 +192,7 @@ def test_every_sign_pattern_matches_the_oracle(n, float_evaluations):
     dim = 1 << n
     words = [(x, z, phase) for x in range(dim) for z in range(dim) for phase in (0, 2)]
     ops = [PauliOperator(*word, n=n) for word in words]
+    arrays = as_arrays(words)
     not_quadratic = 0
     for pattern in range(1 << dim):
         signs = np.array([-1.0 if (pattern >> b) & 1 else 1.0 for b in range(dim)])
@@ -230,14 +201,14 @@ def test_every_sign_pattern_matches_the_oracle(n, float_evaluations):
         for scale in (1.0, 2.0):
             sv = signs * (scale / np.sqrt(dim))
             float_evaluations.clear()
-            report = perfect_correlation_report(sv, words)
+            report = perfect_correlation_arrays(sv, *arrays)
             assert_same(report, correlations_by_expectation(sv, ops))
             if scale == 1.0:
                 failed = {word for word, _ in report[1]}
                 passing = [word for word in words if word not in failed]
                 skipped = set(passing[1:])
             expected = words if cubic else [word for word in words if word not in skipped]
-            assert words_of(float_evaluations) == expected
+            assert float_evaluations == expected
     assert not_quadratic == (128 if n == 3 else 0)
 
 
@@ -259,11 +230,11 @@ def test_quadratic_patterns_beyond_graph_states(case, mask, negate, float_evalua
     sv = statevector(g) * flips * (-1.0 if negate else 1.0)
     ops = list(full_stabilizer(g))
     float_evaluations.clear()
-    report = perfect_correlation_report(sv, words_of(ops))
+    report = perfect_correlation_arrays(sv, *stabilizer_arrays(g))
     assert_same(report, correlations_by_expectation(sv, ops))
     failed = [word for word, _ in report[1]]
     assert failed == [word for word in words_of(ops) if (word[0] & mask).bit_count() % 2]
-    assert words_of(float_evaluations) == words_of(ops[:1]) + failed
+    assert float_evaluations == words_of(ops[:1]) + failed
 
 
 def run_under_python_O(script):
@@ -298,21 +269,16 @@ NOT_A_GRAPH_STATE = {
     "vector, message", NOT_A_GRAPH_STATE.values(), ids=NOT_A_GRAPH_STATE.keys()
 )
 def test_not_a_graph_state_raises_under_python_O(vector, message):
-    """The report raises before it reads a word, for any word list."""
+    """The arrays' check raises before it reads a word, for any word list."""
     script = f"""
 import numpy as np
-import sys
-from avnproofs import path_graph, perfect_correlation_report
-sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
-from oracles import stabilizer_walk
+from avnproofs import path_graph
+from avnproofs.graphstate import perfect_correlation_arrays, stabilizer_arrays
 
-def words():
-    print("a word was read")
-    yield from stabilizer_walk(path_graph(2))
-
-for listed in (words(), []):
+empty = np.zeros(0, np.uint8)
+for arrays in (stabilizer_arrays(path_graph(2)), (empty, empty, empty)):
     try:
-        perfect_correlation_report({vector}, listed)
+        perfect_correlation_arrays({vector}, *arrays)
     except AssertionError as exc:
         print(exc)
 """
@@ -321,19 +287,35 @@ for listed in (words(), []):
 
 def test_expectation_rejects_a_matrix():
     with pytest.raises(LengthMismatchError, match=r"state of shape \(2, 2\) is not a vector"):
-        expectation(np.full((2, 2), 0.5), PauliOperator(0, 0, n=1))
+        expectation(np.full((2, 2), 0.5), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "sv, word, error, message",
+    [
+        (np.full(8, 8**-0.5), (1 << 3, 0, 0), LengthMismatchError, "^state dimension 8 does not match 4-qubit operator$"),
+        (np.full(8, 8**-0.5), (0, 1 << 5, 2), LengthMismatchError, "^state dimension 8 does not match 6-qubit operator$"),
+        (np.full(3, 3**-0.5), (1, 0, 0), LengthMismatchError, "^state dimension 3 does not match 1-qubit operator$"),
+        (np.full(8, 8**-0.5), (1, 2, 1), NonHermitianSignError, r"^expectation of an operator with phase \+-i is not real$"),
+    ],
+    ids=["x-past-n", "z-past-n", "length-three", "odd-phase"],
+)
+def test_expectation_rejects_a_word_past_the_state_or_an_odd_phase(sv, word, error, message):
+    """A word past the state is named by its width, as
+    ``perfect_correlations_hold`` names it."""
+    with pytest.raises(error, match=message):
+        expectation(sv, word)
 
 
 def test_bad_words_raise_under_python_O():
     """A word acting past the n qubits, or with an odd phase, raises in both
-    word checks; the raises are explicit, so ``-O`` keeps them."""
+    exact word checks; the raises are explicit, so ``-O`` keeps them."""
     script = """
-from avnproofs import assignment_consistent, path_graph, perfect_correlation_report, statevector
+from avnproofs import assignment_consistent, path_graph, perfect_correlations_hold
 
-sv = statevector(path_graph(3))
 for bad in [(0b1000, 0, 0), (0, 0b1000, 2), (1, 2, 1), (0, 1, 3)]:
     words = [(1, 2, 0), bad]
-    for check in (lambda: perfect_correlation_report(sv, words), lambda: assignment_consistent(words, 3)):
+    for check in (lambda: perfect_correlations_hold(path_graph(3), words), lambda: assignment_consistent(words, 3)):
         try:
             check()
         except ValueError as exc:
@@ -343,12 +325,13 @@ for bad in [(0b1000, 0, 0), (0, 0b1000, 2), (1, 2, 1), (0, 1, 3)]:
     assert lines == ["LengthMismatchError"] * 4 + ["NonHermitianSignError"] * 4
 
 
-def assert_exact_check_matches_the_report(g, words):
-    """``perfect_correlations_hold(g, [w])`` is ``not
-    perfect_correlation_report(statevector(g), [w])[1]`` for every word."""
+def assert_exact_check_matches_the_float_oracle(g, words):
+    """``perfect_correlations_hold(g, [w])`` holds exactly when the float loop
+    finds no failure for w on the graph state."""
     sv = statevector(g)
     for word in words:
-        assert perfect_correlations_hold(g, [word]) == (not perfect_correlation_report(sv, [word])[1]), word
+        want = not correlations_by_expectation(sv, [PauliOperator(*word, n=g.n)])[1]
+        assert perfect_correlations_hold(g, [word]) == want, word
 
 
 def test_exact_check_on_every_word_of_every_graph_up_to_four_vertices():
@@ -356,7 +339,7 @@ def test_exact_check_on_every_word_of_every_graph_up_to_four_vertices():
         dim = 1 << n
         words = [(x, z, phase) for x in range(dim) for z in range(dim) for phase in (0, 2)]
         for edges in edge_sets(n):
-            assert_exact_check_matches_the_report(Graph.from_edges(n, edges), words)
+            assert_exact_check_matches_the_float_oracle(Graph.from_edges(n, edges), words)
 
 
 @settings(max_examples=25, deadline=None)
@@ -364,9 +347,9 @@ def test_exact_check_on_every_word_of_every_graph_up_to_four_vertices():
     case=connected_cases(12, min_n=1),
     extra=st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 4095), st.integers(0, 4095)), max_size=8),
 )
-def test_exact_check_matches_the_report_up_to_twelve_vertices(case, extra):
+def test_exact_check_matches_the_float_oracle_up_to_twelve_vertices(case, extra):
     """The whole stabilizer holds; random words, and stabilizer words with
-    the sign or one Z bit flipped, are decided as the report decides them."""
+    the sign or one Z bit flipped, are decided as the float loop decides them."""
     g = case[0]
     full = (1 << g.n) - 1
     stabilizer = ascending_words(g)
@@ -375,7 +358,7 @@ def test_exact_check_matches_the_report_up_to_twelve_vertices(case, extra):
     for x, z, s in extra:
         sx, sz, sphase = stabilizer[s & full]
         others += [(x & full, z & full, 2 * (s & 1)), (sx, sz, sphase ^ 2), (sx, sz ^ 1 << s % g.n, sphase)]
-    assert_exact_check_matches_the_report(g, others)
+    assert_exact_check_matches_the_float_oracle(g, others)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -149,6 +150,25 @@ def test_generators_span_the_automorphism_group_exhaustively():
 def test_generators_span_the_automorphism_group(g):
     order = aut_order_by_point_stabilizers(g.adj)
     assert group_order(_generators(g), g.n) == order
+    assert automorphism_group(g)[1] == order
+
+
+#: A scan of three relabellings of every connected graph with n <= 8 found
+#: this one graph where pruning siblings by every generator, and not only by
+#: those that fix the individualized prefix, keeps the encoding and the perm
+#: but reads the automorphism group's order as 6.
+PRUNING_CASE = parse_graph("8: 1-2, 1-4, 1-5, 1-6, 2-5, 2-6, 2-7, 3-4, 3-5, 3-7, 3-8, 4-6, 4-8, 5-8, 6-7, 7-8")
+
+
+def test_pruning_uses_only_generators_that_fix_the_prefix():
+    """The group order against brute force over all 8! relabellings."""
+    g = PRUNING_CASE
+    edges = {frozenset(e) for e in g.edges()}
+    order = sum(
+        all(frozenset((p[i - 1], p[j - 1])) in edges for i, j in g.edges())
+        for p in itertools.permutations(range(1, 9))
+    )
+    assert order == 12
     assert automorphism_group(g)[1] == order
 
 

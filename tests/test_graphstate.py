@@ -105,14 +105,17 @@ def test_statevector_guard():
         statevector(path_graph(13))
 
 
+def word_of(op):
+    return op.x, op.z, op.phase
+
+
 def test_expectation_identity_and_signs():
     fc4 = complete_graph(4)
     sv = statevector(fc4)
-    assert expectation(sv, PauliOperator(0, 0, n=4)) == pytest.approx(1.0)
-    op = stabilizer_element(fc4, 0b0111)  # -X1 X2 X3 Z4
-    assert expectation(sv, op) == pytest.approx(1.0)
-    flipped = PauliOperator(op.x, op.z, (op.phase + 2) % 4, n=op.n)
-    assert expectation(sv, flipped) == pytest.approx(-1.0)
+    assert expectation(sv, (0, 0, 0)) == pytest.approx(1.0)
+    x, z, phase = stabilizer_word(fc4, 0b0111)  # -X1 X2 X3 Z4
+    assert expectation(sv, (x, z, phase)) == pytest.approx(1.0)
+    assert expectation(sv, (x, z, phase ^ 2)) == pytest.approx(-1.0)
 
 
 def test_expectation_matches_matrix_oracle():
@@ -122,7 +125,7 @@ def test_expectation_matches_matrix_oracle():
         for _ in range(40):
             op = PauliOperator(rng.getrandbits(3), rng.getrandbits(3), 2 * rng.getrandbits(1), n=3)
             direct = sv.conj() @ operator_matrix(op) @ sv
-            assert expectation(sv, op) == pytest.approx(direct.real, abs=1e-12)
+            assert expectation(sv, word_of(op)) == pytest.approx(direct.real, abs=1e-12)
 
 
 def test_every_class_representative_has_perfect_correlations():
@@ -131,11 +134,10 @@ def test_every_class_representative_has_perfect_correlations():
             g = record.representative
             sv = statevector(g)
             for i, gen in enumerate(generators(g), start=1):
-                assert expectation(sv, gen) == pytest.approx(1.0, abs=1e-10)
+                assert expectation(sv, word_of(gen)) == pytest.approx(1.0, abs=1e-10)
             for op in full_stabilizer(g):
-                assert expectation(sv, op) == pytest.approx(1.0, abs=1e-10)
-                flipped = PauliOperator(op.x, op.z, (op.phase + 2) % 4, n=op.n)
-                assert expectation(sv, flipped) == pytest.approx(-1.0, abs=1e-10)
+                assert expectation(sv, word_of(op)) == pytest.approx(1.0, abs=1e-10)
+                assert expectation(sv, (op.x, op.z, op.phase ^ 2)) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_larger_representatives_spot_checked():
@@ -145,7 +147,7 @@ def test_larger_representatives_spot_checked():
             g = record.representative
             sv = statevector(g)
             for op in full_stabilizer(g):
-                assert expectation(sv, op) == pytest.approx(1.0, abs=1e-10)
+                assert expectation(sv, word_of(op)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_full_stabilizer_order_matches_subsets():

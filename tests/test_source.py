@@ -37,8 +37,8 @@ def test_no_module_imports_another_modules_private_names():
 def test_operators_are_built_only_by_pauli_and_graphstate():
     """Commands decide stabilizing operators as ``(x, z, phase)`` words; a
     ``PauliOperator`` is built only where it is defined and multiplied
-    (``pauli``) and for the generators, ``stabilizer_element`` and the float
-    ``expectation`` (``graphstate``)."""
+    (``pauli``) and for the generators and ``stabilizer_element``
+    (``graphstate``); the float ``expectation`` takes a word."""
     building = sorted(path.name for path in SOURCES if "PauliOperator(" in path.read_text(encoding="utf-8"))
     assert building == ["graphstate.py", "pauli.py"]
 
