@@ -34,7 +34,6 @@ from .graphstate import (
     full_stabilizer,
     generators,
     is_connected,
-    neighbour_parity,
     parse_graph,
     path_graph,
     perfect_correlations_hold,

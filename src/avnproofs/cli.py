@@ -35,7 +35,6 @@ from .graphstate import (
     perfect_correlation_arrays,
     perfect_correlations_hold,
     stabilizer_arrays,
-    stabilizer_word,
     statevector,
 )
 from .pauli import format_word, qubits_of
@@ -57,17 +56,12 @@ def _oracle_check(report):
     if brute.allows != decision.allows:
         raise AssertionError("solver and brute-force verdicts disagree")
     for qubit, row in decision.eor.items():
-        for letter, mask in row.items():
-            if (mask is None) != (brute.eor[qubit][letter] is None):
+        for letter, word in row.items():
+            if (word is None) != (brute.eor[qubit][letter] is None):
                 raise AssertionError(
                     f"solver and brute-force disagree on {letter}{qubit}"
                 )
-    words = [
-        stabilizer_word(g, mask)
-        for row in decision.eor.values()
-        for mask in row.values()
-        if mask is not None
-    ]
+    words = [word for row in decision.eor.values() for word in row.values() if word is not None]
     if not perfect_correlations_hold(g, words):
         raise AssertionError("witness operator is not a perfect correlation")
 

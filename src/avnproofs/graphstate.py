@@ -23,10 +23,8 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .pauli import PauliOperator
+from .pauli import MAX_QUBITS, PauliOperator
 
-#: Largest supported qubit count (bit masks stay inside one machine word).
-MAX_QUBITS = 16
 #: Memory guard for the dense statevector oracle.
 MAX_STATE_QUBITS = 12
 #: Largest deviation of an expectation from 1 that counts as a perfect correlation.
@@ -207,26 +205,6 @@ def generators(g: Graph) -> list:
     return [PauliOperator(1 << v, g.adj[v], n=g.n) for v in range(g.n)]
 
 
-def neighbour_parity(g: Graph, mask: int) -> int:
-    """Gamma s: bit q-1 is set when qubit q has an odd number of neighbours in
-    the generator subset ``mask``.
-
-    The subset's operator shows, on qubit q, the letter given by bit q-1 of
-    ``mask`` (X part) and of Gamma s (Z part): X for (1, 0), Y for (1, 1),
-    Z for (0, 1) and the identity for (0, 0).  A mask outside 0..2^n - 1
-    raises ValueError.
-    """
-    if mask >> g.n:
-        raise ValueError(f"subset mask {mask:#x} out of range for n={g.n}")
-    z = 0
-    m = mask
-    while m:
-        low = m & -m
-        z ^= g.adj[low.bit_length() - 1]
-        m ^= low
-    return z
-
-
 def cut_rank(g: Graph, mask: int) -> int:
     """E(A): the GF(2) rank of the adjacency block Gamma[A, V \\ A], where A
     is the vertex set ``mask`` (bit q-1 for qubit q).
@@ -260,7 +238,9 @@ def stabilizer_word(g: Graph, subset: int) -> tuple:
     Bit i-1 of the int mask ``subset`` selects generator i.  The generators
     commute, so the product has the closed form
     ``(-1)**e(s) X^s Z^(Gamma s)``: e(s) counts the edges inside s and
-    Gamma s is ``neighbour_parity``.  Each Y letter (X^1 Z^1 = -i Y) adds -1
+    bit q-1 of Gamma s is set when qubit q has an odd number of neighbours
+    in s, so the word shows on qubit q the letter of its bit pair (as in
+    ``pauli``).  Each Y letter (X^1 Z^1 = -i Y) adds -1
     to the exponent of i, so the phase is ``2 e(s) - |s & Gamma s|`` mod 4,
     which is always 0 or 2.  One pass over s gives Gamma s and 2 e(s).
     """
@@ -350,21 +330,34 @@ def statevector(g: Graph) -> np.ndarray:
     return ((1.0 - 2.0 * (both & 1)) / np.sqrt(dim)).astype(np.complex128)
 
 
-def expectation(sv: np.ndarray, word) -> float:
-    """Exact ``<sv| i**phase X^x Z^z |sv>`` of the ``(x, z, phase)`` word,
-    computed basis-state-wise on the n qubits of ``sv``."""
-    import numpy as np
-
-    if sv.ndim != 1:
-        raise LengthMismatchError(f"state of shape {sv.shape} is not a vector")
+def _check_word(word, dim: int) -> None:
+    """Raise unless the ``(x, z, phase)`` word is a Hermitian operator on the
+    n qubits of a state of dimension dim = 2^n: a negative mask raises
+    ValueError, a mask past the n qubits (or a dim that is no power of two)
+    ``LengthMismatchError`` and an odd phase ``NonHermitianSignError``, in
+    that order."""
     x, z, phase = word
-    dim = sv.shape[0]
+    if x < 0 or z < 0:
+        raise ValueError(f"mask {x if x < 0 else z} is negative")
     if not dim or dim & (dim - 1) or (x | z) >> dim.bit_length() - 1:
         raise LengthMismatchError(
             f"state dimension {dim} does not match {(x | z).bit_length()}-qubit operator"
         )
     if phase & 1:
         raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
+
+
+def expectation(sv: np.ndarray, word) -> float:
+    """Exact ``<sv| i**phase X^x Z^z |sv>`` of the ``(x, z, phase)`` word,
+    computed basis-state-wise on the n qubits of ``sv``; a bad word raises
+    as in ``_check_word``."""
+    import numpy as np
+
+    if sv.ndim != 1:
+        raise LengthMismatchError(f"state of shape {sv.shape} is not a vector")
+    dim = sv.shape[0]
+    _check_word(word, dim)
+    x, z, phase = word
     # the word is i**(phase + popcount(x & z)) * X^x Z^z as a whole tensor; the
     # sum below is imaginary exactly when that exponent is odd, so the product
     # is real for any Hermitian operator.
@@ -396,13 +389,13 @@ def _sign_bits(g: Graph) -> int:
     return signs
 
 
-def _linear_parts(signs: int, neg: bytes):
-    """The L_v of the sign function Q, bit b of ``signs`` and byte b of ``neg``,
-    or None when a unit difference is not affine (``perfect_correlation_arrays``)."""
-    dim = len(neg)
+def _linear_parts(signs: int, n: int):
+    """The L_v of the sign function Q(b) = ``signs >> b & 1`` on n qubits, or
+    None when a unit difference is not affine (``perfect_correlation_arrays``)."""
+    dim = 1 << n
     full = (1 << dim) - 1
-    q0 = neg[0]
-    units = [(1 << u, neg[1 << u], _coordinate_bits(u, dim)) for u in range(dim.bit_length() - 1)]
+    q0 = signs & 1
+    units = [(1 << u, signs >> (1 << u) & 1, _coordinate_bits(u, dim)) for u in range(n)]
     lins = []
     for low, q_low, high in units:
         diff = signs ^ ((signs & (full ^ high)) << low) ^ ((signs & high) >> low)
@@ -410,7 +403,7 @@ def _linear_parts(signs: int, neg: bytes):
         lin = 0
         affine = full if const else 0
         for unit, q_unit, coord in units:
-            if neg[low ^ unit] ^ q_unit != const:  # bit 2^u of diff: D_{e_v}(e_u)
+            if (signs >> (low ^ unit) & 1) ^ q_unit != const:  # bit 2^u of diff: D_{e_v}(e_u)
                 lin |= unit
                 affine ^= coord
         if diff != affine:
@@ -424,35 +417,29 @@ def perfect_correlations_hold(g: Graph, words) -> bool:
     graph state, decided on ``_sign_bits(g)`` with L_v read from Q and no
     float state: a word holds when ``z == L_x and (phase + |x & z|) % 4 ==
     2 Q(x)`` (Q(0) = 0 for a graph; see ``perfect_correlation_arrays``).
-    Every word is read, in input order: a negative mask raises ValueError, a
-    mask past the n qubits and an odd phase raise as in ``expectation``.  A
-    Q that is not quadratic, which no graph has, raises ``AssertionError``."""
+    Every word is read, in input order, and a bad word raises as in
+    ``expectation`` (``_check_word``).  A Q that is not quadratic, which no
+    graph has, raises ``AssertionError``."""
     signs = _sign_bits(g)
-    neg = format(signs, f"0{1 << g.n}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-    lins = _linear_parts(signs, neg)
+    lins = _linear_parts(signs, g.n)
     if lins is None:
         raise AssertionError("the sign bits of the graph state are not a quadratic form")
     holds = True
-    for x, z, phase in words:
-        if x < 0 or z < 0:
-            raise ValueError(f"mask {x if x < 0 else z} is negative")
-        if (x | z) >> g.n:
-            raise LengthMismatchError(
-                f"state dimension {1 << g.n} does not match {(x | z).bit_length()}-qubit operator"
-            )
-        if phase & 1:
-            raise NonHermitianSignError("expectation of an operator with phase +-i is not real")
+    for word in words:
+        _check_word(word, 1 << g.n)
+        x, z, phase = word
         lin, rest = 0, x
         while rest:
             lin ^= lins[(rest & -rest).bit_length() - 1]
             rest &= rest - 1
-        holds &= z == lin and (phase + (x & z).bit_count()) % 4 == 2 * neg[x]
+        holds &= z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (signs >> x & 1)
     return holds
 
 
 def _sign_form(sv: np.ndarray) -> tuple:
-    """``(neg, lins)``: byte b of ``neg`` is Q(b), and ``lins`` the L_v, or None
-    when a unit difference of Q is not affine (see ``perfect_correlation_arrays``)."""
+    """``(negative, lins)``: entry b of the boolean array ``negative`` is Q(b),
+    and ``lins`` the L_v, or None when a unit difference of Q is not affine
+    (see ``perfect_correlation_arrays``)."""
     import numpy as np
 
     if sv.ndim != 1 or not sv.shape[0] or sv.shape[0] & (sv.shape[0] - 1):
@@ -462,8 +449,7 @@ def _sign_form(sv: np.ndarray) -> tuple:
         raise AssertionError("statevector is not real with entries of one magnitude")
     negative = real < 0
     signs = int.from_bytes(np.packbits(negative, bitorder="little").tobytes(), "little")
-    neg = negative.tobytes()
-    return neg, _linear_parts(signs, neg)
+    return negative, _linear_parts(signs, sv.shape[0].bit_length() - 1)
 
 
 def perfect_correlation_arrays(sv: np.ndarray, x, z, phase) -> tuple:
@@ -489,10 +475,9 @@ def perfect_correlation_arrays(sv: np.ndarray, x, z, phase) -> tuple:
     """
     import numpy as np
 
-    neg, lins = _sign_form(sv)
+    q, lins = _sign_form(sv)
     passes = np.zeros(x.size, bool)
     if lins is not None:
-        q = np.frombuffer(neg, np.uint8)
         k = (phase + _bit_counts()[x & z]) & 3
         passes = (z == _xor_span(lins, z.dtype)[x]) & (k == 2 * (q[x] ^ q[0]))
     evaluate = ~passes

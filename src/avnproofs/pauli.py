@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 from .errors import LengthMismatchError, NonHermitianSignError
 
+#: Largest supported qubit count (bit masks stay inside one machine word).
+MAX_QUBITS = 16
+
 #: Letter of one qubit, indexed by its bit pair ``x | z << 1``.
 LETTERS = "IXZY"
 
@@ -82,36 +85,29 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(x3, z3, phase, n=p.n)
 
 
-#: ``_CELLS[k][q]`` is letter ``LETTERS[k]`` on qubit q + 1 as printed, e.g.
-#: ``"Y3"``.  A memo of constants: ``_cells`` only ever widens it, when an
-#: operator reaches past its end, so no caller can see another's use of it.
-_CELLS = ((),) * 4
-
-
-def _cells(width: int) -> tuple:
-    global _CELLS
-    if len(_CELLS[0]) < width:
-        _CELLS = tuple(tuple(f"{letter}{q + 1}" for q in range(width)) for letter in LETTERS)
-    return _CELLS
+#: ``_CELLS[k][q]`` is letter ``LETTERS[k]`` on qubit q + 1 as printed, e.g. ``"Y3"``.
+_CELLS = tuple(tuple(f"{letter}{q + 1}" for q in range(MAX_QUBITS)) for letter in LETTERS)
 
 
 def format_word(x: int, z: int, phase: int) -> str:
     """Render the operator ``i**phase X^x Z^z`` (letters by bit pair, as in
     ``PauliOperator``) like ``-X1 X2 X3 Z4``: identity letters omitted, no
     leading +, ``1`` for the identity.  An odd phase has no +-1 sign and
-    raises ``NonHermitianSignError``; a negative mask raises ValueError."""
+    raises ``NonHermitianSignError``; a negative mask, or one past
+    ``MAX_QUBITS`` qubits, raises ValueError."""
     if phase & 1:
         raise NonHermitianSignError(f"operator has phase exponent {phase % 4}, not 0 or 2")
     sign = "-" if phase & 2 else ""
     rest = x | z
     if rest < 0:
         raise ValueError(f"mask {rest} is negative")
+    if rest >> MAX_QUBITS:
+        raise ValueError(f"mask {rest:#x} reaches past qubit {MAX_QUBITS}")
     if not rest:
         return sign + "1"
-    cells = _cells(rest.bit_length())
     parts = []
     while rest:
         low = rest & -rest
-        parts.append(cells[(1 if x & low else 0) | (2 if z & low else 0)][low.bit_length() - 1])
+        parts.append(_CELLS[(1 if x & low else 0) | (2 if z & low else 0)][low.bit_length() - 1])
         rest ^= low
     return sign + " ".join(parts)

@@ -13,9 +13,10 @@ the particle's whole table; its rank is |A| + E(A), where E(A) is the
 cut-rank of A.  That table is eliminated once per (graph, particle) and
 cached read-only; ``allows_specific_avn`` (and so ``check``, printed search
 hits and ``--oracle``) and ``is_element_of_reality`` all read it.  A certificate
-is the int mask of its generator subset (bit j-1 for generator j), verified
-against the graph once, when its particle's table is built.  A brute-force
-sweep over all 2^n subsets doubles as an oracle.
+is the ``(x, z, phase)`` word of its generator subset's operator, built and
+verified against the graph once, when its particle's table is built; its x
+part is the subset mask (bit j-1 for generator j).  A brute-force sweep
+over all 2^n subsets doubles as an oracle.
 
 The verdict itself is a rank test: a distribution allows a specific AVN
 proof iff every particle A has E(A) = |A| (``graphstate.cut_rank``).  The
@@ -31,7 +32,7 @@ from functools import cached_property, lru_cache
 
 from .errors import LengthMismatchError, ParseError, UnsupportedInputError
 from .gf2 import gf2_unit_solutions
-from .graphstate import Graph, is_connected, neighbour_parity
+from .graphstate import Graph, is_connected, stabilizer_word
 from .pauli import LETTERS
 
 PAULI_LETTERS = ("X", "Y", "Z")
@@ -150,11 +151,11 @@ class ActionClass(Enum):
     IDENTITY = "I"
 
 
-def _letter_at(mask: int, gamma: int, i: int) -> str:
-    """Letter at 1-based qubit i of the operator with X part ``mask`` and Z
-    part ``gamma`` (the subset's ``neighbour_parity``), read off the bit pair."""
+def _letter_at(x: int, z: int, i: int) -> str:
+    """Letter at 1-based qubit i of the operator with X part ``x`` and Z
+    part ``z``, read off the bit pair."""
     q = i - 1
-    return LETTERS[(mask >> q & 1) | (gamma >> q & 1) << 1]
+    return LETTERS[(x >> q & 1) | (z >> q & 1) << 1]
 
 
 def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
@@ -164,11 +165,12 @@ def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
     letter at i is X when i is selected and an even number of its neighbors
     are, Y for an odd number, Z when i is unselected with an odd neighbor
     count, and identity otherwise.  A subset outside 0..2^n - 1 raises
-    ``neighbour_parity``'s ValueError.
+    ``stabilizer_word``'s ValueError.
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    return ActionClass(_letter_at(subset, neighbour_parity(g, subset), i))
+    x, z, _ = stabilizer_word(g, subset)
+    return ActionClass(_letter_at(x, z, i))
 
 
 def _eor_requirements(pauli: str):
@@ -182,28 +184,31 @@ def _eor_requirements(pauli: str):
     raise ValueError(f"unknown Pauli letter {pauli!r}")
 
 
-def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) -> None:
-    """Raise AssertionError unless the subset certifies ``pauli`` on qubit i,
-    whose particle mates are ``pmask`` (explicit raises, so the check also
-    runs under ``python -O``).  The operator is recomputed from the graph."""
-    gamma = neighbour_parity(g, mask)
-    if _letter_at(mask, gamma, i) != pauli:
+def _verify_witness_subset(g: Graph, pmask: int, i: int, pauli: str, mask: int) -> tuple:
+    """The ``(x, z, phase)`` word of the subset's operator, built from the
+    graph, once it certifies ``pauli`` on qubit i, whose particle mates are
+    ``pmask``; AssertionError otherwise (explicit raises, so the check also
+    runs under ``python -O``)."""
+    word = stabilizer_word(g, mask)
+    x, z, _ = word
+    if _letter_at(x, z, i) != pauli:
         raise AssertionError(f"subset {mask:#x} does not show {pauli} on qubit {i}")
-    acting = (mask | gamma) & pmask
+    acting = (x | z) & pmask
     if acting:
         j = (acting & -acting).bit_length()
         raise AssertionError(
             f"subset {mask:#x} for {pauli}{i} acts on particle mate {j}"
         )
+    return word
 
 
 @lru_cache(maxsize=1024)
 def _particle_lookup(g: Graph, qubits):
     """Element-of-reality certificates of one particle's qubits, from one
     elimination: per member, in particle order, an (X, Y, Z) tuple of
-    generator-subset masks or None.  Every mask is verified against the
-    graph here, once, before the tuple is cached and shared by every
-    caller; a wrong mask raises, so no table holding it is ever cached.
+    ``(x, z, phase)`` words or None.  Every word is built from the graph
+    and verified here, once, before the tuple is cached and shared by every
+    caller; a wrong subset raises, so no table holding it is ever cached.
 
     The rows are e_j (is j selected) and Gamma_j (parity of j's selected
     neighbours) for every member j.  For qubit i the letters need (e_i . s,
@@ -220,16 +225,39 @@ def _particle_lookup(g: Graph, qubits):
     for i, (sx, cx), (sz, cz) in zip(qubits, units[::2], units[1::2]):
         masks = (sx if not cx else None, sx ^ sz if cx == cz else None, sz if not cz else None)
         mates = inside & ~(1 << (i - 1))
+        words = []
         for pauli, mask in zip(PAULI_LETTERS, masks):
-            if mask is not None:
-                _verify_witness_subset(g, mates, i, pauli, mask)
-        table.append(masks)
+            words.append(None if mask is None else _verify_witness_subset(g, mates, i, pauli, mask))
+        table.append(tuple(words))
     return tuple(table)
+
+
+def _lowest_word(g: Graph, pmask: int, i: int, pauli: str):
+    """The verified word of the lowest generator subset that certifies
+    ``pauli`` on qubit i with particle mates ``pmask``, or None, by a sweep
+    over all 2^n subsets in ascending order."""
+    need_i, need_par = _eor_requirements(pauli)
+    nbr_i = g.adj[i - 1]
+    pj = [(1 << (j - 1), g.adj[j - 1]) for j in range(1, g.n + 1) if (pmask >> (j - 1)) & 1]
+    for mask in range(1 << g.n):
+        if ((mask >> (i - 1)) & 1) != need_i:
+            continue
+        if (mask & nbr_i).bit_count() & 1 != need_par:
+            continue
+        ok = True
+        for jbit, nbr_j in pj:
+            if mask & jbit or (mask & nbr_j).bit_count() & 1:
+                ok = False
+                break
+        if ok:
+            return _verify_witness_subset(g, pmask, i, pauli, mask)
+    return None
 
 
 def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method: str = "solver"):
     """Certifying subset mask if ``pauli`` on qubit i is an element of reality, else None.
 
+    The mask is the x part of the certificate's word in ``AvnDecision.eor``.
     ``method="solver"`` reads it from the cached GF(2) table of i's particle
     (scales past exhaustive range; the subset is the solution with every
     free variable zero), whose entries were verified when it was built;
@@ -240,31 +268,15 @@ def is_element_of_reality(g: Graph, d: Distribution, i: int, pauli: str, method:
         raise LengthMismatchError(f"graph has {g.n} qubits, distribution {d.n}")
     if not 1 <= i <= g.n:
         raise ValueError(f"qubit {i} out of range 1..{g.n}")
-    need_i, need_par = _eor_requirements(pauli)
-
+    _eor_requirements(pauli)  # an unknown letter raises under either method
     if method == "brute":
-        pmask = d.pmasks[i - 1]
-        nbr_i = g.nbr_mask(i)
-        pj = [(1 << (j - 1), g.nbr_mask(j)) for j in range(1, g.n + 1) if (pmask >> (j - 1)) & 1]
-        for mask in range(1 << g.n):
-            if ((mask >> (i - 1)) & 1) != need_i:
-                continue
-            if (mask & nbr_i).bit_count() & 1 != need_par:
-                continue
-            ok = True
-            for jbit, nbr_j in pj:
-                if mask & jbit or (mask & nbr_j).bit_count() & 1:
-                    ok = False
-                    break
-            if ok:
-                _verify_witness_subset(g, pmask, i, pauli, mask)
-                return mask
-        return None
-
-    if method != "solver":
+        word = _lowest_word(g, d.pmasks[i - 1], i, pauli)
+    elif method == "solver":
+        particle = next(p for p in d.particles if i in p)
+        word = _particle_lookup(g, particle)[particle.index(i)][PAULI_LETTERS.index(pauli)]
+    else:
         raise ValueError(f"unknown method {method!r}")
-    particle = next(p for p in d.particles if i in p)
-    return _particle_lookup(g, particle)[particle.index(i)][PAULI_LETTERS.index(pauli)]
+    return None if word is None else word[0]
 
 
 @dataclass
@@ -272,7 +284,7 @@ class AvnDecision:
     """Verdict plus the per-qubit element-of-reality table behind it."""
 
     allows: bool
-    eor: dict  # qubit -> {"X"/"Y"/"Z" -> certifying subset mask or None}
+    eor: dict  # qubit -> {"X"/"Y"/"Z" -> verified (x, z, phase) word, or None}
     shortcut: str | None = None
 
 
@@ -305,11 +317,13 @@ def allows_specific_avn(g: Graph, d: Distribution, method: str = "solver") -> Av
         for particle in d.particles:
             rows.update(zip(particle, _particle_lookup(g, particle)))
         eor = {i: dict(zip(PAULI_LETTERS, rows[i])) for i in range(1, g.n + 1)}
-    else:
+    elif method == "brute":
         eor = {
-            i: {p: is_element_of_reality(g, d, i, p, method=method) for p in PAULI_LETTERS}
-            for i in range(1, g.n + 1)
+            i: {p: _lowest_word(g, pmask, i, p) for p in PAULI_LETTERS}
+            for i, pmask in enumerate(d.pmasks, 1)
         }
+    else:
+        raise ValueError(f"unknown method {method!r}")
     allows = True
     for i, row in eor.items():
         if row["X"] is None or row["Y"] is None:

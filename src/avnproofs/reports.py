@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import record_field, require_own_record
-from .graphstate import Graph, format_graph, parse_graph, stabilizer_word
+from .graphstate import Graph, format_graph, parse_graph
 from .pauli import format_word, qubits_of
 from .reality import (
     AvnDecision,
@@ -59,8 +59,8 @@ class DistributionReport:
         eor = {}
         for qubit, row in self.decision.eor.items():
             eor[str(qubit)] = {
-                letter: (list(qubits_of(mask)) if mask is not None else None)
-                for letter, mask in row.items()
+                letter: (list(qubits_of(word[0])) if word is not None else None)
+                for letter, word in row.items()
             }
         witness = None
         if self.witness is not None:
@@ -116,11 +116,8 @@ class DistributionReport:
             row = self.decision.eor[qubit]
             cells = []
             for letter in ("X", "Y", "Z"):
-                mask = row[letter]
-                if mask is None:
-                    cells.append("-")
-                else:
-                    cells.append(format_word(*stabilizer_word(self.graph, mask)))
+                word = row[letter]
+                cells.append("-" if word is None else format_word(*word))
             rows.append((qubit, cells))
         width = max(
             [len(c) for _, cells in rows for c in cells[:2]] + [1]

@@ -45,6 +45,7 @@ W = "tests/test_witness.py::"
 CLI = "tests/test_cli.py::"
 GS = "tests/test_graphstate.py::"
 CORR = "tests/test_correlations.py::"
+GOLDEN = "tests/test_golden.py::"
 
 #: (file, text, replacement, node ids expected to fail)
 MUTANTS = (
@@ -125,9 +126,22 @@ MUTANTS = (
     ),
     (
         "reality.py",
-        "                _verify_witness_subset(g, mates, i, pauli, mask)\n",
-        "                pass\n",
+        "None if mask is None else _verify_witness_subset(g, mates, i, pauli, mask)",
+        "None if mask is None else stabilizer_word(g, mask)",
         ["tests/test_reality.py::test_table_verifies_every_entry"],
+    ),
+    # A certificate is its verified word; the table's readers print and check it.
+    (
+        "reality.py",
+        "    return tuple(table)\n",
+        "    return tuple(tuple(w and (w[0], w[1] ^ 1, w[2]) for w in row) for row in table)\n",
+        ["tests/test_reality.py::test_table_matches_per_qubit_systems_exhaustively"],
+    ),
+    (
+        "reports.py",
+        "format_word(*word)",
+        "format_word(word[0], word[1], 0)",
+        [GOLDEN + "test_command_output_matches_golden[check --oracle --graph 6: 1-3, 2-3, 2-6, 3-4, 3-5, 3-6, 4-6 ]"],
     ),
     # Command lines read from the declared option table.
     (
@@ -235,9 +249,21 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "        if x < 0 or z < 0:\n",
-        "        if False:\n",
+        "    if x < 0 or z < 0:\n",
+        "    if False:\n",
         [CORR + "test_exact_check_raises_for_a_bad_word[negative-z]"],
+    ),
+    (
+        "graphstate.py",
+        "        _check_word(word, 1 << g.n)\n",
+        "",
+        [CORR + "test_exact_check_raises_for_a_bad_word[phase-1]"],
+    ),
+    (
+        "graphstate.py",
+        "    _check_word(word, dim)\n",
+        "",
+        [CORR + "test_both_word_checks_raise_alike[word0]"],
     ),
     # Witness members decided exactly on the graph's sign bits.
     (
@@ -248,13 +274,19 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "[::-1].encode()",
-        ".encode()",
+        "    units = [(1 << u, signs >> (1 << u) & 1,",
+        "    units = [(1 << u, signs >> u & 1,",
         [CORR + "test_exact_check_on_every_word_of_every_graph_up_to_four_vertices"],
     ),
     (
         "graphstate.py",
-        "== 2 * neg[x]",
+        "            if (signs >> (low ^ unit) & 1) ^ q_unit != const:",
+        "            if (signs >> (low | unit) & 1) ^ q_unit != const:",
+        [CORR + "test_every_sign_pattern_matches_the_oracle[2]"],
+    ),
+    (
+        "graphstate.py",
+        "== 2 * (signs >> x & 1)",
         "== 0",
         [W + "test_ghz4_witness_verifies_and_is_critical"],
     ),
@@ -272,14 +304,9 @@ MUTANTS = (
     ),
     (
         "graphstate.py",
-        "        if phase & 1:\n",
-        "        if False:\n",
-        [CORR + "test_exact_check_raises_for_a_bad_word[phase-1]"],
-    ),
-    (
-        "graphstate.py",
-        "        holds &= z == lin and (phase + (x & z).bit_count()) % 4 == 2 * neg[x]\n",
-        "        if not (z == lin and (phase + (x & z).bit_count()) % 4 == 2 * neg[x]):\n            return False\n",
+        "        holds &= z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (signs >> x & 1)\n",
+        "        if not (z == lin and (phase + (x & z).bit_count()) % 4 == 2 * (signs >> x & 1)):\n"
+        "            return False\n",
         [CORR + "test_exact_check_raises_for_a_bad_word[x-past-n]"],
     ),
     # check --oracle decides every certificate exactly, at every n.
@@ -409,16 +436,16 @@ MUTANTS = (
         ["tests/test_pauli.py::test_letters_and_support"],
     ),
     (
+        "pauli.py",
+        "    if rest >> MAX_QUBITS:\n",
+        "    if False:\n",
+        ["tests/test_pauli.py::test_format_word_covers_sixteen_qubits_and_no_more"],
+    ),
+    (
         "graphstate.py",
         '    if mask >> g.n:\n        raise ValueError(f"vertex mask',
         '    if False:\n        raise ValueError(f"vertex mask',
         ["tests/test_partitions.py::test_rank_solver_and_brute_verdicts_agree"],
-    ),
-    (
-        "graphstate.py",
-        '    if mask >> g.n:\n        raise ValueError(f"subset mask',
-        '    if False:\n        raise ValueError(f"subset mask',
-        ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
     ),
     (
         "graphstate.py",

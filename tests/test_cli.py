@@ -71,20 +71,53 @@ def singletons(n):
 @pytest.mark.parametrize("which", ["first", "last"])
 @pytest.mark.parametrize("n", [12, 13])
 def test_oracle_rejects_a_broken_certificate_at_every_n(capsys, monkeypatch, n, which):
-    """One Z bit flipped in the word of one of the 3n certificates breaks its
-    correlation, and ``--oracle`` finds it also past the statevector's n <= 12."""
-    real = cli.stabilizer_word
-    masks = []
+    """One Z bit flipped in the word of one of the 3n certificates of the
+    report's table breaks its correlation, and ``--oracle`` finds it also
+    past the statevector's n <= 12."""
+    real = reports.allows_specific_avn
+    certified = []
 
-    def broken(g, mask):
-        masks.append(mask)
-        x, z, phase = real(g, mask)
-        return (x, z ^ 1, phase) if len(masks) == (1 if which == "first" else 3 * n) else (x, z, phase)
+    def broken(g, d):
+        decision = real(g, d)
+        eor = {q: dict(row) for q, row in decision.eor.items()}
+        cells = [(q, letter) for q in sorted(eor) for letter in "XYZ" if eor[q][letter] is not None]
+        q, letter = cells[0 if which == "first" else -1]
+        x, z, phase = eor[q][letter]
+        eor[q][letter] = (x, z ^ 1, phase)
+        certified.extend(cells)
+        return AvnDecision(decision.allows, eor, decision.shortcut)
 
-    monkeypatch.setattr(cli, "stabilizer_word", broken)
+    monkeypatch.setattr(reports, "allows_specific_avn", broken)
     code, out, err = run(capsys, "check", "--oracle", "--graph", path_line(n), "--dist", singletons(n))
     assert (code, out, err) == (3, "", "internal error: witness operator is not a perfect correlation\n")
-    assert len(masks) == 3 * n
+    assert len(certified) == 3 * n
+
+
+def test_printed_and_checked_certificates_are_the_tables_words(capsys, monkeypatch):
+    """Once a report's table is built, its rendering, its JSON record and
+    ``check --oracle`` build no certificate word again: the only
+    ``stabilizer_word`` calls left are the brute-force table's own
+    verifications in ``reality``, one per certificate."""
+    real = graphstate.stabilizer_word
+    callers = []
+
+    def counting(g, subset):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(g, subset)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "avnproofs" and getattr(module, "stabilizer_word", None) is real:
+            monkeypatch.setattr(module, "stabilizer_word", counting)
+    g = parse_graph(LC6)
+    report = reports.DistributionReport(g, reality.parse_distribution("1,4,5|2,3,6", g.n))
+    certificates = sum(w is not None for row in report.decision.eor.values() for w in row.values())
+    callers.clear()
+    report.render_table()
+    report.to_json_dict()
+    assert callers == []
+    code, _, _ = run(capsys, "check", "--oracle", "--graph", LC6, "--dist", "1,4,5|2,3,6")
+    assert code == 0
+    assert callers == ["avnproofs.reality"] * certificates
 
 
 def test_malformed_graph_exit_two(capsys):

@@ -307,6 +307,17 @@ def test_expectation_rejects_a_word_past_the_state_or_an_odd_phase(sv, word, err
         expectation(sv, word)
 
 
+@pytest.mark.parametrize("word", [(-1, 0, 0), (0, -8, 0), (8, 0, 0), (1, 0, 1)])
+def test_both_word_checks_raise_alike(word):
+    """The float and the exact check of a word share one validation: at
+    n = 3, the same error class and text for each bad word."""
+    with pytest.raises(ValueError) as floated:
+        expectation(np.full(8, 8**-0.5), word)
+    with pytest.raises(ValueError) as exact:
+        perfect_correlations_hold(path_graph(3), [word])
+    assert (type(floated.value), str(floated.value)) == (type(exact.value), str(exact.value))
+
+
 def test_bad_words_raise_under_python_O():
     """A word acting past the n qubits, or with an odd phase, raises in both
     exact word checks; the raises are explicit, so ``-O`` keeps them."""

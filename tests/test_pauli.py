@@ -130,10 +130,13 @@ def test_format_word_matches_letter_spelling_exhaustive_n4():
             assert format_word(op.x, op.z, op.phase) == format_pauli_by_letters(op)
 
 
-def test_format_word_past_the_widest_operator_so_far():
-    assert format_word(1 << 69 | 1, 1 << 69, 2) == "-X1 Y70"
-    assert format_word(1 << 69, 0, 0) == "X70"
+def test_format_word_covers_sixteen_qubits_and_no_more():
+    assert format_word(1 << 15 | 1, 1 << 15, 2) == "-X1 Y16"
+    assert format_word(1 << 15, 0, 0) == "X16"
     assert format_word(0, 1 << 2, 0) == "Z3"
+    for x, z in ((1 << 16, 0), (0, 1 << 16), (1 << 69 | 1, 0)):
+        with pytest.raises(ValueError, match="reaches past qubit 16$"):
+            format_word(x, z, 0)
 
 
 @pytest.mark.parametrize("phase", [1, 3])

@@ -23,7 +23,6 @@ from avnproofs import (
     is_element_of_reality,
     local_complement,
     min_party_distributions,
-    neighbour_parity,
     parse_distribution,
     path_graph,
     relabel,
@@ -59,8 +58,6 @@ def test_classify_rejects_a_subset_out_of_range(subset):
     message = f"subset mask {shown} out of range for n=4"
     with pytest.raises(ValueError, match=message):
         stabilizer_word(LC4, subset)
-    with pytest.raises(ValueError, match=message):
-        neighbour_parity(LC4, subset)
     for i in range(1, 5):
         with pytest.raises(ValueError, match=message):
             classify_action(subset, LC4, i)
@@ -309,24 +306,31 @@ def test_repeated_lookups_eliminate_and_verify_once(monkeypatch, fresh_lookups):
     assert len(solves) == 2
     assert len(calls) == entries
     assert found[:12] == found[12:]
-    assert found[:12] == [tables[0].eor[i][p] for i in range(1, 5) for p in "XYZ"]
+    assert found[:12] == [w and w[0] for w in (tables[0].eor[i][p] for i in range(1, 5) for p in "XYZ")]
     with pytest.raises(TypeError):
         reality._particle_lookup(LC4, (1, 2))[0][0] = 0
-    assert reality._particle_lookup(LC4, (1, 2))[0][0] is found[0]
+    assert reality._particle_lookup(LC4, (1, 2))[0][0] is tables[0].eor[1]["X"]
+
+
+def word_of(g, mask):
+    """The operator of a certifying subset mask, or None for no certificate."""
+    return None if mask is None else stabilizer_word(g, mask)
 
 
 def test_table_entries_equal_the_lookups():
-    """``check``'s table and ``is_element_of_reality`` read the same entries,
-    on every distribution of the connected n <= 5 class representatives."""
+    """``check``'s table holds the words of the subsets that
+    ``is_element_of_reality`` returns, on every distribution of the
+    connected n <= 5 class representatives, under both methods."""
     for n in range(3, 6):
         for record in classify_all(n):
             g = record.representative
             for particles in set_partitions(range(1, n + 1)):
                 d = Distribution(n, particles)
-                eor = allows_specific_avn(g, d).eor
-                for i in range(1, n + 1):
-                    for p in "XYZ":
-                        assert eor[i][p] == is_element_of_reality(g, d, i, p)
+                for method in ("solver", "brute"):
+                    eor = allows_specific_avn(g, d, method=method).eor
+                    for i in range(1, n + 1):
+                        for p in "XYZ":
+                            assert eor[i][p] == word_of(g, is_element_of_reality(g, d, i, p, method=method))
 
 
 def test_reported_tables_eliminate_once_per_particle(monkeypatch, fresh_lookups):
@@ -396,30 +400,32 @@ sys.exit("wrong subset accepted")
     assert "does not show X on qubit 1" in proc.stdout
 
 
-def _oracle_masks(g, d):
-    return {
-        i: {p: eor_subset_by_system(g, d, i, p) for p in "XYZ"}
-        for i in range(1, g.n + 1)
-    }
+def assert_table_matches_per_qubit_systems(g, d):
+    """Every entry of the table is the word of its own subset, and the x
+    parts are the subsets that the per-qubit parity systems give."""
+    eor = allows_specific_avn(g, d).eor
+    oracle = {i: {p: eor_subset_by_system(g, d, i, p) for p in "XYZ"} for i in range(1, g.n + 1)}
+    assert {i: {p: w and w[0] for p, w in row.items()} for i, row in eor.items()} == oracle
+    for row in eor.values():
+        for word in row.values():
+            assert word is None or word == stabilizer_word(g, word[0])
 
 
 def test_table_matches_per_qubit_systems_exhaustively():
     """The one-elimination-per-particle table gives the very subsets that the
-    per-qubit parity systems give, on every n <= 6 class representative under
-    every distribution."""
+    per-qubit parity systems give, as their words, on every n <= 6 class
+    representative under every distribution."""
     for n in range(3, 7):
         for record in classify_all(n):
             g = record.representative
             for particles in set_partitions(range(1, n + 1)):
-                d = Distribution(n, particles)
-                assert allows_specific_avn(g, d).eor == _oracle_masks(g, d)
+                assert_table_matches_per_qubit_systems(g, Distribution(n, particles))
 
 
 @settings(max_examples=150, deadline=None)
 @given(connected_cases(12))
 def test_table_matches_per_qubit_systems(case):
-    g, d = case
-    assert allows_specific_avn(g, d).eor == _oracle_masks(g, d)
+    assert_table_matches_per_qubit_systems(*case)
 
 
 def test_particle_rank_is_size_plus_cut_rank():
@@ -471,4 +477,4 @@ def test_z_certificate_is_xor_of_x_and_y(case):
     for row in allows_specific_avn(g, d).eor.values():
         if row["X"] is not None and row["Y"] is not None:
             assert row["Z"] is not None
-            assert row["Z"] == row["X"] ^ row["Y"]
+            assert row["Z"] == stabilizer_word(g, row["X"][0] ^ row["Y"][0])
