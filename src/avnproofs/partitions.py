@@ -16,6 +16,10 @@ grows into distributions, and the automorphism generators are computed only
 once a shape has a hit.  The searches build no element-of-reality table: a
 hit's report builds its own when printed as json-lines, checked with
 ``--oracle``, or read as ``report.decision``.
+
+The recursion, the rank memo and the orbit dedupe work on int block masks
+(bit q-1 for qubit q); a block becomes a sorted tuple of 1-based qubits
+only in the stream of ``Distribution`` objects.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from itertools import combinations
 from .equivalence import automorphism_group
 from .errors import ResourceLimitError, UnsupportedInputError
 from .graphstate import Graph, cut_rank, is_connected
+from .pauli import qubits_of
 from .reality import Distribution
 from .reports import DistributionReport
 
@@ -99,49 +104,61 @@ def minimal_shapes(n: int) -> list:
 
 @lru_cache(maxsize=1)
 def _block_ranks(g: Graph) -> dict:
-    """The rank memo of g's blocks, block -> has full cut-rank, kept for the
-    graph most recently searched."""
+    """The rank memo of g's blocks, block mask -> has full cut-rank, kept for
+    the graph most recently searched."""
     return {}
 
 
 def _set_partitions(n: int, shape, g: Graph | None):
-    """All set partitions of {1..n} with the size multiset ``shape``, each a
-    tuple of sorted blocks ordered by their least qubit (the canonical
-    encoding); given a graph g, only those whose blocks all have full
-    cut-rank in g, in the same order.
+    """All set partitions of {1..n} with the size multiset ``shape`` (a
+    non-increasing tuple), each a tuple of block masks (bit q-1 for qubit
+    q) ordered by their least bit (the canonical encoding); given a graph
+    g, only those whose blocks all have full cut-rank in g, in the same
+    order.
 
-    The recursion anchors the lowest uncovered qubit and chooses the other
-    members of its block, so a block that fails the rank test is dropped
-    before any partition is built on it.  Block ranks are memoized per
-    graph (``_block_ranks``), so the shapes of one search share them.
+    The recursion carries the uncovered qubits as one mask, anchors its
+    lowest bit and chooses the other members of its block in ascending
+    order, so a block that fails the rank test is dropped before any
+    partition is built on it.  Block ranks are memoized per graph
+    (``_block_ranks``), so the shapes of one search share them.
     """
     full_rank = _block_ranks(g) if g is not None else None
 
-    def admits(block):
-        ok = full_rank.get(block)
-        if ok is None:
-            mask = sum(1 << (q - 1) for q in block)
-            ok = full_rank[block] = cut_rank(g, mask) == len(block)
-        return ok
-
-    def rec(elements, sizes):
-        if not elements:
+    def rec(uncovered, sizes):
+        if not uncovered:
             yield ()
             return
-        anchor = elements[0]
-        rest = elements[1:]
-        for size in sorted(set(sizes), reverse=True):
-            remaining = list(sizes)
-            remaining.remove(size)
-            for members in combinations(rest, size - 1):
-                block = (anchor,) + members
-                if g is not None and not admits(block):
-                    continue
-                left = tuple(e for e in rest if e not in members)
-                for tail in rec(left, remaining):
+        anchor = uncovered & -uncovered
+        others = []  # the other uncovered bits, ascending
+        rest = uncovered ^ anchor
+        while rest:
+            low = rest & -rest
+            others.append(low)
+            rest ^= low
+        for size, remaining in _size_choices(sizes):
+            for members in combinations(others, size - 1):
+                block = anchor + sum(members)
+                if full_rank is not None:
+                    ok = full_rank.get(block)
+                    if ok is None:
+                        ok = full_rank[block] = cut_rank(g, block) == size
+                    if not ok:
+                        continue
+                for tail in rec(uncovered ^ block, remaining):
                     yield (block,) + tail
 
-    return rec(tuple(range(1, n + 1)), list(shape))
+    return rec((1 << n) - 1, shape)
+
+
+@lru_cache(maxsize=None)
+def _size_choices(sizes: tuple) -> tuple:
+    """``(size, remaining)`` for each distinct size of a non-increasing size
+    tuple, largest first, ``remaining`` the tuple with one ``size`` removed."""
+    out = []
+    for k, size in enumerate(sizes):
+        if k == 0 or size != sizes[k - 1]:
+            out.append((size, sizes[:k] + sizes[k + 1 :]))
+    return tuple(out)
 
 
 def count_partitions_with_shape(n: int, shape) -> int:
@@ -183,23 +200,24 @@ def automorphisms(g: Graph) -> list:
     return sorted(_closure(tuple(range(g.n)), gens, lambda p, s: tuple([s[v] for v in p])))
 
 
-def _permuted_blocks(blocks, perm):
-    """Apply a 0-based vertex permutation to 1-based blocks, re-canonicalized
-    (disjoint sorted blocks sort by their least element)."""
-    return tuple(sorted([tuple(sorted([perm[q - 1] + 1 for q in b])) for b in blocks]))
-
-
 def enumerate_distributions(
     g: Graph, shape, dedupe: bool = True, *, full_rank_only: bool = False
 ):
     """Stream distributions of g's qubits with the given shape.
 
+    Inside, a distribution is a tuple of block masks ordered by least bit
+    (``_set_partitions``); only the stream holds particle tuples.  Each block
+    becomes its sorted particle tuple (``qubits_of``) once per call, through
+    a memo.
+
     With ``dedupe`` every orbit of the automorphism group contributes exactly
-    one representative: the member with the lexicographically least canonical
-    encoding, found by closing its first member under the canonical search's
-    generators, which are computed only when the first distribution is about
-    to be yielded, and not at all for the all-singletons shape, whose one
-    partition every automorphism fixes.  The blocks are built sorted,
+    one representative: the member whose particle tuples are
+    lexicographically least, found by closing its first member under the
+    canonical search's generators.  A generator moves a block mask through
+    the image bits of its qubits, and an image's blocks are ordered by least
+    bit again.  The generators are computed only when the first distribution
+    is about to be yielded, and not at all for the all-singletons shape,
+    whose one partition every automorphism fixes.  The blocks are built
     disjoint and covering, so they are yielded without a second check.
 
     With ``full_rank_only`` the stream keeps only the distributions whose
@@ -214,20 +232,30 @@ def enumerate_distributions(
     if sum(shape) != g.n:
         raise ValueError(f"shape {shape} does not sum to n={g.n}")
     stream = _set_partitions(g.n, shape, g if full_rank_only else None)
+    particle = lru_cache(maxsize=None)(qubits_of)
     if not dedupe or shape[0] == 1:
         for blocks in stream:
-            yield Distribution._trusted(g.n, blocks)
+            yield Distribution._trusted(g.n, tuple(map(particle, blocks)))
         return
-    gens = None
+
+    def mover(perm):
+        """The memoized image of a block mask under a 0-based permutation."""
+        bits = (0,) + tuple([1 << v for v in perm])  # bits[q]: the image of qubit q
+        return lru_cache(maxsize=None)(lambda block: sum(map(bits.__getitem__, particle(block))))
+
+    def image(blocks, move):
+        return tuple(sorted(map(move, blocks), key=lambda block: block & -block))
+
+    moves = None
     seen = set()
     for blocks in stream:
         if blocks in seen:
             continue
-        if gens is None:
-            gens = automorphism_group(g)[0]
-        orbit = _closure(blocks, gens, _permuted_blocks)
+        if moves is None:
+            moves = [mover(perm) for perm in automorphism_group(g)[0]]
+        orbit = _closure(blocks, moves, image)
         seen |= orbit
-        yield Distribution._trusted(g.n, min(orbit))
+        yield Distribution._trusted(g.n, min([tuple(map(particle, b)) for b in orbit]))
 
 
 def _report_sort_key(report: DistributionReport):

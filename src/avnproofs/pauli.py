@@ -26,7 +26,7 @@ def qubits_of(mask: int) -> tuple:
     if mask < 0:
         raise ValueError(f"mask {mask} is negative")
     out = []
-    while mask:
+    while mask > 0:
         low = mask & -mask
         out.append(low.bit_length())
         mask ^= low

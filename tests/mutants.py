@@ -46,6 +46,7 @@ CLI = "tests/test_cli.py::"
 GS = "tests/test_graphstate.py::"
 CORR = "tests/test_correlations.py::"
 GOLDEN = "tests/test_golden.py::"
+PART = "tests/test_partitions.py::"
 
 #: (file, text, replacement, node ids expected to fail)
 MUTANTS = (
@@ -452,6 +453,25 @@ MUTANTS = (
         "    if subset >> g.n:\n",
         "    if False:\n",
         ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
+    ),
+    # The set-partition recursion and the orbit dedupe run on block masks.
+    (
+        "partitions.py",
+        "        anchor = uncovered & -uncovered\n",
+        "        anchor = 1 << (uncovered.bit_length() - 1)\n",
+        [PART + "test_stream_equals_the_tuple_search_exhaustively"],
+    ),
+    (
+        "partitions.py",
+        "        return tuple(sorted(map(move, blocks), key=lambda block: block & -block))\n",
+        "        return tuple(map(move, blocks))\n",
+        [PART + "test_stream_equals_the_tuple_search_exhaustively"],
+    ),
+    (
+        "partitions.py",
+        "cut_rank(g, block) == size\n",
+        "cut_rank(g, block) == size - 1\n",
+        [PART + "test_stream_equals_the_tuple_search_exhaustively"],
     ),
     (
         "partitions.py",

@@ -35,6 +35,7 @@ from avnproofs import (
     statevector,
     verify_witness,
 )
+from avnproofs.equivalence import automorphism_group
 from avnproofs.graphstate import PERFECT_CORRELATION_TOL
 
 I2 = np.eye(2, dtype=complex)
@@ -264,6 +265,64 @@ def full_rank_partitions(g):
             sub = (sub - 1) & rest
 
     return list(rec((1 << g.n) - 1))
+
+
+def distributions_by_tuples(g, shape, dedupe=True, full=None):
+    """The particles of ``enumerate_distributions(g, shape, dedupe,
+    full_rank_only=full is not None)``, in stream order, by the search as it
+    was written on qubit tuples.
+
+    The recursion anchors the lowest uncovered qubit, chooses the other
+    members of its block from the uncovered tuple, keeps a block only when
+    its mask is in ``full`` (a table of full-rank masks, such as
+    ``full_rank_masks(g)``) and rebuilds the uncovered tuple for every
+    block.  With ``dedupe`` each orbit under the canonical search's
+    generators (``automorphism_group``) yields its least member, every image
+    re-sorted block by block.
+    """
+    shape = tuple(shape)
+
+    def rec(elements, sizes):
+        if not elements:
+            yield ()
+            return
+        anchor, rest = elements[0], elements[1:]
+        for size in sorted(set(sizes), reverse=True):
+            remaining = list(sizes)
+            remaining.remove(size)
+            for members in combinations(rest, size - 1):
+                block = (anchor,) + members
+                if full is not None and sum(1 << (q - 1) for q in block) not in full:
+                    continue
+                left = tuple(e for e in rest if e not in members)
+                for tail in rec(left, remaining):
+                    yield (block,) + tail
+
+    stream = rec(tuple(range(1, g.n + 1)), list(shape))
+    if not dedupe or shape[0] == 1:
+        return list(stream)
+    gens = automorphism_group(g)[0]
+    out, seen = [], set()
+    for blocks in stream:
+        if blocks in seen:
+            continue
+        orbit, stack = {blocks}, [blocks]
+        while stack:
+            x = stack.pop()
+            for perm in gens:
+                y = permuted_blocks(x, perm)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        seen |= orbit
+        out.append(min(orbit))
+    return out
+
+
+def permuted_blocks(blocks, perm):
+    """Apply a 0-based vertex permutation to 1-based blocks, re-canonicalized
+    (disjoint sorted blocks sort by their least element)."""
+    return tuple(sorted([tuple(sorted([perm[q - 1] + 1 for q in b])) for b in blocks]))
 
 
 def refines(fine, coarse):

@@ -35,6 +35,7 @@ from oracles import (
     all_avn_by_verdicts,
     aut_order_by_point_stabilizers,
     automorphisms_by_backtracking,
+    distributions_by_tuples,
     full_rank_masks,
     full_rank_partitions,
     gf2_rank,
@@ -393,6 +394,35 @@ def test_full_rank_stream_is_the_filtered_stream_by_property(case):
     shape = d.shape()
     pruned = list(enumerate_distributions(g, shape, dedupe=False, full_rank_only=True))
     assert pruned == _rank_filtered(g, full_rank_masks(g), shape, dedupe=False)
+
+
+def _assert_stream_is_the_tuple_search(g, shape):
+    """Both dedupe settings and both rank settings yield the tuple oracle's
+    distributions in the oracle's order."""
+    full = full_rank_masks(g)
+    for dedupe in (True, False):
+        for full_rank_only in (False, True):
+            got = enumerate_distributions(g, shape, dedupe, full_rank_only=full_rank_only)
+            want = distributions_by_tuples(g, shape, dedupe, full if full_rank_only else None)
+            assert [d.particles for d in got] == want, (g, shape, dedupe, full_rank_only)
+
+
+def test_stream_equals_the_tuple_search_exhaustively():
+    """Every shape, on the path, ring, complete and star graphs with
+    n = 3..7 and on every census representative with n <= 7."""
+    families = (path_graph, ring_graph, complete_graph, star_graph)
+    graphs = [family(n) for n in range(3, 8) for family in families]
+    graphs += [record.representative for n in range(2, 8) for record in classify_all(n)]
+    for g in graphs:
+        for shape in integer_partitions(g.n):
+            _assert_stream_is_the_tuple_search(g, shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_cases(9))
+def test_stream_equals_the_tuple_search_by_property(case):
+    g, d = case
+    _assert_stream_is_the_tuple_search(g, d.shape())
 
 
 def _assert_schedule_finds_every_least_partition(g):
