@@ -26,6 +26,13 @@ It is the package's only search over vertex orderings: the group order is
 a product of orbit lengths along its base (``automorphism_group``), and
 orbit dedupe closes orbits under its generators, so no group is listed.
 
+Two root colourings need no tree.  A discrete colouring is the only leaf.
+When every non-singleton cell is a twin class, individualizing a member
+splits no other cell and the twin transpositions prune every sibling, so
+the one leaf the search would reach is written down: each cell in
+ascending vertex order, every member but the last individualized (see
+``_canonical``).
+
 The census canonicalizes only what it must and reuses the generators.
 Vertex extension keeps a child only when its new vertex has the largest
 (degree, sum of neighbour degrees) key among the non-cut vertices, and
@@ -99,8 +106,9 @@ def _refine(nbrs, colors, count):
         sizes = [0] * count
         for c in colors:
             sizes[c] += 1
+        w = [weight[c] for c in colors]
         keys = [
-            base[c] - sum([weight[colors[u]] for u in nb]) if sizes[c] > 1 else base[c]
+            base[c] - sum(map(w.__getitem__, nb)) if sizes[c] > 1 else base[c]
             for c, nb in zip(colors, nbrs)
         ]
         distinct = set(keys)
@@ -184,6 +192,67 @@ def _canonical(adj):
     the automorphism group, each a tuple mapping 0-based v to its image, and
     the vertices individualized on the path to that order, in order.
 
+    Two root colourings decide the search without a tree.  A discrete one
+    is the only leaf and leaves no automorphism.  When every cell is a twin
+    class, individualizing a member v splits no cell: a vertex outside v's
+    cell sees all of it or none of it, and the rest of the cell sees v
+    alike.  The search always branches on the first non-singleton cell, and
+    the transpositions of its consecutive members not yet individualized fix
+    the prefix and join them into one orbit, so every sibling after the
+    first is pruned and the search meets one leaf: cells in colour order,
+    each in ascending vertex order, with every member but the last
+    individualized.  Any other colouring is searched (``_search``)."""
+    n = len(adj)
+    nbrs = [_bits(a) for a in adj]
+    colors, count = _root(nbrs)
+    perm, gens, base = colors, (), []
+    if count < n:
+        twins = _twin_masks(adj)
+        gens = _transpositions(twins)
+        cells = [0] * count
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
+        if not all([not cells[c] & ~(twins[v] | 1 << v) for v, c in enumerate(colors)]):
+            return _search(adj, nbrs, colors, count, gens)
+        perm = [0] * n
+        for slot, v in enumerate(sorted(range(n), key=colors.__getitem__)):
+            perm[v] = slot
+        for cell in cells:
+            base += _bits(cell)[:-1]
+    weights = _edge_weights(n)
+    enc = sum(
+        [weights[perm[v]][perm[u]] for v, a in enumerate(adj) for u in _bits(a & ((1 << v) - 1))]
+    )
+    return enc, tuple(perm), gens, tuple(base)
+
+
+def _root(nbrs):
+    """(colors, count): the refined degree ranking, the search's root."""
+    degrees = [len(nb) for nb in nbrs]
+    ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return _refine(nbrs, [ranks[d] for d in degrees], len(ranks))
+
+
+def _transpositions(twins):
+    """The transpositions of consecutive twins; they generate each twin
+    class's symmetric group."""
+    n = len(twins)
+    out = []
+    for v, t in enumerate(twins):
+        below = t & ((1 << v) - 1)
+        if below:
+            s = list(range(n))
+            u = below.bit_length() - 1
+            s[u], s[v] = v, u
+            out.append(tuple(s))
+    return tuple(out)
+
+
+def _search(adj, nbrs, colors, count, twin_gens):
+    """``_canonical``'s result by individualization and refinement below
+    the root colouring ``colors`` (``count`` colours), starting from the
+    consecutive-twin transpositions ``twin_gens``.
+
     A branch is pruned when a generator fixing the individualized prefix
     maps an explored sibling onto it.  The generators are complete: at every
     node on the path to the best leaf, each explored sibling in the
@@ -191,11 +260,8 @@ def _canonical(adj):
     is reached from an explored one, so the generators fixing the prefix
     give the node's whole stabilizer."""
     n = len(adj)
-    nbrs = [_bits(a) for a in adj]
     edges = [(v, u) for v, a in enumerate(adj) for u in _bits(a & ((1 << v) - 1))]
     weights = _edge_weights(n)
-    degrees = [len(nb) for nb in nbrs]
-    ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
     best = [None, None, None, None]  # encoding, colours, slot -> vertex, base
     gens = []
     fixes = []  # fixes[k] = mask of the vertices gens[k] fixes
@@ -242,18 +308,8 @@ def _canonical(adj):
             descend(*_refine(nbrs, split, count + 1), prefix | 1 << v)
             path.pop()
 
-    colors, count = _refine(nbrs, [ranks[d] for d in degrees], len(ranks))
-    if count < n:
-        # a discrete colouring leaves no automorphism; otherwise the
-        # transpositions of consecutive twins generate each twin class's
-        # symmetric group
-        for v, t in enumerate(_twin_masks(adj)):
-            below = t & ((1 << v) - 1)
-            if below:
-                s = list(range(n))
-                u = below.bit_length() - 1
-                s[u], s[v] = v, u
-                add_gen(tuple(s))
+    for s in twin_gens:
+        add_gen(s)
     descend(colors, count, 0)
     return best[0], best[1], tuple(gens), best[3]
 
@@ -444,16 +500,19 @@ def _children(n):
                 continue
             # child keys: a vertex in the subset gains one degree and a
             # neighbour of degree |subset|; every vertex gains one per
-            # neighbour in the subset
+            # neighbour in the subset, so the new vertex's key is (size,
+            # size + the subset's parent degrees), and only a vertex of
+            # degree size needs its neighbour sum
             size = subset.bit_count()
-            hits = [(a & subset).bit_count() for a in padj]
-            top = (size, size + sum(hits))
+            top = size + sum([pdeg[u] for u in _bits(subset)])
             beaten = False
             for v in range(n - 1):
                 s_v = (subset >> v) & 1
-                if (pdeg[v] + s_v, psum[v] + hits[v] + s_v * size) > top and all(
-                    subset & c for c in pcomps[v]
-                ):
+                d = pdeg[v] + s_v
+                if (
+                    d > size
+                    or d == size and psum[v] + (padj[v] & subset).bit_count() + s_v * size > top
+                ) and all(subset & c for c in pcomps[v]):
                     beaten = True
                     break
             if beaten:

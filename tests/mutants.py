@@ -47,6 +47,7 @@ GS = "tests/test_graphstate.py::"
 CORR = "tests/test_correlations.py::"
 GOLDEN = "tests/test_golden.py::"
 PART = "tests/test_partitions.py::"
+EQ = "tests/test_equivalence.py::"
 
 #: (file, text, replacement, node ids expected to fail)
 MUTANTS = (
@@ -402,6 +403,31 @@ MUTANTS = (
         "                stab = [s for s, f in zip(gens, fixes) if not prefix & ~f]\n",
         "                stab = gens\n",
         ["tests/test_equivalence.py::test_pruning_uses_only_generators_that_fix_the_prefix"],
+    ),
+    # The root colouring's shortcuts write down the search's one leaf.
+    (
+        "equivalence.py",
+        "sorted(range(n), key=colors.__getitem__)",
+        "sorted(range(n - 1, -1, -1), key=colors.__getitem__)",
+        [EQ + "test_root_shortcuts_match_the_search"],
+    ),
+    (
+        "equivalence.py",
+        "            base += _bits(cell)[:-1]\n",
+        "            base += _bits(cell) if cell & cell - 1 else ()\n",
+        [EQ + "test_root_shortcuts_match_the_search"],
+    ),
+    (
+        "equivalence.py",
+        "        if not all([not cells[c] & ~(twins[v] | 1 << v)",
+        "        if not any([not cells[c] & ~(twins[v] | 1 << v)",
+        [EQ + "test_root_shortcuts_match_the_search"],
+    ),
+    (
+        "equivalence.py",
+        "~(twins[v] | 1 << v)",
+        "~twins[v]",
+        [EQ + "test_root_shortcuts_match_the_search"],
     ),
     (
         "equivalence.py",

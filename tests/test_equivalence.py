@@ -118,6 +118,73 @@ def test_canonical_matches_reference(g):
     _assert_matches_reference(g)
 
 
+def _by_search(adj):
+    """``_canonical``'s search below the root colouring, with no shortcut."""
+    nbrs = [equivalence._bits(a) for a in adj]
+    twin_gens = equivalence._transpositions(equivalence._twin_masks(adj))
+    return equivalence._search(adj, nbrs, *equivalence._root(nbrs), twin_gens)
+
+
+def _shortcut_paths(monkeypatch, adjs):
+    """How many of ``adjs`` take each of ``_canonical``'s paths, each
+    result checked field by field against the search's."""
+    expected = [_by_search(adj) for adj in adjs]
+    search = equivalence._search
+    searched = []
+
+    def counted(*args):
+        searched.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(equivalence, "_search", counted)
+    paths = {"discrete": 0, "twin classes": 0, "search": 0}
+    for adj, want in zip(adjs, expected):
+        before = len(searched)
+        got = equivalence._canonical(adj)
+        assert got == want, adj
+        paths["search" if len(searched) > before else "twin classes" if got[3] else "discrete"] += 1
+    return paths
+
+
+def test_root_shortcuts_match_the_search(monkeypatch):
+    adjs = [list(Graph.from_edges(n, edges).adj) for n in range(1, 6) for edges in edge_sets(n)]
+    for n in range(1, 8):
+        for enc in connected_graph_reps(n):
+            adj = equivalence._decode(n, enc)
+            adjs.append(adj)
+            adjs += [equivalence._complement_at(adj, x) for x in range(n)]
+    paths = _shortcut_paths(monkeypatch, adjs)
+    assert min(paths.values()) > 0, paths
+
+
+@st.composite
+def twin_blowups(draw):
+    """A random graph on at most 5 vertices with each vertex blown up into
+    an open or a closed twin class of 1-3 vertices, at most 12 in all,
+    randomly relabelled; as adjacency masks."""
+    g = draw(graphs(5, connected=False))
+    classes = []
+    total = 0
+    for v in range(g.n):
+        size = draw(st.integers(1, min(3, 12 - total - (g.n - 1 - v))))
+        classes.append((range(total, total + size), draw(st.booleans())))
+        total += size
+    label = draw(st.permutations(range(total)))
+    adj = [0] * total
+    for v, (members, closed) in enumerate(classes):
+        joined = [w for u, (others, _) in enumerate(classes) if (g.adj[v] >> u) & 1 for w in others]
+        for a in members:
+            for b in joined + [b for b in members if closed and b != a]:
+                adj[label[a]] |= 1 << label[b]
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_blowups())
+def test_root_shortcuts_match_the_search_on_twin_blowups(adj):
+    assert equivalence._canonical(adj) == _by_search(adj)
+
+
 def _generators(g):
     """The search's generators, each checked to preserve adjacency."""
     _, _, gens, _ = equivalence._canonical(g.adj)
