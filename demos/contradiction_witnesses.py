@@ -11,7 +11,6 @@ from avnproofs import (
     complete_graph,
     find_witness,
     format_witness,
-    is_critical,
     path_graph,
     stabilizer_word,
     underrepresented_qubits,
@@ -26,16 +25,24 @@ w = find_witness(fc4)
 print("fully connected:")
 for eq in format_witness(w, fc4):
     print(f"  {eq}")
-print(f"  verified: {verify_witness(w, fc4)}, critical: {is_critical(w, fc4)}")
+print(f"  verified: {verify_witness(w, fc4)}")
 print(f"  qubits with fewer than two observables: {underrepresented_qubits(w, fc4)}")
 
-# dropping any one correlation restores a consistent assignment; each
-# correlation is checked as its (x, z, phase) word
+
+def dropped_consistent(words, n):
+    """Per correlation, whether the others admit a +-1 assignment."""
+    return [assignment_consistent(words[:k] + words[k + 1 :], n).consistent for k in range(len(words))]
+
+
+# the whole set is inconsistent, and dropping any one correlation restores a
+# consistent assignment: the witness is critical.  Each correlation is
+# checked as its (x, z, phase) word
 words = [stabilizer_word(fc4, s) for s in w]
-check = assignment_consistent(words[:-1], fc4.n)
-print(f"\nwithout the last correlation, consistent: {check.consistent}")
+print(f"\nall four, consistent: {assignment_consistent(words, fc4.n).consistent}")
+print(f"each one dropped, consistent: {dropped_consistent(words, fc4.n)}")
+check = assignment_consistent(words[1:], fc4.n)
 values = {k: v for k, v in check.model.items() if v == -1}
-print(f"one satisfying assignment sets these observables to -1: {sorted(values)}")
+print(f"without the first, one satisfying assignment sets these observables to -1: {sorted(values)}")
 
 # the linear cluster also has a four-correlation witness, at the induced
 # path 1-2-3
@@ -45,7 +52,7 @@ print("\nlinear cluster:")
 for eq in format_witness(w, lc4):
     print(f"  {eq}")
 print(f"  subsets: {[qubits_of(s) for s in w]}")
-print(f"  critical: {is_critical(w, lc4)}")
+print(f"  each one dropped, consistent: {dropped_consistent([stabilizer_word(lc4, s) for s in w], lc4.n)}")
 
 # no vertex of the two-qubit state has two neighbours, so it has no witness
 print("\ntwo-qubit state, witness:", find_witness(Graph.from_edges(2, [(1, 2)])))

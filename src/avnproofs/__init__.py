@@ -32,7 +32,6 @@ from .graphstate import (
     expectation,
     format_graph,
     full_stabilizer,
-    generators,
     is_connected,
     parse_graph,
     path_graph,
@@ -60,11 +59,9 @@ from .partitions import (
     shape_feasible,
 )
 from .reality import (
-    ActionClass,
     AvnDecision,
     Distribution,
     allows_specific_avn,
-    classify_action,
     format_distribution,
     is_element_of_reality,
     parse_distribution,
@@ -75,7 +72,6 @@ from .witness import (
     assignment_consistent,
     find_witness,
     format_witness,
-    is_critical,
     underrepresented_qubits,
     verify_witness,
 )

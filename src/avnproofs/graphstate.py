@@ -200,11 +200,6 @@ def format_graph(g: Graph) -> str:
 # Stabilizer generation
 
 
-def generators(g: Graph) -> list:
-    """The n stabilizer generators: X on vertex i, Z on each of its neighbors."""
-    return [PauliOperator(1 << v, g.adj[v], n=g.n) for v in range(g.n)]
-
-
 def cut_rank(g: Graph, mask: int) -> int:
     """E(A): the GF(2) rank of the adjacency block Gamma[A, V \\ A], where A
     is the vertex set ``mask`` (bit q-1 for qubit q).

@@ -27,7 +27,6 @@ only when printed, checked with ``--oracle``, or read as ``report.decision``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 
 from .errors import LengthMismatchError, ParseError, UnsupportedInputError
@@ -142,35 +141,11 @@ def format_distribution(d: Distribution) -> str:
     return "|".join(",".join(str(q) for q in p) for p in d.particles)
 
 
-class ActionClass(Enum):
-    """How a stabilizing operator acts on one qubit."""
-
-    PREDICTS_X = "X"
-    PREDICTS_Y = "Y"
-    PREDICTS_Z = "Z"
-    IDENTITY = "I"
-
-
 def _letter_at(x: int, z: int, i: int) -> str:
     """Letter at 1-based qubit i of the operator with X part ``x`` and Z
     part ``z``, read off the bit pair."""
     q = i - 1
     return LETTERS[(x >> q & 1) | (z >> q & 1) << 1]
-
-
-def classify_action(subset: int, g: Graph, i: int) -> ActionClass:
-    """Class of the subset's stabilizing operator at 1-based qubit i.
-
-    ``subset`` is an int mask with bit j-1 selecting generator j.  The
-    letter at i is X when i is selected and an even number of its neighbors
-    are, Y for an odd number, Z when i is unselected with an odd neighbor
-    count, and identity otherwise.  A subset outside 0..2^n - 1 raises
-    ``stabilizer_word``'s ValueError.
-    """
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    x, z, _ = stabilizer_word(g, subset)
-    return ActionClass(_letter_at(x, z, i))
 
 
 def _eor_requirements(pauli: str):

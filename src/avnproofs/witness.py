@@ -87,15 +87,6 @@ def verify_witness(w: tuple, g: Graph) -> bool:
     return perfect_correlations_hold(g, words)
 
 
-def is_critical(w: tuple, g: Graph) -> bool:
-    """True when the set is inconsistent and removing any one operator makes it consistent."""
-    words = [stabilizer_word(g, s) for s in w]
-    return not assignment_consistent(words, g.n).consistent and all(
-        assignment_consistent(words[:k] + words[k + 1 :], g.n).consistent
-        for k in range(len(words))
-    )
-
-
 def find_witness(g: Graph):
     """The lexicographically least GHZ quadruple of the graph, as sorted
     generator-subset masks, or None.

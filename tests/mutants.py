@@ -325,6 +325,12 @@ MUTANTS = (
         [CLI + "test_oracle_rejects_a_broken_certificate_at_every_n[12-last]"],
     ),
     (
+        "cli.py",
+        "    if not perfect_correlations_hold(g, words):\n",
+        "    if g.n < 16 and not perfect_correlations_hold(g, words):\n",
+        [CLI + "test_oracle_rejects_a_broken_certificate_at_every_n[16-first]"],
+    ),
+    (
         "witness.py",
         "    return perfect_correlations_hold(g, words)\n",
         "    return True\n",
@@ -404,6 +410,49 @@ MUTANTS = (
         "                stab = gens\n",
         ["tests/test_equivalence.py::test_pruning_uses_only_generators_that_fix_the_prefix"],
     ),
+    # Every pruning rule of the census lowers the cold search count.
+    (
+        "equivalence.py",
+        "            if orbit & skip or adj[x].bit_count() <= 1:\n",
+        "            if adj[x].bit_count() <= 1:\n",
+        [EQ + "test_cold_census_search_counts"],
+    ),
+    (
+        "equivalence.py",
+        "            back[img] = back.get(img, 0) | (1 << img_perm[x])\n",
+        "",
+        [EQ + "test_cold_census_search_counts"],
+    ),
+    (
+        "equivalence.py",
+        "            if (covered >> x) & 1:\n                continue\n",
+        "",
+        [EQ + "test_cold_census_search_counts"],
+    ),
+    (
+        "equivalence.py",
+        "            if orbit & skip or adj[x].bit_count() <= 1:\n                continue\n",
+        "",
+        [EQ + "test_cold_census_search_counts"],
+    ),
+    (
+        "equivalence.py",
+        "            if subset in seen_subsets:\n                continue\n",
+        "",
+        [EQ + "test_cold_census_search_counts"],
+    ),
+    (
+        "equivalence.py",
+        "            if beaten:\n                continue\n",
+        "",
+        [EQ + "test_cold_census_search_counts"],
+    ),
+    (
+        "equivalence.py",
+        " if sizes[c] > 1 else base[c]\n",
+        "\n",
+        [EQ + "test_refinement_never_reads_a_singleton_cells_neighbours"],
+    ),
     # The root colouring's shortcuts write down the search's one leaf.
     (
         "equivalence.py",
@@ -437,9 +486,9 @@ MUTANTS = (
     ),
     (
         "witness.py",
-        "    return not assignment_consistent(words, g.n).consistent and all(\n",
-        "    return all(\n",
-        [W + "test_consistent_set_is_not_critical"],
+        "        rows.append((coeffs, key >> 3 * n))\n",
+        "        rows.append((coeffs, 0))\n",
+        [W + "test_ghz4_witness_verifies_and_is_critical"],
     ),
     (
         "reports.py",
@@ -478,7 +527,7 @@ MUTANTS = (
         "graphstate.py",
         "    if subset >> g.n:\n",
         "    if False:\n",
-        ["tests/test_reality.py::test_classify_rejects_a_subset_out_of_range"],
+        ["tests/test_reality.py::test_stabilizer_word_rejects_a_subset_out_of_range"],
     ),
     # The set-partition recursion and the orbit dedupe run on block masks.
     (

@@ -18,11 +18,11 @@ from avnproofs import (
     ResourceLimitError,
     UnsupportedInputError,
     allows_specific_avn,
+    assignment_consistent,
     canonical_form,
     enumerate_distributions,
     expectation,
     full_stabilizer,
-    generators,
     graph_from_encoding,
     integer_partitions,
     is_connected,
@@ -32,6 +32,7 @@ from avnproofs import (
     pauli_multiply,
     shape_feasible,
     stabilizer_element,
+    stabilizer_word,
     statevector,
     verify_witness,
 )
@@ -94,15 +95,23 @@ def format_pauli_by_letters(op):
 def stabilizer_by_products(g, mask):
     """Stabilizer element of a generator subset as an explicit product.
 
-    Multiplies the selected generators one by one in ascending index order
-    with ``pauli_multiply``; the package computes the same element in
-    closed form.
+    Multiplies the selected generators (X on vertex v, Z on each of its
+    neighbours) one by one in ascending index order with ``pauli_multiply``;
+    the package computes the same element in closed form.
     """
     acc = PauliOperator(0, 0, n=g.n)
-    for v, gen in enumerate(generators(g)):
+    for v, nbrs in enumerate(g.adj):
         if (mask >> v) & 1:
-            acc = pauli_multiply(acc, gen)
+            acc = pauli_multiply(acc, PauliOperator(1 << v, nbrs, n=g.n))
     return acc
+
+
+def letter_at(g, subset, i):
+    """Letter of the subset's stabilizing operator at 1-based qubit i, read
+    off the bit pair of its ``stabilizer_word``: X for the x bit alone, Z
+    for the z bit alone, Y for both and I for neither."""
+    x, z, _ = stabilizer_word(g, subset)
+    return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[x >> i - 1 & 1, z >> i - 1 & 1]
 
 
 def _row_reduce(mat, ncols):
@@ -542,6 +551,17 @@ def all_sign_assignments_consistent(ops):
         if ok:
             return True
     return False
+
+
+def is_critical(w, g):
+    """True when the generator-subset masks ``w`` name an inconsistent set
+    of correlations and removing any one member makes it consistent, each
+    set decided by ``assignment_consistent``."""
+    words = [stabilizer_word(g, s) for s in w]
+    return not assignment_consistent(words, g.n).consistent and all(
+        assignment_consistent(words[:k] + words[k + 1 :], g.n).consistent
+        for k in range(len(words))
+    )
 
 
 def certifies_some_element(op, d):

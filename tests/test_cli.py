@@ -69,7 +69,7 @@ def singletons(n):
 
 
 @pytest.mark.parametrize("which", ["first", "last"])
-@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("n", [12, 13, 14, 16])
 def test_oracle_rejects_a_broken_certificate_at_every_n(capsys, monkeypatch, n, which):
     """One Z bit flipped in the word of one of the 3n certificates of the
     report's table breaks its correlation, and ``--oracle`` finds it also

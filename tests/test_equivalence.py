@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,72 @@ def test_refinement_keys_match_sorted_tuples(g):
         _refine_calls_match_oracle(monkeypatch, [g])
 
 
+class _Watched(tuple):
+    """A vertex's neighbour list that logs the vertex each time it is read."""
+
+    def __new__(cls, nb, v, log):
+        self = super().__new__(cls, nb)
+        self.v, self.log = v, log
+        return self
+
+    def __iter__(self):
+        self.log.add(self.v)
+        return super().__iter__()
+
+
+def test_refinement_never_reads_a_singleton_cells_neighbours(monkeypatch):
+    """A singleton cell cannot split, so ``_refine`` keys it by its colour
+    alone: over the census graphs with n <= 6, no vertex alone in its cell
+    when a refinement starts has its neighbour list read by it."""
+    kernel = equivalence._refine
+    watched = {"calls with a singleton": 0, "lists read": 0}
+
+    def checked(nbrs, colors, count):
+        log = set()
+        out = kernel([_Watched(nb, v, log) for v, nb in enumerate(nbrs)], colors, count)
+        sizes = Counter(colors)
+        singletons = {v for v, c in enumerate(colors) if sizes[c] == 1}
+        assert not log & singletons, (colors, log & singletons)
+        watched["calls with a singleton"] += count < len(nbrs) and bool(singletons)
+        watched["lists read"] += len(log)
+        return out
+
+    monkeypatch.setattr(equivalence, "_refine", checked)
+    for n in range(2, 7):
+        for enc in connected_graph_reps(n):
+            equivalence._canonical(equivalence._decode(n, enc))
+    assert min(watched.values()) > 0, watched
+
+
+#: Canonical searches made by a cold ``classify_all(k)``: vertex extension
+#: of every smaller census, the LC orbit walks and the records' groups.
+#: Each pruning rule of ``_children`` and ``lc_orbit`` lowers the count.
+COLD_CENSUS_SEARCHES = {5: 62, 6: 342, 7: 3056}
+
+
+def test_cold_census_search_counts(monkeypatch):
+    canonical = equivalence._canonical
+    calls = []
+
+    def counted(adj):
+        calls.append(1)
+        return canonical(adj)
+
+    monkeypatch.setattr(equivalence, "_canonical", counted)
+    names = ("_classify_cached", "connected_graph_reps", "_parents")
+    cached = {name: getattr(equivalence, name) for name in names}
+    counts = {}
+    for k in COLD_CENSUS_SEARCHES:
+        # empty caches for this k; the shared ones come back with monkeypatch
+        for name, f in cached.items():
+            monkeypatch.setattr(equivalence, name, lru_cache(maxsize=None)(f.__wrapped__))
+        calls.clear()
+        records = classify_all(k)
+        counts[k] = len(calls)
+        assert records == list(cached["_classify_cached"](k))
+    assert counts == COLD_CENSUS_SEARCHES
+
+
 def _complete_bipartite(a, b):
     edges = [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)]
     return Graph.from_edges(a + b, edges)
@@ -489,6 +557,10 @@ def test_guards():
             connected_graph_reps(n)
     with pytest.raises(ResourceLimitError):
         connected_graph_reps(9)
+    # LC orbits run up to the census limit, n = 8
+    assert canonical_form(path_graph(8)) in lc_orbit(path_graph(8))
+    with pytest.raises(ResourceLimitError, match=r"^orbit computation limited to n <= 8, got 9$"):
+        lc_orbit(path_graph(9))
     # canonical forms run up to the graph size limit, n = 16
     rng = random.Random(9)
     pairs = [(i, j) for i in range(1, 17) for j in range(i + 1, 17)]

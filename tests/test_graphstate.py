@@ -18,7 +18,6 @@ from avnproofs import (
     format_graph,
     format_word,
     full_stabilizer,
-    generators,
     is_connected,
     parse_graph,
     path_graph,
@@ -43,15 +42,12 @@ from strategies import connected_cases
 
 
 def test_generators_single_vertex():
-    g = Graph.from_edges(1, [])
-    assert [format_word(op.x, op.z, op.phase) for op in generators(g)] == ["X1"]
+    assert format_word(*stabilizer_word(Graph.from_edges(1, []), 1)) == "X1"
 
 
 def test_generators_fc4_and_lc4():
-    first = generators(complete_graph(4))[0]
-    assert format_word(first.x, first.z, first.phase) == "X1 Z2 Z3 Z4"
-    last = generators(path_graph(4))[3]
-    assert format_word(last.x, last.z, last.phase) == "Z3 X4"
+    assert format_word(*stabilizer_word(complete_graph(4), 1 << 0)) == "X1 Z2 Z3 Z4"
+    assert format_word(*stabilizer_word(path_graph(4), 1 << 3)) == "Z3 X4"
 
 
 def test_stabilizer_element_examples():
@@ -101,7 +97,8 @@ def test_statevector_is_the_edge_count_sign_bit_for_bit():
 
 
 def test_statevector_guard():
-    with pytest.raises(ResourceLimitError):
+    assert statevector(path_graph(12)).size == 1 << 12
+    with pytest.raises(ResourceLimitError, match=r"^statevector limited to n <= 12, got 13$"):
         statevector(path_graph(13))
 
 
@@ -133,8 +130,8 @@ def test_every_class_representative_has_perfect_correlations():
         for record in classify_all(n):
             g = record.representative
             sv = statevector(g)
-            for i, gen in enumerate(generators(g), start=1):
-                assert expectation(sv, word_of(gen)) == pytest.approx(1.0, abs=1e-10)
+            for v in range(n):
+                assert expectation(sv, stabilizer_word(g, 1 << v)) == pytest.approx(1.0, abs=1e-10)
             for op in full_stabilizer(g):
                 assert expectation(sv, word_of(op)) == pytest.approx(1.0, abs=1e-10)
                 assert expectation(sv, (op.x, op.z, op.phase ^ 2)) == pytest.approx(-1.0, abs=1e-10)
@@ -190,6 +187,7 @@ def test_arrays_are_the_stabilizer_on_connected_graphs(case):
 
 
 def test_arrays_guard_matches_the_statevector():
+    assert all(part.size == 1 << 12 for part in stabilizer_arrays(path_graph(12)))
     with pytest.raises(ResourceLimitError, match=r"^stabilizer arrays limited to n <= 12, got 13$"):
         stabilizer_arrays(path_graph(13))
 
@@ -277,6 +275,13 @@ def test_parse_errors(text, message, position):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert (err.value.message, err.value.position) == (message, position)
+
+
+def test_parse_graph_takes_sixteen_vertices_and_no_more():
+    assert parse_graph("16: 15-16") == Graph.from_edges(16, [(15, 16)])
+    with pytest.raises(ParseError) as err:
+        parse_graph("17: 16-17")
+    assert (err.value.message, err.value.position) == ("vertex count must be in 1..16", 0)
 
 
 def test_parse_error_position_points_at_bad_edge():

@@ -105,6 +105,21 @@ def test_automorphism_groups():
     assert len(automorphisms(Y6)) == 2  # swap the two length-2 arms
 
 
+def test_automorphisms_are_listed_up_to_ten_vertices():
+    assert automorphisms(path_graph(10)) == [tuple(range(10)), tuple(range(9, -1, -1))]
+    with pytest.raises(ResourceLimitError, match=r"^automorphism search limited to n <= 10, got 11$"):
+        automorphisms(path_graph(11))
+
+
+def test_minimal_shapes_take_two_to_sixteen_qubits():
+    schedule = minimal_shapes(16)
+    assert schedule[0] == (2, ((8, 8),)) and schedule[-1] == (16, ((1,) * 16,))
+    assert all(sum(shape) == 16 for _, shapes in schedule for shape in shapes)
+    for n in (1, 17):
+        with pytest.raises(ValueError, match=f"^n must be in 2..16, got {n}$"):
+            minimal_shapes(n)
+
+
 def test_enumerate_counts_without_dedupe():
     assert len(list(enumerate_distributions(path_graph(4), (2, 2), dedupe=False))) == 3
 

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from avnproofs import reality
 from avnproofs import (
-    ActionClass,
     Distribution,
     Graph,
     LengthMismatchError,
     UnsupportedInputError,
     allows_specific_avn,
     classify_all,
-    classify_action,
     complete_graph,
     format_word,
     gf2_unit_solutions,
@@ -30,55 +28,56 @@ from avnproofs import (
     stabilizer_element,
     stabilizer_word,
 )
-from oracles import eor_subset_by_system, gf2_rank, reduced_stabilizer, set_partitions
+from oracles import eor_subset_by_system, gf2_rank, letter_at, reduced_stabilizer, set_partitions
 from strategies import connected_cases
 
 LC4 = path_graph(4)
 LC6 = path_graph(6)
 
 
-def test_classify_singleton_subset_is_x():
+def test_singleton_subset_shows_x():
     for g in (LC4, complete_graph(4), ring_graph(5)):
         for i in range(1, g.n + 1):
-            assert classify_action(1 << (i - 1), g, i) is ActionClass.PREDICTS_X
+            assert letter_at(g, 1 << (i - 1), i) == "X"
 
 
-def test_classify_empty_subset_is_identity():
+def test_empty_subset_shows_identity():
     for i in range(1, 5):
-        assert classify_action(0, LC4, i) is ActionClass.IDENTITY
+        assert letter_at(LC4, 0, i) == "I"
 
 
-def test_classify_lc4_pair_qubit1_is_y():
-    assert classify_action(0b0011, LC4, 1) is ActionClass.PREDICTS_Y
+def test_lc4_pair_shows_y_on_qubit1():
+    assert letter_at(LC4, 0b0011, 1) == "Y"
 
 
 @pytest.mark.parametrize("subset", [-1, 1 << 4, 1 << 5])
-def test_classify_rejects_a_subset_out_of_range(subset):
+def test_stabilizer_word_rejects_a_subset_out_of_range(subset):
     shown = {-1: "-0x1", 1 << 4: "0x10", 1 << 5: "0x20"}[subset]
-    message = f"subset mask {shown} out of range for n=4"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"subset mask {shown} out of range for n=4"):
         stabilizer_word(LC4, subset)
-    for i in range(1, 5):
-        with pytest.raises(ValueError, match=message):
-            classify_action(subset, LC4, i)
 
 
 @pytest.mark.parametrize("g", [LC4, complete_graph(4), ring_graph(5), path_graph(5)])
-def test_classify_matches_operator_letter(g):
+def test_letter_is_the_operator_letter_and_the_neighbour_parity_rule(g):
+    """The letter at i is X when i is selected and an even number of its
+    neighbours are, Y for an odd number, Z when i is unselected with an odd
+    neighbour count, and I otherwise."""
     for mask in range(1 << g.n):
         op = stabilizer_element(g, mask)
         for i in range(1, g.n + 1):
-            assert classify_action(mask, g, i).value == op.letter(i)
+            selected = mask >> (i - 1) & 1
+            parity = (mask & g.adj[i - 1]).bit_count() & 1
+            assert letter_at(g, mask, i) == op.letter(i) == "IZXY"[2 * selected + parity]
 
 
-def test_class_sizes_are_a_quarter_each():
+def test_letter_bins_are_a_quarter_each():
     for n in range(2, 7):
         for record in classify_all(n):
             g = record.representative
             for i in range(1, n + 1):
-                bins = {cls: 0 for cls in ActionClass}
+                bins = dict.fromkeys("IXYZ", 0)
                 for mask in range(1 << n):
-                    bins[classify_action(mask, g, i)] += 1
+                    bins[letter_at(g, mask, i)] += 1
                 assert all(count == 1 << (n - 2) for count in bins.values())
 
 
@@ -132,7 +131,7 @@ def test_x_and_y_imply_z_via_subset_xor():
                 wz = is_element_of_reality(g, d, i, "Z")
                 assert wz is not None
                 candidate = wx ^ wy
-                assert classify_action(candidate, g, i) is ActionClass.PREDICTS_Z
+                assert letter_at(g, candidate, i) == "Z"
 
 
 def test_allows_lc6_known_cases():

@@ -20,7 +20,6 @@ from avnproofs import (
     format_witness,
     format_word,
     graph_from_encoding,
-    is_critical,
     parse_distribution,
     path_graph,
     ring_graph,
@@ -35,6 +34,7 @@ from oracles import (
     all_sign_assignments_consistent,
     canonical_solution,
     edge_sets,
+    is_critical,
     set_partitions,
     sign_of,
     witness_by_sweep,
